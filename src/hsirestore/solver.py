@@ -10,12 +10,16 @@ Splitting variables ``z`` (a copy of the image constrained by the data term)
 and ``f`` (the gradient stack of ``z``) decouple the subproblems.  One outer
 iteration performs, in order:
 
-1. ``x``:  Tucker fit (HOOI) of ``z - dual_x / beta`` at the image ranks.
-2. ``z``:  exact solve of ``((1 + beta) I + beta D^T D) z = rhs`` by 3-D FFT
-   division (circular differences make ``D^T D`` diagonal in Fourier space).
+1. ``x``:  Tucker fit (HOOI) of ``z - dual_x / beta`` at the image ranks,
+   per outer iteration, warm-started from the previous iteration's factors
+   (the first iteration starts from a truncated HOSVD).
+2. ``z``:  exact solve of ``((1 + beta) I + beta D^T D) z = rhs`` by real 3-D
+   FFT division (circular differences make ``D^T D`` diagonal in Fourier
+   space).
 3. ``f``:  per-direction generalized shrinkage of ``D(z) + dual_grad / beta``
    with threshold ``lambda_tv / beta`` and the fitted exponents.
-4. ``b``:  Tucker fit of ``y - z - s`` at the stripe ranks.
+4. ``b``:  Tucker fit of ``y - z - s`` at the stripe ranks, warm-started
+   like ``x``.
 5. ``s``:  soft threshold of ``y - z - b`` at ``lambda_sparse``.
 6. dual ascent on both multipliers, then geometric growth of ``beta`` up to
    its cap.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,7 +118,11 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Mutable iterate of the alternating loop."""
+    """Mutable iterate of the alternating loop.
+
+    ``x_factors``/``b_factors`` hold the Tucker factors of the last ``x``/``b``
+    fit, the warm start of the next one; ``None`` means start cold.
+    """
 
     x: np.ndarray
     z: np.ndarray
@@ -125,6 +134,8 @@ class SolverState:
     beta: float
     iteration: int = 0
     rel_change_history: list[float] = field(default_factory=list)
+    x_factors: tuple[np.ndarray, ...] | None = None
+    b_factors: tuple[np.ndarray, ...] | None = None
 
     @classmethod
     def zeros(cls, shape: tuple[int, int, int], beta: float) -> "SolverState":
@@ -168,25 +179,40 @@ class SolveDiagnostics:
     wall_time_s: float
 
 
+@lru_cache(maxsize=8)
 def _diff_transfer(shape: tuple[int, int, int], weights: TvWeights) -> np.ndarray:
-    """Fourier multipliers of ``D^T D`` for weighted circular differences."""
+    """Fourier multipliers of ``D^T D`` for weighted circular differences.
+
+    Only the half spectrum that ``rfftn`` keeps along the band axis is
+    returned.  The array is cached per ``(shape, weights)`` and read-only.
+    """
     mults = []
     for n, wt in zip(shape, weights.as_tuple()):
         mults.append(wt**2 * (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)))
-    return (
-        mults[0][:, None, None] + mults[1][None, :, None] + mults[2][None, None, :]
+    transfer = (
+        mults[0][:, None, None]
+        + mults[1][None, :, None]
+        + mults[2][None, None, : shape[2] // 2 + 1]
     )
+    transfer.setflags(write=False)
+    return transfer
 
 
 def update_x(state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    """Tucker fit of the multiplier-shifted splitting variable at the image ranks."""
+    """Tucker fit of the multiplier-shifted splitting variable at the image ranks.
+
+    Starts from ``state.x_factors`` and stores the new factors there.
+    """
     target = (state.beta * state.z - state.dual_x) / state.beta
-    fit = hooi(target, cfg.ranks_x, max_iter=cfg.hooi_max_iter, tol=cfg.hooi_tol)
+    fit = hooi(
+        target, cfg.ranks_x, max_iter=cfg.hooi_max_iter, tol=cfg.hooi_tol, init=state.x_factors
+    )
+    state.x_factors = fit.factors
     return reconstruct(fit)
 
 
 def update_z(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
-    """Exact FFT solve of the coupled least-squares subproblem.
+    """Exact real-FFT solve of the coupled least-squares subproblem.
 
     At ``beta=0`` both couplings vanish with their penalty, leaving the pure
     data term ``z = y - b - s + dual_x``.
@@ -197,7 +223,8 @@ def update_z(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
     rhs = rhs + diff_adjoint(state.beta * state.f - state.dual_grad, cfg.weights)
     transfer = _diff_transfer(y.shape, cfg.weights)
     denom = 1.0 + state.beta + state.beta * transfer
-    return np.real(np.fft.ifftn(np.fft.fftn(rhs) / denom))
+    axes = (0, 1, 2)
+    return np.fft.irfftn(np.fft.rfftn(rhs, axes=axes) / denom, s=y.shape, axes=axes)
 
 
 def update_f(
@@ -209,11 +236,17 @@ def update_f(
 
 
 def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
-    """Tucker fit of the image-free residual at the stripe ranks."""
+    """Tucker fit of the image-free residual at the stripe ranks.
+
+    Starts from ``state.b_factors`` and stores the new factors there.
+    """
     if not cfg.stripe_enabled:
         return np.zeros_like(y)
     target = y - state.z - state.s
-    fit = hooi(target, cfg.ranks_b, max_iter=cfg.hooi_max_iter, tol=cfg.hooi_tol)
+    fit = hooi(
+        target, cfg.ranks_b, max_iter=cfg.hooi_max_iter, tol=cfg.hooi_tol, init=state.b_factors
+    )
+    state.b_factors = fit.factors
     return reconstruct(fit)
 
 

@@ -60,15 +60,15 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     axis = _check_mode(mode)
     t = np.asarray(t)
     m = np.asarray(m)
+    if t.ndim != 3:
+        raise ValueError(f"expected a 3-D tensor, got ndim={t.ndim}")
     if m.ndim != 2:
         raise ValueError(f"factor must be a matrix, got ndim={m.ndim}")
     if m.shape[1] != t.shape[axis]:
         raise ValueError(
             f"factor has {m.shape[1]} columns but tensor mode {mode} has size {t.shape[axis]}"
         )
-    new_shape = list(t.shape)
-    new_shape[axis] = m.shape[0]
-    return fold(m @ unfold(t, mode), mode, tuple(new_shape))
+    return np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
 
 
 def multi_mode_product(
@@ -91,16 +91,20 @@ def fro_norm(t: np.ndarray) -> float:
 def leading_left_singular_vectors(m: np.ndarray, r: int) -> np.ndarray:
     """Orthonormal basis of the top-``r`` left singular subspace of ``m``.
 
-    The sign of each column is fixed so that its largest-magnitude entry is
-    nonnegative, making repeated runs bit-reproducible.
+    The basis is the top-``r`` eigenvectors of the Gram matrix ``m @ m.T``,
+    which spans the same subspace as the leading left singular vectors at a
+    fraction of the cost of a full SVD of a wide unfolding.  Tied eigenvalues
+    keep their ``eigh`` order.  The sign of each column is fixed so that its
+    largest-magnitude entry is nonnegative, making repeated runs
+    bit-reproducible.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
     if not 1 <= r <= min(m.shape):
         raise ValueError(f"rank {r} out of range for matrix of shape {m.shape}")
-    u, _, _ = np.linalg.svd(m, full_matrices=False)
-    u = u[:, :r].copy()
+    w, v = np.linalg.eigh(m @ m.T)
+    u = v[:, np.argsort(-w, kind="stable")[:r]]
     idx = np.argmax(np.abs(u), axis=0)
     signs = np.sign(u[idx, np.arange(r)])
     signs[signs == 0] = 1.0

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from hsirestore.metrics import evaluate
 from hsirestore.noise import add_stripes, case_spec, simulate_case
-from hsirestore.priors import GradientStack, TvWeights, diff_forward, soft_threshold
+from hsirestore.priors import GradientStack, TvWeights, diff_adjoint, diff_forward, soft_threshold
 from hsirestore.solver import (
     SolverConfig,
     SolverState,
@@ -117,6 +117,28 @@ class TestUpdateZ:
         np.testing.assert_allclose(got, expected, atol=1e-10)
         residual = a @ got.ravel() - rhs_cube.ravel()
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs_cube)
+
+    @pytest.mark.parametrize(
+        "shape, weights",
+        [
+            ((4, 4, 4), TvWeights(1.0, 1.0, 0.5)),  # even band count
+            ((3, 4, 2), TvWeights(1.0, 0.8, 0.4)),
+            ((5, 3, 1), TvWeights(1.0, 1.0, 0.5)),  # single band
+        ],
+    )
+    def test_real_fft_solve_matches_dense_solve(self, shape, weights):
+        beta = 0.61
+        y = np.random.default_rng(30).standard_normal(shape)
+        state = make_state(shape, beta=beta, seed=31)
+        got = update_z(state, small_cfg(weights=weights), y)
+        d = dense_difference_matrix(shape, weights)
+        a = (1.0 + beta) * np.eye(int(np.prod(shape))) + beta * (d.T @ d)
+        rhs = (y - state.b - state.s + state.dual_x + beta * state.x) + diff_adjoint(
+            beta * state.f - state.dual_grad, weights
+        )
+        assert got.shape == shape
+        residual = a @ got.ravel() - rhs.ravel()
+        assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
 
 
 class TestUpdateF:
@@ -343,6 +365,29 @@ class TestSolve:
         np.testing.assert_array_equal(a.stripes, b.stripes)
         np.testing.assert_array_equal(a.residual, b.residual)
         assert da.rel_change == db.rel_change
+
+    def test_one_cold_tucker_start_per_term_per_solve(self, monkeypatch):
+        import hsirestore.tucker
+
+        cold_starts = []
+        real_hosvd_init = hsirestore.tucker.hosvd_init
+
+        def counting_hosvd_init(t, ranks):
+            cold_starts.append(ranks)
+            return real_hosvd_init(t, ranks)
+
+        monkeypatch.setattr(hsirestore.tucker, "hosvd_init", counting_hosvd_init)
+        truth = low_rank_cube((12, 12, 6), TuckerRanks(3, 3, 2), seed=31)
+        noisy, _ = simulate_case(truth, case_spec(2, seed=31))
+        cfg = SolverConfig(
+            ranks_x=TuckerRanks(4, 4, 3), max_iter=6, epsilon=1e-30, p_override=(0.7, 0.7, 0.7)
+        )
+        for _ in range(2):
+            cold_starts.clear()
+            _, diag = solve(noisy, cfg)
+            assert diag.iterations == 6
+            # warm factors live in the solve's own state: each solve starts cold again
+            assert len(cold_starts) == 2
 
     def test_non_finite_input_rejected(self):
         y = np.zeros((8, 8, 4))

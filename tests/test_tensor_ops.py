@@ -19,6 +19,14 @@ from oracles import (
 )
 
 
+def matrix_with_singular_values(shape, s, seed):
+    """``U diag(s) V^T`` with random orthonormal ``U``/``V`` and the given spectrum."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], len(s))))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], len(s))))
+    return (u * np.asarray(s, dtype=float)) @ v.T
+
+
 def cube_1_to_8():
     # entries 1..8 laid out with the first index varying fastest
     return np.arange(1, 9, dtype=float).reshape((2, 2, 2), order="F")
@@ -168,3 +176,26 @@ class TestLeadingLeftSingularVectors:
     def test_rank_out_of_range_rejected(self, r):
         with pytest.raises(ValueError):
             leading_left_singular_vectors(np.zeros((5, 7)), r)
+
+    @pytest.mark.parametrize(
+        "m, r",
+        [
+            (np.random.default_rng(14).standard_normal((16, 2048)), 5),
+            (np.random.default_rng(15).standard_normal((64, 40)), 10),
+            # rank 6; the leading 4 singular values are well separated
+            (matrix_with_singular_values((30, 50), [9.0, 7.0, 5.0, 3.0, 1.0, 0.5], seed=16), 4),
+            # the leading singular value is repeated; its pair spans a unique subspace
+            (matrix_with_singular_values((20, 30), [4.0, 4.0, 2.0, 1.0, 0.5], seed=17), 2),
+        ],
+        ids=["wide", "tall", "rank-deficient", "repeated-leading"],
+    )
+    def test_subspace_matches_full_svd(self, m, r):
+        u_svd = np.linalg.svd(m, full_matrices=False)[0][:, :r]
+        got = leading_left_singular_vectors(m, r)
+        assert got.shape == (m.shape[0], r)
+        assert subspace_angle(got, u_svd) <= 1e-8
+
+    def test_zero_matrix_gives_orthonormal_columns(self):
+        # the first ADMM Tucker target is all zero
+        u = leading_left_singular_vectors(np.zeros((6, 40)), 3)
+        np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-14)

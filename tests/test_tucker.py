@@ -121,6 +121,56 @@ class TestHooi:
         assert fro_norm(t - reconstruct(f)) <= 1e-10 * fro_norm(t)
 
 
+class TestHooiWarmStart:
+    def test_hosvd_start_is_bit_identical_to_cold_start(self):
+        t = np.random.default_rng(12).standard_normal((8, 7, 6))
+        ranks = TuckerRanks(3, 4, 2)
+        cold, cold_errors = hooi(t, ranks, return_errors=True)
+        warm, warm_errors = hooi(
+            t, ranks, return_errors=True, init=hosvd_init(t, ranks).factors
+        )
+        np.testing.assert_array_equal(warm.core, cold.core)
+        for a, b in zip(warm.factors, cold.factors):
+            np.testing.assert_array_equal(a, b)
+        assert warm_errors == cold_errors
+
+    def test_errors_non_increasing_from_initial_projection(self):
+        rng = np.random.default_rng(13)
+        t = rng.standard_normal((8, 7, 6))
+        ranks = TuckerRanks(3, 3, 2)
+        init = tuple(random_orthonormal(n, r, rng) for n, r in zip(t.shape, ranks.as_tuple()))
+        fit, errors = hooi(t, ranks, max_iter=8, tol=1e-14, return_errors=True, init=init)
+        start = TuckerFactors(
+            mode_product(mode_product(mode_product(t, init[0].T, 1), init[1].T, 2), init[2].T, 3),
+            init,
+        )
+        assert errors[0] == pytest.approx(fro_norm(t - reconstruct(start)), rel=1e-10)
+        assert len(errors) >= 2
+        for prev, cur in zip(errors, errors[1:]):
+            assert cur <= prev + 1e-12
+        assert errors[-1] == pytest.approx(fro_norm(t - reconstruct(fit)), rel=1e-10)
+
+    def test_warm_start_at_the_optimum_stays_there(self):
+        ranks = (3, 2, 4)
+        t = random_tucker_cube((6, 7, 8), ranks, seed=14)
+        fit = hooi(t, TuckerRanks(*ranks))
+        again = hooi(t, TuckerRanks(*ranks), init=fit.factors)
+        assert fro_norm(t - reconstruct(again)) <= 1e-8 * fro_norm(t)
+
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(8, 3), (7, 3), (6, 3)],  # rank mismatch in mode 3
+            [(7, 3), (8, 3), (6, 2)],  # modes 1 and 2 swapped
+            [(8, 3), (7, 3)],  # one factor short
+        ],
+    )
+    def test_mismatched_factors_rejected(self, shapes):
+        t = np.zeros((8, 7, 6))
+        with pytest.raises(ValueError):
+            hooi(t, TuckerRanks(3, 3, 2), init=tuple(np.zeros(s) for s in shapes))
+
+
 class TestTuckerRanks:
     def test_nonpositive_rank_rejected(self):
         with pytest.raises(ValueError):
