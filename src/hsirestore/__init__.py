@@ -4,124 +4,27 @@ Double low-rank Tucker modeling (image and stripes), per-direction lp
 gradient priors with data-fitted exponents, and an alternating-direction
 solver, plus the seeded noise simulator and the evaluation metrics used to
 benchmark restorations.
+
+The package root exports the names of the library example in the README;
+everything else is imported from its submodule.
 """
 
-from .fileio import (
-    ConfigError,
-    CubeFileError,
-    load_solver_config,
-    normalize_bands,
-    parse_solver_config,
-    read_cube,
-    read_manifest,
-    write_cube,
-    write_manifest,
-)
-from .gradient_fit import (
-    DirectionFit,
-    Histogram,
-    HyperLaplacianFit,
-    convolve_hist,
-    estimate_noise_sigma,
-    estimate_p,
-    fit_direction,
-    fit_gradient_field,
-    gaussian_histogram,
-    histogram,
-    hyper_laplacian_histogram,
-    nelder_mead,
-)
-from .metrics import MetricsReport, evaluate, psnr, sam, ssim
-from .noise import (
-    NoiseSpec,
-    add_deadlines,
-    add_gaussian,
-    add_impulse,
-    add_stripes,
-    case_spec,
-    simulate_case,
-)
-from .priors import (
-    GradientStack,
-    TvWeights,
-    diff_adjoint,
-    diff_forward,
-    gst_shrink,
-    shrink_gradient_stack,
-    soft_threshold,
-)
-from .solver import (
-    ObservationDecomposition,
-    SolveDiagnostics,
-    SolverConfig,
-    SolverState,
-    default_image_ranks,
-    default_stripe_ranks,
-    solve,
-)
+from .fileio import normalize_bands
+from .metrics import evaluate
+from .noise import case_spec, simulate_case
+from .solver import SolverConfig, solve
 from .synthetic import low_rank_cube
-from .tensor_ops import fold, fro_norm, leading_left_singular_vectors, mode_product, unfold
-from .tucker import TuckerFactors, TuckerRanks, hooi, hosvd_init, reconstruct
+from .tucker import TuckerRanks
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError",
-    "CubeFileError",
-    "DirectionFit",
-    "GradientStack",
-    "Histogram",
-    "HyperLaplacianFit",
-    "MetricsReport",
-    "NoiseSpec",
-    "ObservationDecomposition",
-    "SolveDiagnostics",
     "SolverConfig",
-    "SolverState",
-    "TuckerFactors",
     "TuckerRanks",
-    "TvWeights",
-    "add_deadlines",
-    "add_gaussian",
-    "add_impulse",
-    "add_stripes",
     "case_spec",
-    "convolve_hist",
-    "default_image_ranks",
-    "default_stripe_ranks",
-    "diff_adjoint",
-    "diff_forward",
-    "estimate_noise_sigma",
-    "estimate_p",
     "evaluate",
-    "fit_direction",
-    "fit_gradient_field",
-    "fold",
-    "fro_norm",
-    "gaussian_histogram",
-    "gst_shrink",
-    "histogram",
-    "hooi",
-    "hosvd_init",
-    "hyper_laplacian_histogram",
-    "leading_left_singular_vectors",
-    "load_solver_config",
     "low_rank_cube",
-    "mode_product",
-    "nelder_mead",
     "normalize_bands",
-    "parse_solver_config",
-    "psnr",
-    "read_cube",
-    "read_manifest",
-    "reconstruct",
-    "sam",
-    "shrink_gradient_stack",
     "simulate_case",
-    "soft_threshold",
     "solve",
-    "ssim",
-    "unfold",
-    "write_cube",
-    "write_manifest",
 ]

@@ -121,10 +121,10 @@ def _as_bool(key: str, raw: str) -> bool:
     raise ConfigError(f"{key}: expected true/false, got {raw!r}")
 
 
-def _as_triple(key: str, raw: str, cast) -> tuple:
+def _as_tuple(key: str, raw: str, cast, count: int) -> tuple:
     parts = [part.strip() for part in raw.split(",")]
-    if len(parts) != 3:
-        raise ConfigError(f"{key}: expected three comma-separated values, got {raw!r}")
+    if len(parts) != count:
+        raise ConfigError(f"{key}: expected {count} comma-separated values, got {raw!r}")
     return tuple(cast(key, part) for part in parts)
 
 
@@ -163,20 +163,20 @@ def parse_solver_config(text: str) -> SolverConfig:
             kwargs[key] = _as_int(key, values[key])
     if "stripe_enabled" in values:
         kwargs["stripe_enabled"] = _as_bool("stripe_enabled", values["stripe_enabled"])
-    weights = dict(w_h=1.0, w_w=1.0, w_p=0.5)
-    weight_keys = {"weight_h": "w_h", "weight_w": "w_w", "weight_p": "w_p"}
-    if any(k in values for k in weight_keys):
-        for key, attr in weight_keys.items():
-            if key in values:
-                weights[attr] = _as_float(key, values[key])
-        kwargs["weights"] = TvWeights(**weights)
-    for key, attr in (("ranks_x", "ranks_x"), ("ranks_b", "ranks_b")):
-        if key in values and values[key].lower() != "auto":
-            r1, r2, r3 = _as_triple(key, values[key], _as_int)
-            kwargs[attr] = TuckerRanks(r1, r2, r3)
     if "p_override" in values and values["p_override"].lower() != "auto":
-        kwargs["p_override"] = _as_triple("p_override", values["p_override"], _as_float)
+        kwargs["p_override"] = _as_tuple("p_override", values["p_override"], _as_float, 3)
+    # the value objects check their own ranges and raise ValueError
     try:
+        weights = dict(w_h=1.0, w_w=1.0, w_p=0.5)
+        weight_keys = {"weight_h": "w_h", "weight_w": "w_w", "weight_p": "w_p"}
+        if any(k in values for k in weight_keys):
+            for key, attr in weight_keys.items():
+                if key in values:
+                    weights[attr] = _as_float(key, values[key])
+            kwargs["weights"] = TvWeights(**weights)
+        for key in ("ranks_x", "ranks_b"):
+            if key in values and values[key].lower() != "auto":
+                kwargs[key] = TuckerRanks(*_as_tuple(key, values[key], _as_int, 3))
         return SolverConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -226,13 +226,6 @@ def write_manifest(path: str | Path, spec: NoiseSpec) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _as_pair(key: str, raw: str, cast) -> tuple:
-    parts = [part.strip() for part in raw.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(f"{key}: expected two comma-separated values, got {raw!r}")
-    return tuple(cast(key, part) for part in parts)
-
-
 def read_manifest(path: str | Path) -> NoiseSpec:
     values = _parse_lines(Path(path).read_text(encoding="utf-8"))
     required = {
@@ -253,20 +246,25 @@ def read_manifest(path: str | Path) -> NoiseSpec:
     unknown = set(values) - required
     if unknown:
         raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
-    return NoiseSpec(
-        case_id=_as_int("case", values["case"]),
-        seed=_as_int("seed", values["seed"]),
-        gaussian_variance=_as_pair("gaussian_variance", values["gaussian_variance"], _as_float),
-        impulse_ratio=_as_pair("impulse_ratio", values["impulse_ratio"], _as_float),
-        stripe_kind=values["stripe_kind"],
-        stripe_coverage=_as_pair("stripe_coverage", values["stripe_coverage"], _as_float),
-        stripe_amplitude=_as_float("stripe_amplitude", values["stripe_amplitude"]),
-        deadline_band_fraction=_as_float(
-            "deadline_band_fraction", values["deadline_band_fraction"]
-        ),
-        deadline_count=_as_pair("deadline_count", values["deadline_count"], _as_int),
-        deadline_width=_as_pair("deadline_width", values["deadline_width"], _as_int),
-    )
+    try:
+        return NoiseSpec(
+            case_id=_as_int("case", values["case"]),
+            seed=_as_int("seed", values["seed"]),
+            gaussian_variance=_as_tuple(
+                "gaussian_variance", values["gaussian_variance"], _as_float, 2
+            ),
+            impulse_ratio=_as_tuple("impulse_ratio", values["impulse_ratio"], _as_float, 2),
+            stripe_kind=values["stripe_kind"],
+            stripe_coverage=_as_tuple("stripe_coverage", values["stripe_coverage"], _as_float, 2),
+            stripe_amplitude=_as_float("stripe_amplitude", values["stripe_amplitude"]),
+            deadline_band_fraction=_as_float(
+                "deadline_band_fraction", values["deadline_band_fraction"]
+            ),
+            deadline_count=_as_tuple("deadline_count", values["deadline_count"], _as_int, 2),
+            deadline_width=_as_tuple("deadline_width", values["deadline_width"], _as_int, 2),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def write_diagnostics_csv(path: str | Path, diag: SolveDiagnostics) -> None:

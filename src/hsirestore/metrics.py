@@ -89,47 +89,28 @@ def ssim(ref_band: np.ndarray, test_band: np.ndarray, peak: float = 1.0) -> floa
     return float(np.mean(ssim_map))
 
 
-def sam(ref_spectrum: np.ndarray, test_spectrum: np.ndarray) -> float:
-    """Spectral angle between two spectra, in radians.
+def sam(ref: np.ndarray, test: np.ndarray) -> float | np.ndarray:
+    """Spectral angle along the last axis, in radians; a float for two spectra.
 
-    Computed as ``2*arcsin(|u - v| / 2)`` on the normalized spectra, which is
-    exact for identical inputs and well conditioned at small angles.  Two zero
-    vectors are assigned angle 0; exactly one zero vector gives pi/2.
+    Computed as ``2*arcsin(|u - v| / 2)`` on the normalized spectra (and as
+    ``pi - 2*arcsin(|u + v| / 2)`` for obtuse pairs), which is exact for
+    identical inputs and well conditioned at small angles.  Two zero vectors
+    are assigned angle 0; exactly one zero vector gives pi/2.
     """
-    ref, test = _check_band(ref_spectrum, test_spectrum)
-    nr = float(np.linalg.norm(ref))
-    nt = float(np.linalg.norm(test))
-    if nr == 0.0 and nt == 0.0:
-        return 0.0
-    if nr == 0.0 or nt == 0.0:
-        return float(np.pi / 2.0)
-    u = ref / nr
-    v = test / nt
-    chord = min(float(np.linalg.norm(u - v)), 2.0)
-    if float(np.dot(u, v)) >= 0.0:
-        return float(2.0 * np.arcsin(0.5 * chord))
-    anti = min(float(np.linalg.norm(u + v)), 2.0)
-    return float(np.pi - 2.0 * np.arcsin(0.5 * anti))
-
-
-def _sam_map(ref: np.ndarray, test: np.ndarray) -> np.ndarray:
-    nr = np.linalg.norm(ref, axis=2)
-    nt = np.linalg.norm(test, axis=2)
-    safe_r = np.where(nr > 0, nr, 1.0)[:, :, None]
-    safe_t = np.where(nt > 0, nt, 1.0)[:, :, None]
-    u = ref / safe_r
-    v = test / safe_t
-    chord = np.minimum(np.linalg.norm(u - v, axis=2), 2.0)
-    anti = np.minimum(np.linalg.norm(u + v, axis=2), 2.0)
-    obtuse = np.sum(u * v, axis=2) < 0.0
+    ref, test = _check_band(ref, test)
+    nr = np.linalg.norm(ref, axis=-1)
+    nt = np.linalg.norm(test, axis=-1)
+    u = ref / np.where(nr > 0, nr, 1.0)[..., None]
+    v = test / np.where(nt > 0, nt, 1.0)[..., None]
+    chord = np.minimum(np.linalg.norm(u - v, axis=-1), 2.0)
+    anti = np.minimum(np.linalg.norm(u + v, axis=-1), 2.0)
+    obtuse = np.sum(u * v, axis=-1) < 0.0
     angles = np.where(
         obtuse, np.pi - 2.0 * np.arcsin(0.5 * anti), 2.0 * np.arcsin(0.5 * chord)
     )
-    both_zero = (nr == 0) & (nt == 0)
-    one_zero = ((nr == 0) | (nt == 0)) & ~both_zero
-    angles[both_zero] = 0.0
-    angles[one_zero] = np.pi / 2.0
-    return angles
+    # two zero vectors already give a zero chord, hence angle 0
+    angles = np.where((nr == 0) != (nt == 0), np.pi / 2.0, angles)
+    return float(angles) if angles.ndim == 0 else angles
 
 
 def evaluate(ref: np.ndarray, test: np.ndarray, peak: float = 1.0) -> MetricsReport:
@@ -141,7 +122,7 @@ def evaluate(ref: np.ndarray, test: np.ndarray, peak: float = 1.0) -> MetricsRep
     bands = ref.shape[2]
     psnr_pb = np.array([psnr(ref[:, :, b], test[:, :, b], peak) for b in range(bands)])
     ssim_pb = np.array([ssim(ref[:, :, b], test[:, :, b], peak) for b in range(bands)])
-    sam_map = _sam_map(ref, test)
+    sam_map = sam(ref, test)
     return MetricsReport(
         psnr_per_band=psnr_pb,
         ssim_per_band=ssim_pb,

@@ -55,12 +55,6 @@ class GradientStack:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, c: float) -> "GradientStack":
-        return self * (1.0 / c)
-
-    def copy(self) -> "GradientStack":
-        return GradientStack(self.gh.copy(), self.gw.copy(), self.gp.copy())
-
 
 def zero_gradient_stack(shape: tuple[int, int, int]) -> GradientStack:
     return GradientStack(np.zeros(shape), np.zeros(shape), np.zeros(shape))

@@ -32,7 +32,7 @@ the diagnostics, not raised.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -132,8 +132,6 @@ class SolverState:
     dual_x: np.ndarray
     dual_grad: GradientStack
     beta: float
-    iteration: int = 0
-    rel_change_history: list[float] = field(default_factory=list)
     x_factors: tuple[np.ndarray, ...] | None = None
     b_factors: tuple[np.ndarray, ...] | None = None
 
@@ -289,6 +287,7 @@ def solve(
         sigmas = fit.sigmas
 
     state = SolverState.zeros(y.shape, cfg.beta0)
+    rel_change: list[float] = []
     beta_history: list[float] = []
     converged = False
     for _ in range(cfg.max_iter):
@@ -300,28 +299,24 @@ def solve(
         state.b = update_b(state, cfg, y)
         state.s = update_s(state, cfg, y)
         state.dual_x, state.dual_grad, state.beta = update_multipliers(state, cfg)
-        state.iteration += 1
 
         dx2 = fro_norm(state.x - x_old) ** 2
         x02 = fro_norm(x_old) ** 2
         rel = dx2 / x02 if x02 > 0.0 else 1.0
-        state.rel_change_history.append(rel)
+        rel_change.append(rel)
         if x02 > 0.0 and rel <= cfg.epsilon:
             converged = True
             break
 
-    clean = state.x
-    sparse = state.s
-    stripes = state.b
-    residual = y - (clean + sparse + stripes)
-    decomposition = ObservationDecomposition(clean, sparse, stripes, residual)
+    residual = y - (state.x + state.s + state.b)
+    decomposition = ObservationDecomposition(state.x, state.s, state.b, residual)
     diagnostics = SolveDiagnostics(
-        rel_change=list(state.rel_change_history),
+        rel_change=rel_change,
         beta=beta_history,
         p_values=p_values,
         sigmas=sigmas,
         converged=converged,
-        iterations=state.iteration,
+        iterations=len(rel_change),
         wall_time_s=time.perf_counter() - t0,
     )
     return decomposition, diagnostics

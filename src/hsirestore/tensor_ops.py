@@ -71,18 +71,6 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
 
 
-def multi_mode_product(
-    t: np.ndarray,
-    mats: tuple[np.ndarray, np.ndarray, np.ndarray],
-    transpose: bool = False,
-) -> np.ndarray:
-    """Apply one matrix per mode; ``transpose=True`` contracts with the transposes."""
-    out = t
-    for i, m in enumerate(mats):
-        out = mode_product(out, m.T if transpose else m, i + 1)
-    return out
-
-
 def fro_norm(t: np.ndarray) -> float:
     """Frobenius norm (square root of the sum of squared entries)."""
     return float(np.linalg.norm(np.asarray(t).ravel()))

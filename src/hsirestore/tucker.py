@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import (
-    fro_norm,
-    leading_left_singular_vectors,
-    mode_product,
-    multi_mode_product,
-    unfold,
-)
+from .tensor_ops import fro_norm, leading_left_singular_vectors, mode_product, unfold
 
 
 @dataclass(frozen=True)
@@ -72,6 +66,13 @@ class TuckerFactors:
     factors: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
+def _mode_products(t: np.ndarray, mats) -> np.ndarray:
+    """``t x1 mats[0] x2 mats[1] x3 mats[2]``."""
+    for n, m in enumerate(mats, start=1):
+        t = mode_product(t, m, n)
+    return t
+
+
 def reconstruct(f: TuckerFactors) -> np.ndarray:
     """Expand ``core x1 F1 x2 F2 x3 F3`` back to a full cube."""
     core = np.asarray(f.core)
@@ -82,10 +83,7 @@ def reconstruct(f: TuckerFactors) -> np.ndarray:
             raise ValueError(
                 f"factor {i + 1} of shape {m.shape} does not match core shape {core.shape}"
             )
-    out = core
-    for i, m in enumerate(f.factors):
-        out = mode_product(out, m, i + 1)
-    return out
+    return _mode_products(core, f.factors)
 
 
 def hosvd_init(t: np.ndarray, ranks: TuckerRanks) -> TuckerFactors:
@@ -96,8 +94,7 @@ def hosvd_init(t: np.ndarray, ranks: TuckerRanks) -> TuckerFactors:
         leading_left_singular_vectors(unfold(t, n), r)
         for n, r in zip((1, 2, 3), ranks.as_tuple())
     )
-    core = multi_mode_product(t, factors, transpose=True)
-    return TuckerFactors(core, factors)
+    return TuckerFactors(_mode_products(t, [m.T for m in factors]), factors)
 
 
 def _fit_error(t: np.ndarray, fit: TuckerFactors, norm_t: float) -> float:
@@ -153,7 +150,7 @@ def hooi(
             raise ValueError(
                 f"initial factors of shapes {[m.shape for m in init]} do not match {expected}"
             )
-        fit = TuckerFactors(multi_mode_product(t, init, transpose=True), init)
+        fit = TuckerFactors(_mode_products(t, [m.T for m in init]), init)
     u1, u2, u3 = fit.factors
     r1, r2, r3 = ranks.as_tuple()
     norm_t = fro_norm(t)

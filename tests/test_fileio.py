@@ -141,6 +141,9 @@ class TestSolverConfigIO:
             parse_solver_config("epsilon=0\n")
         with pytest.raises(ConfigError):
             parse_solver_config("ranks_x=1,2\n")
+        for text in ("weight_h=-1\n", "weight_p=nan\n", "ranks_x=0,2,2\n"):
+            with pytest.raises(ConfigError):
+                parse_solver_config(text)
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -161,4 +164,13 @@ class TestManifest:
         text = path.read_text().replace("stripe_kind=none\n", "")
         path.write_text(text)
         with pytest.raises(ConfigError, match="missing"):
+            read_manifest(path)
+
+    def test_invalid_value_rejected(self, tmp_path):
+        spec = case_spec(2, seed=0)
+        path = tmp_path / "manifest.txt"
+        write_manifest(path, spec)
+        text = path.read_text().replace(f"stripe_kind={spec.stripe_kind}\n", "stripe_kind=bogus\n")
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="bogus"):
             read_manifest(path)

@@ -95,6 +95,27 @@ class TestSam:
         a, b = rng.random(9), rng.random(9)
         assert sam(a, b) == pytest.approx(sam(b, a), abs=1e-14)
 
+    def test_cube_matches_oracle_per_pixel(self):
+        rng = np.random.default_rng(12)
+        ref = rng.random((3, 4, 6))
+        test = rng.random((3, 4, 6))
+        ref[0, 0] = 0.0
+        test[0, 0] = 0.0
+        ref[0, 1] = 0.0
+        ref[1, 0] = [2.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        test[1, 0] = -2.0 * ref[1, 0]
+        angles = sam(ref, test)
+        assert angles.shape == (3, 4)
+        assert angles[0, 0] == 0.0
+        assert angles[0, 1] == pytest.approx(np.pi / 2, abs=1e-12)
+        assert angles[1, 0] == pytest.approx(np.pi, abs=1e-12)
+        for i in range(3):
+            for j in range(4):
+                if (i, j) not in ((0, 0), (0, 1)):
+                    assert angles[i, j] == pytest.approx(
+                        sam_oracle(ref[i, j], test[i, j]), abs=1e-12
+                    )
+
 
 class TestEvaluate:
     def test_self_evaluation(self):
@@ -128,6 +149,19 @@ class TestEvaluate:
         a = evaluate(ref, test).msam
         b = evaluate(ref * scale, test * scale).msam
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_sam_summary_is_mean_min_max_of_the_map(self):
+        rng = np.random.default_rng(13)
+        ref = rng.random((12, 12, 6))
+        test = rng.random((12, 12, 6))
+        ref[0, 0] = 0.0
+        test[3, 4] = -ref[3, 4]
+        angles = sam(ref, test)
+        report = evaluate(ref, test)
+        assert report.msam == float(np.mean(angles))
+        assert report.sam_min == float(np.min(angles))
+        assert report.sam_max == float(np.max(angles))
+        assert report.sam_max == pytest.approx(np.pi, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
