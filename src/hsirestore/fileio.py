@@ -128,39 +128,19 @@ def _as_tuple(key: str, raw: str, cast, count: int) -> tuple:
     return tuple(cast(key, part) for part in parts)
 
 
-_SOLVER_KEYS = (
-    "lambda_tv",
-    "lambda_sparse",
-    "beta0",
-    "beta_max",
-    "beta_growth",
-    "weight_h",
-    "weight_w",
-    "weight_p",
-    "ranks_x",
-    "ranks_b",
-    "epsilon",
-    "max_iter",
-    "p_override",
-    "stripe_enabled",
-    "hooi_max_iter",
-    "hooi_tol",
-)
-
-
 def parse_solver_config(text: str) -> SolverConfig:
     """Build a :class:`SolverConfig` from key=value text; unknown keys are rejected."""
     values = _parse_lines(text)
-    unknown = set(values) - set(_SOLVER_KEYS)
+    # the serializer writes every accepted key exactly once
+    unknown = set(values) - set(_parse_lines(solver_config_text(SolverConfig())))
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
-    for key in ("lambda_tv", "lambda_sparse", "beta0", "beta_max", "beta_growth", "epsilon", "hooi_tol"):
+    for key in ("lambda_tv", "lambda_sparse", "beta0", "beta_max", "beta_growth", "epsilon"):
         if key in values:
             kwargs[key] = _as_float(key, values[key])
-    for key in ("max_iter", "hooi_max_iter"):
-        if key in values:
-            kwargs[key] = _as_int(key, values[key])
+    if "max_iter" in values:
+        kwargs["max_iter"] = _as_int("max_iter", values["max_iter"])
     if "stripe_enabled" in values:
         kwargs["stripe_enabled"] = _as_bool("stripe_enabled", values["stripe_enabled"])
     if "p_override" in values and values["p_override"].lower() != "auto":
@@ -203,8 +183,6 @@ def solver_config_text(cfg: SolverConfig) -> str:
         f"max_iter={cfg.max_iter}",
         "p_override=" + ("auto" if cfg.p_override is None else ",".join(repr(p) for p in cfg.p_override)),
         f"stripe_enabled={'true' if cfg.stripe_enabled else 'false'}",
-        f"hooi_max_iter={cfg.hooi_max_iter}",
-        f"hooi_tol={cfg.hooi_tol!r}",
     ]
     return "\n".join(lines) + "\n"
 

@@ -234,12 +234,7 @@ def nelder_mead(
     return sim[i_best].copy(), fvals[i_best]
 
 
-def fit_direction(
-    y_gradients: np.ndarray,
-    sigma: float,
-    half_range: float = HIST_HALF_RANGE,
-    bins: int = HIST_BINS,
-) -> tuple[float, float, float]:
+def fit_direction(y_gradients: np.ndarray, sigma: float) -> tuple[float, float, float]:
     """Fit (k, p) so the noise-convolved model matches the observed gradient histogram.
 
     ``sigma`` is the std of the Gaussian noise carried by the samples
@@ -250,7 +245,7 @@ def fit_direction(
     """
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    h_obs = histogram(y_gradients, half_range=half_range, bins=bins)
+    h_obs = histogram(y_gradients)
     sym = 0.5 * (h_obs.masses + h_obs.masses[::-1])
     h_obs = Histogram(h_obs.edges, sym)
     h_noise = gaussian_histogram(sigma, h_obs)

@@ -85,14 +85,6 @@ def gaussian_field(
     return rng.standard_normal(shape) * sigma_per_band[None, None, :]
 
 
-def add_gaussian(
-    t: np.ndarray, sigma_per_band: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Add i.i.d. zero-mean Gaussian noise, one std per band."""
-    t = np.asarray(t, dtype=np.float64)
-    return t + gaussian_field(t.shape, np.broadcast_to(sigma_per_band, (t.shape[2],)), rng)
-
-
 def impulse_perturbation(
     shape: tuple[int, int, int], ratio_per_band: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -103,17 +95,6 @@ def impulse_perturbation(
     mask = rng.random(shape) < ratio_per_band[None, None, :]
     values = (rng.random(shape) < 0.5).astype(np.float64)
     return mask, values
-
-
-def add_impulse(
-    t: np.ndarray, ratio_per_band: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Replace a random per-band fraction of voxels with salt (1) or pepper (0)."""
-    t = np.asarray(t, dtype=np.float64)
-    mask, values = impulse_perturbation(
-        t.shape, np.broadcast_to(ratio_per_band, (t.shape[2],)), rng
-    )
-    return np.where(mask, values, t)
 
 
 def deadline_mask(
@@ -136,14 +117,6 @@ def deadline_mask(
             start = int(rng.integers(0, w - width + 1))
             mask[:, start : start + width, band] = True
     return mask
-
-
-def add_deadlines(
-    t: np.ndarray, spec: NoiseSpec, rng: np.random.Generator
-) -> np.ndarray:
-    """Zero out contiguous column runs in a seeded subset of bands."""
-    t = np.asarray(t, dtype=np.float64)
-    return np.where(deadline_mask(t.shape, spec, rng), 0.0, t)
 
 
 def _stripe_profile(

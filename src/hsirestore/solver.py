@@ -89,10 +89,13 @@ class SolverConfig:
     max_iter: int = 100
     p_override: tuple[float, float, float] | None = None
     stripe_enabled: bool = True
-    hooi_max_iter: int = 10
-    hooi_tol: float = 1e-4
 
     def __post_init__(self) -> None:
+        # every comparison with NaN is false, so the range checks below would pass it
+        scalars = (self.lambda_tv, self.lambda_sparse, self.beta0, self.beta_max,
+                   self.beta_growth, self.epsilon)
+        if not np.all(np.isfinite(scalars)):
+            raise ValueError(f"scalar settings must be finite, got {scalars}")
         if self.lambda_tv < 0 or self.lambda_sparse < 0:
             raise ValueError("regularization weights must be nonnegative")
         if self.beta0 <= 0 or self.beta_max <= 0 or self.beta0 > self.beta_max:
@@ -202,22 +205,14 @@ def update_x(state: SolverState, cfg: SolverConfig) -> np.ndarray:
     Starts from ``state.x_factors`` and stores the new factors there.
     """
     target = (state.beta * state.z - state.dual_x) / state.beta
-    fit = hooi(
-        target, cfg.ranks_x, max_iter=cfg.hooi_max_iter, tol=cfg.hooi_tol, init=state.x_factors
-    )
+    fit = hooi(target, cfg.ranks_x, init=state.x_factors)
     state.x_factors = fit.factors
     return reconstruct(fit)
 
 
 def update_z(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
-    """Exact real-FFT solve of the coupled least-squares subproblem.
-
-    At ``beta=0`` both couplings vanish with their penalty, leaving the pure
-    data term ``z = y - b - s + dual_x``.
-    """
+    """Exact real-FFT solve of the coupled least-squares subproblem."""
     rhs = y - state.b - state.s + state.dual_x + state.beta * state.x
-    if state.beta == 0.0:
-        return rhs
     rhs = rhs + diff_adjoint(state.beta * state.f - state.dual_grad, cfg.weights)
     transfer = _diff_transfer(y.shape, cfg.weights)
     denom = 1.0 + state.beta + state.beta * transfer
@@ -241,9 +236,7 @@ def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
     if not cfg.stripe_enabled:
         return np.zeros_like(y)
     target = y - state.z - state.s
-    fit = hooi(
-        target, cfg.ranks_b, max_iter=cfg.hooi_max_iter, tol=cfg.hooi_tol, init=state.b_factors
-    )
+    fit = hooi(target, cfg.ranks_b, init=state.b_factors)
     state.b_factors = fit.factors
     return reconstruct(fit)
 

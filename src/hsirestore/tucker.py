@@ -137,7 +137,7 @@ def hooi(
     t = np.asarray(t, dtype=np.float64)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     ranks.validate_for(t.shape)
     ranks = feasible_ranks(ranks, t.shape)

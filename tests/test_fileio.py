@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -125,14 +127,14 @@ class TestSolverConfigIO:
             max_iter=50,
             p_override=(0.6, 0.7, 0.5),
             stripe_enabled=False,
-            hooi_max_iter=5,
-            hooi_tol=1e-5,
         )
         assert parse_solver_config(solver_config_text(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_solver_config("lambda_tv=0.002\nbogus_key=1\n")
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            parse_solver_config("hooi_max_iter=0\n")
 
     def test_invalid_value_rejected(self):
         with pytest.raises(ConfigError):
@@ -141,9 +143,23 @@ class TestSolverConfigIO:
             parse_solver_config("epsilon=0\n")
         with pytest.raises(ConfigError):
             parse_solver_config("ranks_x=1,2\n")
-        for text in ("weight_h=-1\n", "weight_p=nan\n", "ranks_x=0,2,2\n"):
+        for text in (
+            "weight_h=-1\n",
+            "weight_p=nan\n",
+            "ranks_x=0,2,2\n",
+            "lambda_tv=nan\n",
+            "epsilon=nan\n",
+            "beta_growth=nan\n",
+            "epsilon=inf\n",
+        ):
             with pytest.raises(ConfigError):
                 parse_solver_config(text)
+
+    def test_readme_config_block_lists_every_key_and_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("### Config file", 1)[1].split("```\n", 2)[1]
+        lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+        assert lines == solver_config_text(SolverConfig()).splitlines()
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):

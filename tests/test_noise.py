@@ -3,88 +3,79 @@ import pytest
 
 from hsirestore.noise import (
     NoiseSpec,
-    add_deadlines,
-    add_gaussian,
-    add_impulse,
     add_stripes,
     case_spec,
+    deadline_mask,
+    gaussian_field,
+    impulse_perturbation,
     simulate_case,
 )
 
 
-class TestAddGaussian:
+class TestGaussianField:
     def test_zero_sigma_is_identity(self):
         t = np.random.default_rng(0).random((8, 8, 3))
         rng = np.random.default_rng(1)
-        np.testing.assert_array_equal(add_gaussian(t, np.zeros(3), rng), t)
+        np.testing.assert_array_equal(t + gaussian_field(t.shape, np.zeros(3), rng), t)
 
     def test_per_band_sample_std(self):
         rng = np.random.default_rng(2)
-        noisy = add_gaussian(np.zeros((128, 128, 4)), np.full(4, 0.1), rng)
-        stds = noisy.std(axis=(0, 1))
+        field = gaussian_field((128, 128, 4), np.full(4, 0.1), rng)
+        stds = field.std(axis=(0, 1))
         assert np.all((stds >= 0.095) & (stds <= 0.105))
 
     def test_band_means_stay_near_input_means(self):
         rng = np.random.default_rng(3)
         t = np.full((128, 128, 4), 0.5)
         sigma = 0.1
-        noisy = add_gaussian(t, np.full(4, sigma), rng)
+        noisy = t + gaussian_field(t.shape, np.full(4, sigma), rng)
         tol = 3 * sigma / np.sqrt(128 * 128)
         assert np.all(np.abs(noisy.mean(axis=(0, 1)) - 0.5) <= tol)
 
 
-class TestAddImpulse:
-    def test_zero_ratio_is_identity(self):
-        t = np.random.default_rng(4).random((16, 16, 2))
-        np.testing.assert_array_equal(
-            add_impulse(t, np.zeros(2), np.random.default_rng(5)), t
-        )
+class TestImpulsePerturbation:
+    def test_zero_ratio_marks_nothing(self):
+        mask, _ = impulse_perturbation((16, 16, 2), np.zeros(2), np.random.default_rng(5))
+        assert not mask.any()
 
     def test_altered_fraction_near_ratio(self):
-        t = np.full((256, 256, 1), 0.5)
-        noisy = add_impulse(t, np.full(1, 0.2), np.random.default_rng(6))
-        altered = np.mean(noisy != 0.5)
-        assert abs(altered - 0.2) <= 0.01
+        mask, _ = impulse_perturbation((256, 256, 1), np.full(1, 0.2), np.random.default_rng(6))
+        assert abs(mask.mean() - 0.2) <= 0.01
 
     def test_full_ratio_makes_every_voxel_binary(self):
-        t = np.random.default_rng(7).uniform(0.2, 0.8, (32, 32, 2))
-        noisy = add_impulse(t, np.ones(2), np.random.default_rng(8))
-        assert np.all((noisy == 0.0) | (noisy == 1.0))
+        mask, values = impulse_perturbation((32, 32, 2), np.ones(2), np.random.default_rng(8))
+        assert mask.all()
+        assert np.all((values == 0.0) | (values == 1.0))
 
     def test_out_of_range_ratio_rejected(self):
         with pytest.raises(ValueError):
-            add_impulse(np.zeros((4, 4, 1)), np.full(1, 1.5), np.random.default_rng(9))
+            impulse_perturbation((4, 4, 1), np.full(1, 1.5), np.random.default_rng(9))
 
 
-class TestAddDeadlines:
+class TestDeadlineMask:
     def base_spec(self, **overrides):
         return case_spec(1, seed=0, **overrides)
 
-    def test_zero_band_fraction_is_identity(self):
-        t = np.random.default_rng(10).random((8, 8, 4))
+    def test_zero_band_fraction_marks_nothing(self):
         spec = self.base_spec(deadline_band_fraction=0.0)
-        np.testing.assert_array_equal(add_deadlines(t, spec, np.random.default_rng(11)), t)
+        assert not deadline_mask((8, 8, 4), spec, np.random.default_rng(11)).any()
 
-    def test_single_deadline_zeroes_full_columns(self):
-        t = np.full((10, 12, 4), 0.5)
+    def test_single_deadline_marks_full_columns(self):
         spec = self.base_spec(
             deadline_band_fraction=0.25, deadline_count=(1, 1), deadline_width=(2, 2)
         )
-        out = add_deadlines(t, spec, np.random.default_rng(12))
-        dead_bands = [b for b in range(4) if (out[:, :, b] == 0).any()]
+        mask = deadline_mask((10, 12, 4), spec, np.random.default_rng(12))
+        dead_bands = [b for b in range(4) if mask[:, :, b].any()]
         assert len(dead_bands) == 1
-        band = out[:, :, dead_bands[0]]
-        assert (band == 0).sum() == 2 * 10
+        assert mask[:, :, dead_bands[0]].sum() == 2 * 10
 
     def test_dead_columns_identical_across_rows(self):
-        t = np.random.default_rng(13).uniform(0.1, 1.0, (16, 16, 6))
         spec = self.base_spec(deadline_band_fraction=0.5)
-        out = add_deadlines(t, spec, np.random.default_rng(14))
-        zero_mask = out == 0.0
+        mask = deadline_mask((16, 16, 6), spec, np.random.default_rng(14))
         for b in range(6):
-            cols = zero_mask[:, :, b].any(axis=0)
+            cols = mask[:, :, b].any(axis=0)
             for j in np.where(cols)[0]:
-                assert zero_mask[:, j, b].all()
+                assert mask[:, j, b].all()
 
 
 class TestAddStripes:

@@ -76,15 +76,6 @@ class TestUpdateX:
 
 
 class TestUpdateZ:
-    def test_beta_zero_degenerates_to_data_term(self):
-        shape = (4, 5, 3)
-        rng = np.random.default_rng(4)
-        y = rng.standard_normal(shape)
-        state = make_state(shape, beta=0.0, seed=5)
-        got = update_z(state, small_cfg(), y)
-        expected = y - state.b - state.s + state.dual_x
-        np.testing.assert_allclose(got, expected, atol=1e-12)
-
     def test_zero_weights_scale_rhs(self):
         shape = (4, 4, 3)
         rng = np.random.default_rng(6)
@@ -119,15 +110,19 @@ class TestUpdateZ:
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs_cube)
 
     @pytest.mark.parametrize(
-        "shape, weights",
+        "shape, weights, beta",
         [
-            ((4, 4, 4), TvWeights(1.0, 1.0, 0.5)),  # even band count
-            ((3, 4, 2), TvWeights(1.0, 0.8, 0.4)),
-            ((5, 3, 1), TvWeights(1.0, 1.0, 0.5)),  # single band
+            ((4, 4, 4), TvWeights(1.0, 1.0, 0.5), 0.61),  # even band count
+            ((3, 4, 2), TvWeights(1.0, 0.8, 0.4), 0.61),
+            ((5, 3, 1), TvWeights(1.0, 1.0, 0.5), 0.61),  # single band
+            # at beta=0 the multiplier term -D^T dual_grad stays in the right-hand side
+            ((4, 4, 4), TvWeights(1.0, 1.0, 0.5), 0.0),
+            ((3, 4, 2), TvWeights(1.0, 0.8, 0.4), 0.0),
+            ((5, 3, 1), TvWeights(1.0, 1.0, 0.5), 0.0),
         ],
+        ids=["shape0-weights0", "shape1-weights1", "shape2-weights2", "beta0-shape0", "beta0-shape1", "beta0-shape2"],
     )
-    def test_real_fft_solve_matches_dense_solve(self, shape, weights):
-        beta = 0.61
+    def test_real_fft_solve_matches_dense_solve(self, shape, weights, beta):
         y = np.random.default_rng(30).standard_normal(shape)
         state = make_state(shape, beta=beta, seed=31)
         got = update_z(state, small_cfg(weights=weights), y)

@@ -102,6 +102,10 @@ class TestHooi:
         with pytest.raises(ValueError):
             hooi(np.zeros((3, 3, 3)), TuckerRanks(1, 1, 1), max_iter=0)
 
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError):
+            hooi(np.zeros((3, 3, 3)), TuckerRanks(1, 1, 1), tol=float("nan"))
+
     def test_error_monotone_per_sweep(self):
         t = np.random.default_rng(9).standard_normal((8, 7, 6))
         _, errors = hooi(t, TuckerRanks(3, 3, 3), max_iter=8, tol=1e-14, return_errors=True)
