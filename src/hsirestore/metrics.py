@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate
+from scipy.ndimage import correlate1d
 
 from .tensor_ops import validate_cube
 
@@ -49,18 +49,33 @@ def psnr(ref_band: np.ndarray, test_band: np.ndarray, peak: float = 1.0) -> floa
     return min(10.0 * np.log10(peak**2 / mse), PSNR_CAP_DB)
 
 
-def _gaussian_kernel() -> np.ndarray:
+def _gaussian_window() -> np.ndarray:
     half = SSIM_WINDOW // 2
     x = np.arange(-half, half + 1, dtype=np.float64)
     g = np.exp(-(x**2) / (2.0 * SSIM_SIGMA**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
+
+
+_SSIM_G = _gaussian_window()
+
+
+def _window_means(field: np.ndarray) -> np.ndarray:
+    """Gaussian-weighted mean of every fully interior window of a 2-D field.
+
+    The 2-D window is ``outer(g, g)``, so the mean is a 1-D pass along axis 0
+    and one along axis 1; cropping after each pass keeps only values that read
+    no padding, so the boundary mode has no effect.
+    """
+    half = SSIM_WINDOW // 2
+    rows = correlate1d(field, _SSIM_G, axis=0)[half:-half]
+    return correlate1d(rows, _SSIM_G, axis=1)[:, half:-half]
 
 
 def ssim(ref_band: np.ndarray, test_band: np.ndarray, peak: float = 1.0) -> float:
     """Mean local SSIM with an 11x11 Gaussian window (sigma 1.5).
 
-    Local means, variances and the covariance are Gaussian-weighted; only
+    Local means, variances and the covariance are Gaussian-weighted, each
+    computed as two separable 1-D Gaussian passes (axis 0, then axis 1); only
     windows fully inside the image contribute to the mean.
     """
     ref, test = _check_band(ref_band, test_band)
@@ -68,15 +83,11 @@ def ssim(ref_band: np.ndarray, test_band: np.ndarray, peak: float = 1.0) -> floa
         raise ValueError(f"expected 2-D bands, got ndim={ref.ndim}")
     if min(ref.shape) < SSIM_WINDOW:
         raise ValueError(f"bands must be at least {SSIM_WINDOW}x{SSIM_WINDOW}, got {ref.shape}")
-    kernel = _gaussian_kernel()
-    half = SSIM_WINDOW // 2
-    crop = (slice(half, -half), slice(half, -half))
-
-    mu_r = correlate(ref, kernel)[crop]
-    mu_t = correlate(test, kernel)[crop]
-    e_rr = correlate(ref * ref, kernel)[crop]
-    e_tt = correlate(test * test, kernel)[crop]
-    e_rt = correlate(ref * test, kernel)[crop]
+    mu_r = _window_means(ref)
+    mu_t = _window_means(test)
+    e_rr = _window_means(ref * ref)
+    e_tt = _window_means(test * test)
+    e_rt = _window_means(ref * test)
     var_r = e_rr - mu_r**2
     var_t = e_tt - mu_t**2
     cov = e_rt - mu_r * mu_t

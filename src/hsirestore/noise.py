@@ -55,6 +55,16 @@ class NoiseSpec:
             raise ValueError(f"gaussian_variance range must be nonnegative, got ({lo}, {hi})")
         if not 0.0 <= self.deadline_band_fraction <= 1.0:
             raise ValueError("deadline_band_fraction must lie in [0, 1]")
+        if not (np.isfinite(self.stripe_amplitude) and self.stripe_amplitude >= 0.0):
+            raise ValueError(
+                f"stripe_amplitude must be finite and nonnegative, got {self.stripe_amplitude}"
+            )
+        for name, (lo, hi) in (
+            ("deadline_count", self.deadline_count),
+            ("deadline_width", self.deadline_width),
+        ):
+            if not 0 <= lo <= hi:
+                raise ValueError(f"{name} range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
 
 
 _CASE_TABLE = {

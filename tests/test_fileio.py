@@ -190,3 +190,16 @@ class TestManifest:
         path.write_text(text)
         with pytest.raises(ConfigError, match="bogus"):
             read_manifest(path)
+        for key, bad in (
+            ("stripe_amplitude", "nan"),
+            ("stripe_amplitude", "-0.5"),
+            ("deadline_count", "3,1"),
+            ("deadline_count", "-1,2"),
+            ("deadline_width", "2,1"),
+        ):
+            write_manifest(path, spec)
+            lines = path.read_text().splitlines()
+            lines = [f"{key}={bad}" if line.startswith(f"{key}=") else line for line in lines]
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ConfigError, match=key):
+                read_manifest(path)

@@ -176,3 +176,27 @@ class TestNoiseSpecValidation:
                 stripe_kind="none",
                 stripe_coverage=(0.0, 0.0),
             )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"stripe_amplitude": float("nan")},
+            {"stripe_amplitude": float("inf")},
+            {"stripe_amplitude": -0.5},
+            {"deadline_count": (3, 1)},
+            {"deadline_count": (-1, 2)},
+            {"deadline_width": (2, 1)},
+            {"deadline_width": (-1, 1)},
+        ],
+        ids=lambda o: ",".join(f"{k}={v}".replace(" ", "") for k, v in o.items()),
+    )
+    def test_bad_stripe_and_deadline_settings_rejected(self, overrides):
+        field = next(iter(overrides))
+        with pytest.raises(ValueError, match=field):
+            case_spec(2, seed=0, **overrides)
+
+    def test_zero_amplitude_and_empty_deadline_ranges_accepted(self):
+        spec = case_spec(2, seed=0, stripe_amplitude=0.0, deadline_count=(0, 0))
+        _, comps = simulate_case(np.full((8, 8, 4), 0.5), spec)
+        assert not comps["deadline_mask"].any()
+        assert not comps["stripe_field"].any()
