@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-GST_FIXED_POINT_ITERS = 10
+# largest relative Newton step of gst_shrink that ends its loop
+_NEWTON_STEP_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -104,9 +105,12 @@ def gst_shrink(y, tau: float, p: float):
 
     For ``p=1`` this is exactly :func:`soft_threshold`.  For ``p<1`` the
     output is zero whenever |y| is below the closed-form dead zone, and
-    otherwise the fixed point of ``x = |y| - tau*p*x**(p-1)`` reached from
-    ``x0 = |y|`` (a geometrically convergent iteration), signed by ``y``.
-    Elementwise on arrays.
+    otherwise the larger root of ``x + tau*p*x**(p-1) = |y|``, signed by
+    ``y``.  The left side is convex in ``x > 0`` and increasing at
+    ``x0 = |y|``, so Newton's method from there decreases monotonically to
+    that root.  It stops after the first step no larger than ``sqrt(eps)``
+    relative to every entry, which quadratic convergence leaves with an
+    error at the rounding level.  Elementwise on arrays.
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
@@ -125,9 +129,28 @@ def gst_shrink(y, tau: float, p: float):
         mask = a > gst_threshold(tau, p)
         if np.any(mask):
             am = a[mask]
+            c = tau * p
             x = am.copy()
-            for _ in range(GST_FIXED_POINT_ITERS):
-                x = am - tau * p * x ** (p - 1.0)
+            w = np.empty_like(x)
+            den = np.empty_like(x)
+            while True:
+                # Newton step x <- x - g(x)/g'(x) for g(x) = x + c*x**(p-1) - |y|,
+                # multiplied through by x: x * (|y| - (2-p)*w) / (x - (1-p)*w)
+                # with w = c*x**(p-1); in place, as the cube-sized
+                # temporaries would cost more than the arithmetic
+                np.power(x, p - 1.0, out=w)
+                w *= c
+                np.multiply(w, 1.0 - p, out=den)
+                np.subtract(x, den, out=den)
+                w *= p - 2.0
+                w += am
+                x *= w
+                x /= den
+                # den / w is the old x over the new one; a NaN (from an
+                # infinite |y|) also ends the loop and is zeroed below
+                np.divide(den, w, out=den)
+                if not den.max() - 1.0 > _NEWTON_STEP_TOL:
+                    break
             bad = ~((x > 0.0) & (x <= am))
             x[bad] = 0.0
             out[mask] = np.sign(y[mask]) * x

@@ -10,16 +10,21 @@ Splitting variables ``z`` (a copy of the image constrained by the data term)
 and ``f`` (the gradient stack of ``z``) decouple the subproblems.  One outer
 iteration performs, in order:
 
-1. ``x``:  Tucker fit (HOOI) of ``z - dual_x / beta`` at the image ranks,
-   per outer iteration, warm-started from the previous iteration's factors
-   (the first iteration starts from a truncated HOSVD).
+1. ``x``:  one HOOI sweep towards the Tucker fit of ``z - dual_x / beta`` at
+   the image ranks, warm-started from the previous iteration's factors (the
+   first iteration starts from a truncated HOSVD).  ADMM tolerates inexact
+   block minimizers whose suboptimality shrinks over the iterations (Boyd et
+   al. 2011, section 3.4.4).  A sweep never increases the fit error of its
+   starting factors, and the target moves less and less as the iterates
+   settle, so successive warm sweeps approach the exact fit instead of
+   running HOOI to its tolerance every time.
 2. ``z``:  exact solve of ``((1 + beta) I + beta D^T D) z = rhs`` by real 3-D
    FFT division (circular differences make ``D^T D`` diagonal in Fourier
    space).
 3. ``f``:  per-direction generalized shrinkage of ``D(z) + dual_grad / beta``
    with threshold ``lambda_tv / beta`` and the fitted exponents.
-4. ``b``:  Tucker fit of ``y - z - s`` at the stripe ranks, warm-started
-   like ``x``.
+4. ``b``:  one warm HOOI sweep towards the Tucker fit of ``y - z - s`` at the
+   stripe ranks, started like ``x``.
 5. ``s``:  soft threshold of ``y - z - b`` at ``lambda_sparse``.
 6. dual ascent on both multipliers, then geometric growth of ``beta`` up to
    its cap.
@@ -200,12 +205,12 @@ def _diff_transfer(shape: tuple[int, int, int], weights: TvWeights) -> np.ndarra
 
 
 def update_x(state: SolverState, cfg: SolverConfig) -> np.ndarray:
-    """Tucker fit of the multiplier-shifted splitting variable at the image ranks.
+    """One HOOI sweep on the multiplier-shifted splitting variable at the image ranks.
 
     Starts from ``state.x_factors`` and stores the new factors there.
     """
     target = (state.beta * state.z - state.dual_x) / state.beta
-    fit = hooi(target, cfg.ranks_x, init=state.x_factors)
+    fit = hooi(target, cfg.ranks_x, max_iter=1, init=state.x_factors)
     state.x_factors = fit.factors
     return reconstruct(fit)
 
@@ -229,14 +234,14 @@ def update_f(
 
 
 def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
-    """Tucker fit of the image-free residual at the stripe ranks.
+    """One HOOI sweep on the image-free residual at the stripe ranks.
 
     Starts from ``state.b_factors`` and stores the new factors there.
     """
     if not cfg.stripe_enabled:
         return np.zeros_like(y)
     target = y - state.z - state.s
-    fit = hooi(target, cfg.ranks_b, init=state.b_factors)
+    fit = hooi(target, cfg.ranks_b, max_iter=1, init=state.b_factors)
     state.b_factors = fit.factors
     return reconstruct(fit)
 

@@ -1,11 +1,11 @@
 """Fixed-rank Tucker approximation by higher-order orthogonal iteration.
 
 The solver re-enters this fit on every outer iteration (once for the image
-estimate, once for the stripe estimate), so the default inner budget is
-deliberately small and each fit after the first of a solve starts from the
-previous iteration's factors instead of a fresh truncated HOSVD.  A few
-alternating sweeps from either start are accurate enough and keep the outer
-loop cheap.
+estimate, once for the stripe estimate) with a budget of one sweep.  Each fit
+after the first of a solve starts from the previous iteration's factors
+instead of a fresh truncated HOSVD, and a warm fit reads the error of its
+starting projection off the first sweep's own contractions, so it costs one
+sweep and one small mode product.
 """
 
 from __future__ import annotations
@@ -141,8 +141,11 @@ def hooi(
         raise ValueError(f"tol must be positive, got {tol}")
     ranks.validate_for(t.shape)
     ranks = feasible_ranks(ranks, t.shape)
+    norm_t = fro_norm(t)
     if init is None:
         fit = hosvd_init(t, ranks)
+        factors = fit.factors
+        errors = [_fit_error(t, fit, norm_t)]
     else:
         init = tuple(np.asarray(m, dtype=np.float64) for m in init)
         expected = tuple(zip(t.shape, ranks.as_tuple()))
@@ -150,16 +153,21 @@ def hooi(
             raise ValueError(
                 f"initial factors of shapes {[m.shape for m in init]} do not match {expected}"
             )
-        fit = TuckerFactors(_mode_products(t, [m.T for m in init]), init)
-    u1, u2, u3 = fit.factors
+        factors = init
+        errors = []
+    u1, u2, u3 = factors
     r1, r2, r3 = ranks.as_tuple()
-    norm_t = fro_norm(t)
-    errors = [_fit_error(t, fit, norm_t)]
     for _ in range(max_iter):
         # the mode-1 and mode-2 updates share the contraction with the old u3,
         # and the core is the mode-3 contraction of the mode-3 update's input
         t3 = mode_product(t, u3.T, 3)
-        u1 = leading_left_singular_vectors(unfold(mode_product(t3, u2.T, 2), 1), r1)
+        t32 = mode_product(t3, u2.T, 2)
+        if not errors:
+            # a warm start's core is this contraction times the old u1, so its
+            # starting error needs no separate three-product projection
+            start = TuckerFactors(mode_product(t32, u1.T, 1), (u1, u2, u3))
+            errors.append(_fit_error(t, start, norm_t))
+        u1 = leading_left_singular_vectors(unfold(t32, 1), r1)
         u2 = leading_left_singular_vectors(unfold(mode_product(t3, u1.T, 1), 2), r2)
         t12 = mode_product(mode_product(t, u1.T, 1), u2.T, 2)
         u3 = leading_left_singular_vectors(unfold(t12, 3), r3)

@@ -114,12 +114,17 @@ def truncated_hosvd_error_oracle(t: np.ndarray, ranks: tuple[int, int, int]) -> 
     return fro_norm_oracle(t - approx)
 
 
-def hooi_single_sweep_oracle(t: np.ndarray, ranks: tuple[int, int, int]) -> np.ndarray:
-    """Reconstruction after a truncated-HOSVD start plus one Gauss-Seidel sweep."""
-    factors = [
-        top_left_singular_subspace_oracle(unfold_oracle(t, n), r)
-        for n, r in zip((1, 2, 3), ranks)
-    ]
+def hooi_single_sweep_oracle(
+    t: np.ndarray, ranks: tuple[int, int, int], init=None
+) -> np.ndarray:
+    """Reconstruction after one Gauss-Seidel sweep from ``init`` or a truncated-HOSVD start."""
+    if init is None:
+        factors = [
+            top_left_singular_subspace_oracle(unfold_oracle(t, n), r)
+            for n, r in zip((1, 2, 3), ranks)
+        ]
+    else:
+        factors = [np.array(m, dtype=np.float64) for m in init]
     for n in range(3):
         y = t
         for m in range(3):

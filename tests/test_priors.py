@@ -9,6 +9,7 @@ from hsirestore.priors import (
     diff_adjoint,
     diff_forward,
     gst_shrink,
+    gst_threshold,
     shrink_gradient_stack,
     soft_threshold,
 )
@@ -145,6 +146,18 @@ class TestGstShrink:
             got = gst_shrink(y, tau, p)
             best = gst_minimize_oracle(y, tau, p)
             assert gst_objective(got, y, tau, p) <= gst_objective(best, y, tau, p) + 1e-6
+
+    @pytest.mark.parametrize("tau", [0.01, 0.3])
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.9, 0.99])
+    def test_solves_stationarity_equation_just_above_dead_zone(self, p, tau):
+        # the objective-based tests above cannot see a stationarity error this
+        # small; near the dead zone and for p near 1 the root is hardest to reach
+        threshold = gst_threshold(tau, p)
+        y = np.linspace(threshold * (1 + 1e-9), 1.5 * threshold, 501)
+        x = gst_shrink(y, tau, p)
+        assert np.all(x > 0.0)
+        residual = np.abs(x + tau * p * x ** (p - 1.0) - y)
+        assert np.all(residual <= 1e-12 * y)
 
     @given(st.floats(min_value=0, max_value=4))
     @settings(max_examples=60, deadline=None)

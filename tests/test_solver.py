@@ -384,6 +384,31 @@ class TestSolve:
             # warm factors live in the solve's own state: each solve starts cold again
             assert len(cold_starts) == 2
 
+    @pytest.mark.parametrize("stripe_enabled, svds_per_fit", [(True, 6), (False, 3)])
+    def test_one_tucker_sweep_per_term_per_iteration(
+        self, monkeypatch, stripe_enabled, svds_per_fit
+    ):
+        # each fit is one sweep (three subspace solves); the first fit of each
+        # term also runs the three of its truncated-HOSVD start
+        import hsirestore.tucker
+
+        calls = []
+        real_svd = hsirestore.tucker.leading_left_singular_vectors
+
+        def counting_svd(m, r):
+            calls.append(r)
+            return real_svd(m, r)
+
+        monkeypatch.setattr(hsirestore.tucker, "leading_left_singular_vectors", counting_svd)
+        truth = low_rank_cube((12, 12, 6), TuckerRanks(3, 3, 2), seed=37)
+        noisy, _ = simulate_case(truth, case_spec(2, seed=37))
+        cfg = SolverConfig(
+            ranks_x=TuckerRanks(4, 4, 3), max_iter=8, p_override=(0.7, 0.7, 0.7),
+            stripe_enabled=stripe_enabled,
+        )
+        _, diag = solve(noisy, cfg)
+        assert len(calls) == svds_per_fit * diag.iterations + svds_per_fit
+
     def test_non_finite_input_rejected(self):
         y = np.zeros((8, 8, 4))
         y[0, 0, 0] = np.nan

@@ -154,6 +154,37 @@ class TestHooiWarmStart:
             assert cur <= prev + 1e-12
         assert errors[-1] == pytest.approx(fro_norm(t - reconstruct(fit)), rel=1e-10)
 
+    @pytest.mark.parametrize("start", ["random", "near_optimum"])
+    def test_starting_error_is_that_of_the_initial_projection(self, start):
+        # a warm start takes errors[0] from the first sweep's contractions;
+        # "near_optimum" exercises the reconstructed branch of the error
+        rng = np.random.default_rng(15)
+        ranks = TuckerRanks(3, 2, 2)
+        t = random_tucker_cube((8, 7, 6), ranks.as_tuple(), seed=16)
+        if start == "random":
+            t = t + rng.standard_normal(t.shape)
+            init = tuple(random_orthonormal(n, r, rng) for n, r in zip(t.shape, ranks.as_tuple()))
+        else:
+            t = t + 1e-5 * rng.standard_normal(t.shape)
+            init = tuple(np.linalg.qr(m + 1e-4 * rng.standard_normal(m.shape))[0]
+                         for m in hooi(t, ranks).factors)
+        _, errors = hooi(t, ranks, return_errors=True, init=init)
+        start_fit = TuckerFactors(
+            mode_product(mode_product(mode_product(t, init[0].T, 1), init[1].T, 2), init[2].T, 3),
+            init,
+        )
+        assert abs(errors[0] - fro_norm(t - reconstruct(start_fit))) <= 1e-12 * fro_norm(t)
+
+    def test_single_warm_sweep_matches_oracle(self):
+        rng = np.random.default_rng(17)
+        t = rng.standard_normal((4, 3, 5))
+        ranks = (2, 2, 3)
+        init = tuple(random_orthonormal(n, r, rng) for n, r in zip(t.shape, ranks))
+        f = hooi(t, TuckerRanks(*ranks), max_iter=1, init=init)
+        np.testing.assert_allclose(
+            reconstruct(f), hooi_single_sweep_oracle(t, ranks, init=init), atol=1e-10
+        )
+
     def test_warm_start_at_the_optimum_stays_there(self):
         ranks = (3, 2, 4)
         t = random_tucker_cube((6, 7, 8), ranks, seed=14)
