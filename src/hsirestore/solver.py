@@ -36,6 +36,7 @@ the diagnostics, not raised.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -109,12 +110,12 @@ class SolverConfig:
             raise ValueError("beta_growth must be >= 1")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.p_override is not None:
-            for p in self.p_override:
-                if not 0.0 < p <= 1.0:
-                    raise ValueError(f"override exponents must lie in (0, 1], got {self.p_override}")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if self.p_override is not None and (
+            np.shape(self.p_override) != (3,) or not all(0.0 < p <= 1.0 for p in self.p_override)
+        ):
+            raise ValueError(f"p_override must be three exponents in (0, 1], got {self.p_override}")
 
     def resolve_ranks(self, shape: tuple[int, int, int]) -> "SolverConfig":
         ranks_x = self.ranks_x or default_image_ranks(shape)
@@ -210,7 +211,7 @@ def update_x(state: SolverState, cfg: SolverConfig) -> np.ndarray:
     Starts from ``state.x_factors`` and stores the new factors there.
     """
     target = (state.beta * state.z - state.dual_x) / state.beta
-    fit = hooi(target, cfg.ranks_x, max_iter=1, init=state.x_factors)
+    fit = hooi(target, cfg.ranks_x, init=state.x_factors)
     state.x_factors = fit.factors
     return reconstruct(fit)
 
@@ -241,7 +242,7 @@ def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
     if not cfg.stripe_enabled:
         return np.zeros_like(y)
     target = y - state.z - state.s
-    fit = hooi(target, cfg.ranks_b, max_iter=1, init=state.b_factors)
+    fit = hooi(target, cfg.ranks_b, init=state.b_factors)
     state.b_factors = fit.factors
     return reconstruct(fit)
 

@@ -1,20 +1,21 @@
 """Fixed-rank Tucker approximation by higher-order orthogonal iteration.
 
-The solver re-enters this fit on every outer iteration (once for the image
-estimate, once for the stripe estimate) with a budget of one sweep.  Each fit
-after the first of a solve starts from the previous iteration's factors
-instead of a fresh truncated HOSVD, and a warm fit reads the error of its
-starting projection off the first sweep's own contractions, so it costs one
-sweep and one small mode product.
+:func:`hooi` runs exactly one sweep per call, and the fit's error never
+exceeds that of its starting projection.  A converged fit is a loop of calls,
+each started from the previous fit's factors.  The solver makes one call per
+outer iteration for the image estimate and one for the stripe estimate; each
+call after the first of a solve starts from the previous iteration's factors
+instead of a fresh truncated HOSVD.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import fro_norm, leading_left_singular_vectors, mode_product, unfold
+from .tensor_ops import leading_left_singular_vectors, mode_product, unfold
 
 
 @dataclass(frozen=True)
@@ -26,14 +27,15 @@ class TuckerRanks:
     r3: int
 
     def __post_init__(self) -> None:
-        for r in self.as_tuple():
-            if int(r) != r or r < 1:
-                raise ValueError(f"ranks must be positive integers, got {self.as_tuple()}")
+        if not all(isinstance(r, numbers.Integral) and r >= 1 for r in self.as_tuple()):
+            raise ValueError(f"ranks must be positive integers, got {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.r1, self.r2, self.r3)
 
     def validate_for(self, shape: tuple[int, int, int]) -> None:
+        if len(shape) != 3:
+            raise ValueError(f"expected a 3-D tensor, got shape {shape}")
         for r, d in zip(self.as_tuple(), shape):
             if r > d:
                 raise ValueError(f"rank {self.as_tuple()} exceeds tensor shape {shape}")
@@ -97,55 +99,27 @@ def hosvd_init(t: np.ndarray, ranks: TuckerRanks) -> TuckerFactors:
     return TuckerFactors(_mode_products(t, [m.T for m in factors]), factors)
 
 
-def _fit_error(t: np.ndarray, fit: TuckerFactors, norm_t: float) -> float:
-    """``||t - reconstruct(fit)||`` for column-orthonormal factors.
-
-    The projection is orthogonal, so the squared error is
-    ``||t||**2 - ||core||**2``.  That difference keeps at least nine digits
-    while the error exceeds ``1e-3 * ||t||``; closer fits are reconstructed.
-    """
-    gap = norm_t**2 - fro_norm(fit.core) ** 2
-    if gap > 1e-6 * norm_t**2:
-        return gap**0.5
-    return fro_norm(t - reconstruct(fit))
-
-
 def hooi(
     t: np.ndarray,
     ranks: TuckerRanks,
-    max_iter: int = 10,
-    tol: float = 1e-4,
-    return_errors: bool = False,
     init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-):
-    """Alternating HOOI sweeps from a truncated-HOSVD start or given factors.
+) -> TuckerFactors:
+    """One HOOI sweep from a truncated-HOSVD start or given factors.
 
     ``init`` supplies column-orthonormal starting factors, one per mode, of
     shape ``(t.shape[n], r_n)`` for the feasible ranks (see
-    :func:`feasible_ranks`); the HOSVD is then skipped.  Each sweep replaces
+    :func:`feasible_ranks`); the HOSVD is then skipped.  The sweep replaces
     every factor with the leading left singular vectors of the tensor
-    contracted with the other two factors, so the reconstruction error is
-    non-increasing from that of the starting projection.  From the default
-    cold start it therefore never exceeds the HOSVD error; a warm start gives
-    no such bound.  Stops when the relative change of the error drops below
-    ``tol`` or after ``max_iter`` sweeps.
-
-    Returns the fitted :class:`TuckerFactors`; with ``return_errors=True``
-    also returns the per-sweep reconstruction errors (error of the starting
-    projection first).
+    contracted with the other two factors, so the reconstruction error never
+    exceeds that of the starting projection; from the default cold start it
+    therefore never exceeds the HOSVD error.  Several sweeps are several
+    calls, each started from the previous fit's ``factors``.
     """
     t = np.asarray(t, dtype=np.float64)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     ranks.validate_for(t.shape)
     ranks = feasible_ranks(ranks, t.shape)
-    norm_t = fro_norm(t)
     if init is None:
-        fit = hosvd_init(t, ranks)
-        factors = fit.factors
-        errors = [_fit_error(t, fit, norm_t)]
+        init = hosvd_init(t, ranks).factors
     else:
         init = tuple(np.asarray(m, dtype=np.float64) for m in init)
         expected = tuple(zip(t.shape, ranks.as_tuple()))
@@ -153,32 +127,13 @@ def hooi(
             raise ValueError(
                 f"initial factors of shapes {[m.shape for m in init]} do not match {expected}"
             )
-        factors = init
-        errors = []
-    u1, u2, u3 = factors
+    u1, u2, u3 = init
     r1, r2, r3 = ranks.as_tuple()
-    for _ in range(max_iter):
-        # the mode-1 and mode-2 updates share the contraction with the old u3,
-        # and the core is the mode-3 contraction of the mode-3 update's input
-        t3 = mode_product(t, u3.T, 3)
-        t32 = mode_product(t3, u2.T, 2)
-        if not errors:
-            # a warm start's core is this contraction times the old u1, so its
-            # starting error needs no separate three-product projection
-            start = TuckerFactors(mode_product(t32, u1.T, 1), (u1, u2, u3))
-            errors.append(_fit_error(t, start, norm_t))
-        u1 = leading_left_singular_vectors(unfold(t32, 1), r1)
-        u2 = leading_left_singular_vectors(unfold(mode_product(t3, u1.T, 1), 2), r2)
-        t12 = mode_product(mode_product(t, u1.T, 1), u2.T, 2)
-        u3 = leading_left_singular_vectors(unfold(t12, 3), r3)
-        fit = TuckerFactors(mode_product(t12, u3.T, 3), (u1, u2, u3))
-        err = _fit_error(t, fit, norm_t)
-        prev = errors[-1]
-        errors.append(err)
-        if err <= 1e-13 * norm_t:
-            break
-        if abs(prev - err) < tol * max(prev, 1e-300):
-            break
-    if return_errors:
-        return fit, errors
-    return fit
+    # the mode-1 and mode-2 updates share the contraction with the old u3,
+    # and the core is the mode-3 contraction of the mode-3 update's input
+    t3 = mode_product(t, u3.T, 3)
+    u1 = leading_left_singular_vectors(unfold(mode_product(t3, u2.T, 2), 1), r1)
+    u2 = leading_left_singular_vectors(unfold(mode_product(t3, u1.T, 1), 2), r2)
+    t12 = mode_product(mode_product(t, u1.T, 1), u2.T, 2)
+    u3 = leading_left_singular_vectors(unfold(t12, 3), r3)
+    return TuckerFactors(mode_product(t12, u3.T, 3), (u1, u2, u3))

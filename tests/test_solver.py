@@ -409,6 +409,29 @@ class TestSolve:
         _, diag = solve(noisy, cfg)
         assert len(calls) == svds_per_fit * diag.iterations + svds_per_fit
 
+    @pytest.mark.parametrize("stripe_enabled, terms", [(True, 2), (False, 1)])
+    def test_mode_product_budget(self, monkeypatch, stripe_enabled, terms):
+        # a fit is one sweep (6 products) plus its reconstruction (3); each
+        # term's cold start adds the 3 of its truncated-HOSVD core
+        import hsirestore.tucker
+
+        truth = low_rank_cube((12, 12, 6), TuckerRanks(3, 3, 2), seed=41)
+        noisy, _ = simulate_case(truth, case_spec(2, seed=41))
+        cfg = SolverConfig(
+            ranks_x=TuckerRanks(4, 4, 3), max_iter=8, p_override=(0.7, 0.7, 0.7),
+            stripe_enabled=stripe_enabled,
+        )
+        calls = []
+        real_mode_product = hsirestore.tucker.mode_product
+
+        def counting_mode_product(t, m, mode):
+            calls.append(mode)
+            return real_mode_product(t, m, mode)
+
+        monkeypatch.setattr(hsirestore.tucker, "mode_product", counting_mode_product)
+        _, diag = solve(noisy, cfg)
+        assert len(calls) == 9 * terms * diag.iterations + 3 * terms
+
     def test_non_finite_input_rejected(self):
         y = np.zeros((8, 8, 4))
         y[0, 0, 0] = np.nan
@@ -432,3 +455,11 @@ class TestConfig:
             SolverConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             SolverConfig(p_override=(0.5, 0.5, 1.5))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p_override", (0.5, 0.5)), ("p_override", ()), ("p_override", 0.5), ("max_iter", 2.5)],
+    )
+    def test_malformed_field_rejected_up_front(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverConfig(**{field: value})
