@@ -45,20 +45,34 @@ class GradientStack:
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.gh, self.gw, self.gp)
 
-    def __add__(self, other: "GradientStack") -> "GradientStack":
-        return GradientStack(self.gh + other.gh, self.gw + other.gw, self.gp + other.gp)
-
-    def __sub__(self, other: "GradientStack") -> "GradientStack":
-        return GradientStack(self.gh - other.gh, self.gw - other.gw, self.gp - other.gp)
-
-    def __mul__(self, c: float) -> "GradientStack":
-        return GradientStack(c * self.gh, c * self.gw, c * self.gp)
-
-    __rmul__ = __mul__
-
 
 def zero_gradient_stack(shape: tuple[int, int, int]) -> GradientStack:
     return GradientStack(np.zeros(shape), np.zeros(shape), np.zeros(shape))
+
+
+def _circular_diff(t: np.ndarray, axis: int, step: int, weight: float) -> np.ndarray:
+    """``weight * (np.roll(t, -step, axis) - t)`` for a ``step`` of 1 or -1.
+
+    Written into one new C-ordered array instead of a rolled copy.  In the
+    flat C-ordered data an entry's neighbour along ``axis`` sits ``stride``
+    places away, so one contiguous pass over the flat data forms every
+    difference except those across the end of the axis, which a second, small
+    pass then overwrites with the wrapped-around ones.  ``t.reshape(-1)`` is
+    a view of C-ordered data and a C-ordered copy of any other layout.
+    """
+    out = np.empty(t.shape)
+    flat, flat_out = t.reshape(-1), out.reshape(-1)
+    stride = int(np.prod(t.shape[axis + 1:]))
+    ahead, behind = slice(stride, None), slice(None, flat.size - stride)
+    lead = (slice(None),) * axis
+    first, last = lead + (0,), lead + (-1,)
+    if step == -1:
+        ahead, behind, first, last = behind, ahead, last, first
+    # entry i is t[i + step] - t[i]; at the end of the axis it wraps around
+    np.subtract(flat[ahead], flat[behind], out=flat_out[behind])
+    np.subtract(t[first], t[last], out=out[last])
+    out *= weight
+    return out
 
 
 def diff_forward(t: np.ndarray, weights: TvWeights) -> GradientStack:
@@ -66,9 +80,9 @@ def diff_forward(t: np.ndarray, weights: TvWeights) -> GradientStack:
     t = np.asarray(t, dtype=np.float64)
     w_h, w_w, w_p = weights.as_tuple()
     return GradientStack(
-        w_h * (np.roll(t, -1, axis=0) - t),
-        w_w * (np.roll(t, -1, axis=1) - t),
-        w_p * (np.roll(t, -1, axis=2) - t),
+        _circular_diff(t, 0, 1, w_h),
+        _circular_diff(t, 1, 1, w_w),
+        _circular_diff(t, 2, 1, w_p),
     )
 
 
@@ -79,9 +93,9 @@ def diff_adjoint(g: GradientStack, weights: TvWeights) -> np.ndarray:
             f"gradient blocks must share one shape, got {g.gh.shape}, {g.gw.shape}, {g.gp.shape}"
         )
     w_h, w_w, w_p = weights.as_tuple()
-    out = w_h * (np.roll(g.gh, 1, axis=0) - g.gh)
-    out += w_w * (np.roll(g.gw, 1, axis=1) - g.gw)
-    out += w_p * (np.roll(g.gp, 1, axis=2) - g.gp)
+    out = _circular_diff(g.gh, 0, -1, w_h)
+    out += _circular_diff(g.gw, 1, -1, w_w)
+    out += _circular_diff(g.gp, 2, -1, w_p)
     return out
 
 
@@ -90,14 +104,49 @@ def soft_threshold(x, delta: float):
     if delta < 0:
         raise ValueError(f"threshold must be nonnegative, got {delta}")
     x = np.asarray(x, dtype=np.float64)
-    out = np.sign(x) * np.maximum(np.abs(x) - delta, 0.0)
-    return out if out.ndim else float(out)
+    out = np.abs(np.atleast_1d(x))
+    out -= delta
+    np.maximum(out, 0.0, out=out)
+    out *= np.sign(x)
+    return out if x.ndim else float(out[0])
 
 
 def gst_threshold(tau: float, p: float) -> float:
     """Smallest |y| with a nonzero minimizer of ``tau*|x|**p + (x-y)**2 / 2``."""
     x_bar = (2.0 * tau * (1.0 - p)) ** (1.0 / (2.0 - p))
     return x_bar + tau * p * x_bar ** (p - 1.0)
+
+
+def _gst_magnitude(am: np.ndarray, c: float, p: float) -> np.ndarray:
+    """Larger root of ``x + c*x**(p-1) = am`` by Newton's method from ``x0 = am``.
+
+    Entries whose iterate ends outside ``(0, am]`` (a NaN from an infinite
+    ``am``) are zero.
+    """
+    x = am.copy()
+    if not x.size:
+        return x
+    w = np.empty_like(x)
+    den = np.empty_like(x)
+    while True:
+        # Newton step x <- x - g(x)/g'(x) for g(x) = x + c*x**(p-1) - am,
+        # multiplied through by x: x * (am - (2-p)*w) / (x - (1-p)*w)
+        # with w = c*x**(p-1); in place, as the cube-sized
+        # temporaries would cost more than the arithmetic
+        np.power(x, p - 1.0, out=w)
+        w *= c
+        np.multiply(w, 1.0 - p, out=den)
+        np.subtract(x, den, out=den)
+        w *= p - 2.0
+        w += am
+        x *= w
+        x /= den
+        # den / w is the old x over the new one; a NaN also ends the loop
+        np.divide(den, w, out=den)
+        if not den.max() - 1.0 > _NEWTON_STEP_TOL:
+            break
+    x[~((x > 0.0) & (x <= am))] = 0.0
+    return x
 
 
 def gst_shrink(y, tau: float, p: float):
@@ -124,36 +173,17 @@ def gst_shrink(y, tau: float, p: float):
     elif tau == 0.0:
         out = y.copy()
     else:
-        out = np.zeros_like(y)
-        a = np.abs(y)
-        mask = a > gst_threshold(tau, p)
-        if np.any(mask):
-            am = a[mask]
-            c = tau * p
-            x = am.copy()
-            w = np.empty_like(x)
-            den = np.empty_like(x)
-            while True:
-                # Newton step x <- x - g(x)/g'(x) for g(x) = x + c*x**(p-1) - |y|,
-                # multiplied through by x: x * (|y| - (2-p)*w) / (x - (1-p)*w)
-                # with w = c*x**(p-1); in place, as the cube-sized
-                # temporaries would cost more than the arithmetic
-                np.power(x, p - 1.0, out=w)
-                w *= c
-                np.multiply(w, 1.0 - p, out=den)
-                np.subtract(x, den, out=den)
-                w *= p - 2.0
-                w += am
-                x *= w
-                x /= den
-                # den / w is the old x over the new one; a NaN (from an
-                # infinite |y|) also ends the loop and is zeroed below
-                np.divide(den, w, out=den)
-                if not den.max() - 1.0 > _NEWTON_STEP_TOL:
-                    break
-            bad = ~((x > 0.0) & (x <= am))
-            x[bad] = 0.0
-            out[mask] = np.sign(y[mask]) * x
+        # the flat index addresses C order: ``flat`` is a view of a C-contiguous
+        # ``y`` and a C-ordered copy of any other layout, and ``out`` is
+        # C-contiguous so that its ravel is a view the scatter lands in (that of
+        # a zeros_like of a Fortran-ordered ``y`` would be a copy); ``out`` is
+        # made after the Newton temporaries are freed, to keep the peak low
+        flat = y.ravel()
+        idx = np.flatnonzero(np.abs(flat) > gst_threshold(tau, p))
+        x = _gst_magnitude(np.abs(flat[idx]), tau * p, p)
+        x *= np.sign(flat[idx])
+        out = np.zeros(y.shape)
+        out.ravel()[idx] = x
     return float(out[0]) if scalar else out
 
 

@@ -22,12 +22,18 @@ iteration performs, in order:
    FFT division (circular differences make ``D^T D`` diagonal in Fourier
    space).
 3. ``f``:  per-direction generalized shrinkage of ``D(z) + dual_grad / beta``
-   with threshold ``lambda_tv / beta`` and the fitted exponents.
+   with threshold ``lambda_tv / beta`` and the fitted exponents.  ``D(z)`` is
+   formed once per iteration, right after the z-step, and shared by this
+   step and the dual step.
 4. ``b``:  one warm HOOI sweep towards the Tucker fit of ``y - z - s`` at the
    stripe ranks, started like ``x``.
 5. ``s``:  soft threshold of ``y - z - b`` at ``lambda_sparse``.
 6. dual ascent on both multipliers, then geometric growth of ``beta`` up to
    its cap.
+
+Each update builds its result in arrays it allocates itself, in place and in
+the operation order of the plain expression it stands for (a regrouped sum
+would change the last bits); it never writes into the state or ``y``.
 
 Iterations stop when the squared relative change of ``x`` drops below
 ``epsilon`` or after ``max_iter`` iterations; hitting the cap is reported in
@@ -116,6 +122,16 @@ class SolverConfig:
             np.shape(self.p_override) != (3,) or not all(0.0 < p <= 1.0 for p in self.p_override)
         ):
             raise ValueError(f"p_override must be three exponents in (0, 1], got {self.p_override}")
+        # a truthy string or a plain tuple would otherwise pass here and run
+        # with the wrong meaning or fail deep inside solve
+        if not isinstance(self.stripe_enabled, bool):
+            raise ValueError(f"stripe_enabled must be a bool, got {self.stripe_enabled!r}")
+        for name in ("ranks_x", "ranks_b"):
+            ranks = getattr(self, name)
+            if ranks is not None and not isinstance(ranks, TuckerRanks):
+                raise ValueError(f"{name} must be TuckerRanks or None, got {ranks!r}")
+        if not isinstance(self.weights, TvWeights):
+            raise ValueError(f"weights must be TvWeights, got {self.weights!r}")
 
     def resolve_ranks(self, shape: tuple[int, int, int]) -> "SolverConfig":
         ranks_x = self.ranks_x or default_image_ranks(shape)
@@ -210,7 +226,9 @@ def update_x(state: SolverState, cfg: SolverConfig) -> np.ndarray:
 
     Starts from ``state.x_factors`` and stores the new factors there.
     """
-    target = (state.beta * state.z - state.dual_x) / state.beta
+    target = state.beta * state.z
+    target -= state.dual_x
+    target /= state.beta
     fit = hooi(target, cfg.ranks_x, init=state.x_factors)
     state.x_factors = fit.factors
     return reconstruct(fit)
@@ -218,20 +236,39 @@ def update_x(state: SolverState, cfg: SolverConfig) -> np.ndarray:
 
 def update_z(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
     """Exact real-FFT solve of the coupled least-squares subproblem."""
-    rhs = y - state.b - state.s + state.dual_x + state.beta * state.x
-    rhs = rhs + diff_adjoint(state.beta * state.f - state.dual_grad, cfg.weights)
-    transfer = _diff_transfer(y.shape, cfg.weights)
-    denom = 1.0 + state.beta + state.beta * transfer
+    rhs = y - state.b
+    rhs -= state.s
+    rhs += state.dual_x
+    rhs += state.beta * state.x
+    shifted = []
+    for f, dual in zip(state.f.blocks(), state.dual_grad.blocks()):
+        block = state.beta * f
+        block -= dual
+        shifted.append(block)
+    rhs += diff_adjoint(GradientStack(*shifted), cfg.weights)
+    del shifted
+    denom = state.beta * _diff_transfer(y.shape, cfg.weights)
+    denom += 1.0 + state.beta
     axes = (0, 1, 2)
-    return np.fft.irfftn(np.fft.rfftn(rhs, axes=axes) / denom, s=y.shape, axes=axes)
+    spectrum = np.fft.rfftn(rhs, axes=axes)
+    del rhs
+    spectrum /= denom
+    return np.fft.irfftn(spectrum, s=y.shape, axes=axes)
 
 
 def update_f(
-    state: SolverState, cfg: SolverConfig, p_values: tuple[float, float, float]
+    state: SolverState,
+    cfg: SolverConfig,
+    p_values: tuple[float, float, float],
+    dz: GradientStack,
 ) -> GradientStack:
-    """Generalized shrinkage of the multiplier-shifted gradients of ``z``."""
-    target = diff_forward(state.z, cfg.weights) + state.dual_grad * (1.0 / state.beta)
-    return shrink_gradient_stack(target, cfg.lambda_tv / state.beta, p_values)
+    """Generalized shrinkage of the multiplier-shifted gradients ``dz`` of ``z``."""
+    target = []
+    for d, dual in zip(dz.blocks(), state.dual_grad.blocks()):
+        block = dual * (1.0 / state.beta)
+        block += d
+        target.append(block)
+    return shrink_gradient_stack(GradientStack(*target), cfg.lambda_tv / state.beta, p_values)
 
 
 def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
@@ -241,7 +278,8 @@ def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
     """
     if not cfg.stripe_enabled:
         return np.zeros_like(y)
-    target = y - state.z - state.s
+    target = y - state.z
+    target -= state.s
     fit = hooi(target, cfg.ranks_b, init=state.b_factors)
     state.b_factors = fit.factors
     return reconstruct(fit)
@@ -249,19 +287,29 @@ def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
 
 def update_s(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
     """Soft threshold of the data residual, absorbing sparse outliers."""
-    return soft_threshold(y - state.z - state.b, cfg.lambda_sparse)
+    residual = y - state.z
+    residual -= state.b
+    return soft_threshold(residual, cfg.lambda_sparse)
 
 
 def update_multipliers(
-    state: SolverState, cfg: SolverConfig
+    state: SolverState, cfg: SolverConfig, dz: GradientStack
 ) -> tuple[np.ndarray, GradientStack, float]:
-    """Dual ascent on both constraints; returns the new multipliers and penalty."""
-    dual_x = state.dual_x + state.beta * (state.x - state.z)
-    dual_grad = state.dual_grad + state.beta * (
-        diff_forward(state.z, cfg.weights) - state.f
-    )
+    """Dual ascent on both constraints, with ``dz`` the gradients of ``z``.
+
+    Returns the new multipliers and penalty.
+    """
+    dual_x = state.x - state.z
+    dual_x *= state.beta
+    dual_x += state.dual_x
+    dual_grad = []
+    for d, f, dual in zip(dz.blocks(), state.f.blocks(), state.dual_grad.blocks()):
+        block = d - f
+        block *= state.beta
+        block += dual
+        dual_grad.append(block)
     beta = min(state.beta * cfg.beta_growth, cfg.beta_max)
-    return dual_x, dual_grad, beta
+    return dual_x, GradientStack(*dual_grad), beta
 
 
 def solve(
@@ -293,14 +341,20 @@ def solve(
         beta_history.append(state.beta)
         x_old = state.x
         state.x = update_x(state, cfg)
-        state.z = update_z(state, cfg, y)
-        state.f = update_f(state, cfg, p_values)
-        state.b = update_b(state, cfg, y)
-        state.s = update_s(state, cfg, y)
-        state.dual_x, state.dual_grad, state.beta = update_multipliers(state, cfg)
-
+        # the change of x is final here; measuring it now frees x_old before
+        # the cube-sized temporaries of the other updates
         dx2 = fro_norm(state.x - x_old) ** 2
         x02 = fro_norm(x_old) ** 2
+        del x_old
+        state.z = update_z(state, cfg, y)
+        dz = diff_forward(state.z, cfg.weights)
+        state.f = update_f(state, cfg, p_values, dz)
+        state.b = update_b(state, cfg, y)
+        state.s = update_s(state, cfg, y)
+        state.dual_x, state.dual_grad, state.beta = update_multipliers(state, cfg, dz)
+        # not held through the next iteration's x- and z-steps
+        del dz
+
         rel = dx2 / x02 if x02 > 0.0 else 1.0
         rel_change.append(rel)
         if x02 > 0.0 and rel <= cfg.epsilon:

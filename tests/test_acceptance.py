@@ -116,9 +116,10 @@ def test_criterion_1_oracle_equivalence():
     d = dense_difference_matrix(shape, weights)
     n = int(np.prod(shape))
     a = (1.0 + beta) * np.eye(n) + beta * (d.T @ d)
-    rhs = (y - state.b - state.s + state.dual_x + beta * state.x) + diff_adjoint(
-        beta * state.f - state.dual_grad, weights
+    shifted = GradientStack(
+        *(beta * f - g for f, g in zip(state.f.blocks(), state.dual_grad.blocks()))
     )
+    rhs = (y - state.b - state.s + state.dual_x + beta * state.x) + diff_adjoint(shifted, weights)
     residual = a @ got.ravel() - rhs.ravel()
     assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
 

@@ -214,6 +214,84 @@ class TestAhsstvProx:
                 )
 
 
+def roll_forward(t, weights):
+    """Circular forward differences written with ``np.roll``, the reference for the sliced ones."""
+    w_h, w_w, w_p = weights.as_tuple()
+    return (
+        w_h * (np.roll(t, -1, axis=0) - t),
+        w_w * (np.roll(t, -1, axis=1) - t),
+        w_p * (np.roll(t, -1, axis=2) - t),
+    )
+
+
+def roll_adjoint(g, weights):
+    w_h, w_w, w_p = weights.as_tuple()
+    out = w_h * (np.roll(g.gh, 1, axis=0) - g.gh)
+    out += w_w * (np.roll(g.gw, 1, axis=1) - g.gw)
+    out += w_p * (np.roll(g.gp, 1, axis=2) - g.gp)
+    return out
+
+
+def signed_zero_cube(shape, seed):
+    """Uniform values with a share of exact +0.0 and -0.0 entries."""
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    c[c > 0.7] = -0.0
+    c[c < -0.7] = 0.0
+    return c
+
+
+LAYOUTS = {
+    "c_order": lambda c: c,
+    "fortran": np.asfortranarray,
+    "transposed": lambda c: np.ascontiguousarray(c.transpose(2, 0, 1)).transpose(1, 2, 0),
+    "strided": lambda c: np.repeat(c, 2, axis=1)[:, ::2],
+    "reversed": lambda c: np.ascontiguousarray(c[::-1])[::-1],
+}
+EDGE_SHAPES = [(1, 4, 3), (2, 1, 5), (3, 2, 1), (1, 1, 1), (2, 2, 2), (4, 5, 6)]
+
+
+class TestLayoutsAndEdges:
+    """Slice-based differences and flat-index shrinkage against layout-free references.
+
+    ``tobytes`` lays both sides out in C order, so equal bytes mean equal
+    values at every index, signed zeros included.
+    """
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("shape", EDGE_SHAPES, ids=str)
+    def test_diff_forward_equals_roll_formula(self, shape, layout):
+        weights = TvWeights(1.0, 0.8, 0.5)
+        t = LAYOUTS[layout](signed_zero_cube(shape, seed=50))
+        for got, expected in zip(diff_forward(t, weights).blocks(), roll_forward(t, weights)):
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("shape", EDGE_SHAPES, ids=str)
+    def test_diff_adjoint_equals_roll_formula(self, shape, layout):
+        weights = TvWeights(1.0, 0.8, 0.5)
+        g = GradientStack(
+            *(LAYOUTS[layout](signed_zero_cube(shape, seed=51 + i)) for i in range(3))
+        )
+        assert diff_adjoint(g, weights).tobytes() == roll_adjoint(g, weights).tobytes()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("p", [0.485, 1.0])
+    def test_gst_shrink_independent_of_layout(self, layout, p):
+        # a zeros_like output of a Fortran-ordered input is Fortran-ordered too,
+        # and its ravel a copy: a flat scatter into that copy would be lost
+        c = signed_zero_cube((4, 5, 6), seed=54)
+        expected = gst_shrink(c, 0.2, p)
+        assert np.count_nonzero(expected) > 0
+        assert gst_shrink(LAYOUTS[layout](c), 0.2, p).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_soft_threshold_independent_of_layout(self, layout):
+        c = signed_zero_cube((4, 5, 6), seed=55)
+        expected = soft_threshold(c, 0.2)
+        assert np.count_nonzero(expected) > 0
+        assert soft_threshold(LAYOUTS[layout](c), 0.2).tobytes() == expected.tobytes()
+
+
 class TestTvWeights:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):

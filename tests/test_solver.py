@@ -38,6 +38,22 @@ def make_state(shape, beta, seed=0, zero=False):
     return state
 
 
+def z_step_rhs(state, y, weights):
+    """Right-hand side of the z-step, written out as one plain expression per term."""
+    shifted = GradientStack(
+        *(state.beta * f - g for f, g in zip(state.f.blocks(), state.dual_grad.blocks()))
+    )
+    return (
+        y - state.b - state.s + state.dual_x + state.beta * state.x
+    ) + diff_adjoint(shifted, weights)
+
+
+def f_step_target(state, cfg):
+    """``D z + dual_grad / beta`` block by block, the target of the f-step."""
+    dz = diff_forward(state.z, cfg.weights)
+    return [d + g * (1 / state.beta) for d, g in zip(dz.blocks(), state.dual_grad.blocks())]
+
+
 def small_cfg(**overrides):
     base = dict(
         ranks_x=TuckerRanks(2, 2, 2),
@@ -99,11 +115,7 @@ class TestUpdateZ:
         d = dense_difference_matrix(shape, weights)
         n = np.prod(shape)
         a = (1.0 + beta) * np.eye(n) + beta * (d.T @ d)
-        from hsirestore.priors import diff_adjoint
-
-        rhs_cube = (y - state.b - state.s + state.dual_x + beta * state.x) + diff_adjoint(
-            state.beta * state.f - state.dual_grad, weights
-        )
+        rhs_cube = z_step_rhs(state, y, weights)
         expected = np.linalg.solve(a, rhs_cube.ravel()).reshape(shape)
         np.testing.assert_allclose(got, expected, atol=1e-10)
         residual = a @ got.ravel() - rhs_cube.ravel()
@@ -128,12 +140,28 @@ class TestUpdateZ:
         got = update_z(state, small_cfg(weights=weights), y)
         d = dense_difference_matrix(shape, weights)
         a = (1.0 + beta) * np.eye(int(np.prod(shape))) + beta * (d.T @ d)
-        rhs = (y - state.b - state.s + state.dual_x + beta * state.x) + diff_adjoint(
-            beta * state.f - state.dual_grad, weights
-        )
+        rhs = z_step_rhs(state, y, weights)
         assert got.shape == shape
         residual = a @ got.ravel() - rhs.ravel()
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
+
+
+    def test_equals_the_plain_expression_bit_for_bit(self):
+        # the in-place right-hand side keeps the operation order of the plain expression
+        shape, weights, beta = (5, 4, 6), TvWeights(1.0, 0.8, 0.5), 0.61
+        y = np.random.default_rng(32).standard_normal(shape)
+        state = make_state(shape, beta=beta, seed=33)
+        got = update_z(state, small_cfg(weights=weights), y)
+        mults = [
+            w**2 * (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
+            for n, w in zip(shape, weights.as_tuple())
+        ]
+        half = shape[2] // 2 + 1
+        transfer = mults[0][:, None, None] + mults[1][None, :, None] + mults[2][None, None, :half]
+        axes = (0, 1, 2)
+        spectrum = np.fft.rfftn(z_step_rhs(state, y, weights), axes=axes)
+        expected = np.fft.irfftn(spectrum / (1.0 + beta + beta * transfer), s=shape, axes=axes)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestUpdateF:
@@ -141,18 +169,16 @@ class TestUpdateF:
         shape = (4, 5, 3)
         state = make_state(shape, beta=0.9, seed=10)
         cfg = small_cfg(lambda_tv=0.0)
-        got = update_f(state, cfg, (0.6, 0.7, 0.5))
-        expected = diff_forward(state.z, cfg.weights) + state.dual_grad * (1 / state.beta)
-        for a, b in zip(got.blocks(), expected.blocks()):
+        got = update_f(state, cfg, (0.6, 0.7, 0.5), diff_forward(state.z, cfg.weights))
+        for a, b in zip(got.blocks(), f_step_target(state, cfg)):
             np.testing.assert_array_equal(a, b)
 
     def test_p_one_is_blockwise_soft_threshold(self):
         shape = (4, 4, 4)
         state = make_state(shape, beta=0.5, seed=11)
         cfg = small_cfg(lambda_tv=0.01)
-        got = update_f(state, cfg, (1.0, 1.0, 1.0))
-        target = diff_forward(state.z, cfg.weights) + state.dual_grad * (1 / state.beta)
-        for a, b in zip(got.blocks(), target.blocks()):
+        got = update_f(state, cfg, (1.0, 1.0, 1.0), diff_forward(state.z, cfg.weights))
+        for a, b in zip(got.blocks(), f_step_target(state, cfg)):
             np.testing.assert_allclose(a, soft_threshold(b, cfg.lambda_tv / state.beta), atol=1e-14)
 
     def test_elementwise_objective_optimality(self):
@@ -160,10 +186,9 @@ class TestUpdateF:
         state = make_state(shape, beta=0.4, seed=12)
         cfg = small_cfg(lambda_tv=0.02)
         p_values = (0.642, 0.684, 0.485)
-        got = update_f(state, cfg, p_values)
-        target = diff_forward(state.z, cfg.weights) + state.dual_grad * (1 / state.beta)
+        got = update_f(state, cfg, p_values, diff_forward(state.z, cfg.weights))
         tau = cfg.lambda_tv / state.beta
-        for block, source, p in zip(got.blocks(), target.blocks(), p_values):
+        for block, source, p in zip(got.blocks(), f_step_target(state, cfg), p_values):
             for v, y in zip(block.ravel(), source.ravel()):
                 best = gst_minimize_oracle(float(y), tau, p)
                 assert gst_objective(float(v), float(y), tau, p) <= (
@@ -235,7 +260,7 @@ class TestUpdateMultipliers:
         cfg = small_cfg()
         state.z = state.x.copy()
         state.f = diff_forward(state.z, cfg.weights)
-        dual_x, dual_grad, beta = update_multipliers(state, cfg)
+        dual_x, dual_grad, beta = update_multipliers(state, cfg, diff_forward(state.z, cfg.weights))
         np.testing.assert_array_equal(dual_x, state.dual_x)
         for a, b in zip(dual_grad.blocks(), state.dual_grad.blocks()):
             np.testing.assert_allclose(a, b, atol=1e-15)
@@ -244,20 +269,79 @@ class TestUpdateMultipliers:
     def test_beta_capped_at_max(self):
         shape = (3, 3, 3)
         state = make_state(shape, beta=1e6, seed=22)
-        _, _, beta = update_multipliers(state, small_cfg())
+        cfg = small_cfg()
+        _, _, beta = update_multipliers(state, cfg, diff_forward(state.z, cfg.weights))
         assert beta == 1e6
 
     def test_random_mismatch_arithmetic(self):
         shape = (4, 3, 3)
         state = make_state(shape, beta=0.8, seed=23)
         cfg = small_cfg()
-        dual_x, dual_grad, _ = update_multipliers(state, cfg)
-        np.testing.assert_allclose(
-            dual_x, state.dual_x + 0.8 * (state.x - state.z), atol=1e-14
-        )
-        gap = diff_forward(state.z, cfg.weights) - state.f
-        for a, old, g in zip(dual_grad.blocks(), state.dual_grad.blocks(), gap.blocks()):
-            np.testing.assert_allclose(a, old + 0.8 * g, atol=1e-14)
+        dual_x, dual_grad, _ = update_multipliers(state, cfg, diff_forward(state.z, cfg.weights))
+        # bit for bit: the in-place update keeps the plain expression's operation order
+        np.testing.assert_array_equal(dual_x, state.dual_x + 0.8 * (state.x - state.z))
+        dz = diff_forward(state.z, cfg.weights)
+        gap = [d - f for d, f in zip(dz.blocks(), state.f.blocks())]
+        for a, old, g in zip(dual_grad.blocks(), state.dual_grad.blocks(), gap):
+            np.testing.assert_array_equal(a, old + 0.8 * g)
+
+
+def held_arrays(state, y):
+    """Every array the solver state and the observation hold, by name."""
+    named = {"y": y}
+    for name in ("x", "z", "s", "b", "dual_x"):
+        named[name] = getattr(state, name)
+    for name in ("f", "dual_grad"):
+        for axis, block in zip("hwp", getattr(state, name).blocks()):
+            named[f"{name}.g{axis}"] = block
+    for name in ("x_factors", "b_factors"):
+        for i, factor in enumerate(getattr(state, name) or ()):
+            named[f"{name}[{i}]"] = factor
+    return named
+
+
+def returned_arrays(out):
+    if isinstance(out, np.ndarray):
+        return [out]
+    if isinstance(out, GradientStack):
+        return list(out.blocks())
+    if isinstance(out, tuple):
+        return [a for item in out for a in returned_arrays(item)]
+    return []
+
+
+class TestUpdatesLeaveInputsAlone:
+    """The updates may work in place only on their own temporaries."""
+
+    @pytest.mark.parametrize(
+        "update", ["update_x", "update_z", "update_f", "update_b", "update_s", "update_multipliers"]
+    )
+    def test_inputs_unchanged_and_outputs_unshared(self, update):
+        shape = (6, 5, 4)
+        cfg = small_cfg()
+        state = make_state(shape, beta=0.6, seed=43)
+        y = np.random.default_rng(44).standard_normal(shape)
+        # warm factors, so that the HOOI updates also start from arrays the state holds
+        state.x_factors = hosvd_init(state.z, cfg.ranks_x).factors
+        state.b_factors = hosvd_init(y - state.z - state.s, cfg.ranks_b).factors
+        dz = diff_forward(state.z, cfg.weights)
+        inputs = held_arrays(state, y)
+        inputs.update({f"dz.g{axis}": block for axis, block in zip("hwp", dz.blocks())})
+        before = {name: a.tobytes() for name, a in inputs.items()}
+        calls = {
+            "update_x": lambda: update_x(state, cfg),
+            "update_z": lambda: update_z(state, cfg, y),
+            "update_f": lambda: update_f(state, cfg, (0.6, 0.7, 0.5), dz),
+            "update_b": lambda: update_b(state, cfg, y),
+            "update_s": lambda: update_s(state, cfg, y),
+            "update_multipliers": lambda: update_multipliers(state, cfg, dz),
+        }
+        outputs = returned_arrays(calls[update]())
+        assert outputs
+        for name, a in inputs.items():
+            assert a.tobytes() == before[name], f"{update} wrote into {name}"
+            for out in outputs:
+                assert not np.shares_memory(out, a), f"{update} returned a view of {name}"
 
 
 class TestSolve:
@@ -299,10 +383,11 @@ class TestSolve:
             target = (beta_prev * z_prev - dual_prev) / beta_prev
             assert fro_norm(state.x - target) <= 1e-10 * max(fro_norm(target), 1.0)
             state.z = update_z(state, cfg, y)
-            state.f = update_f(state, cfg, cfg.p_override)
+            dz = diff_forward(state.z, cfg.weights)
+            state.f = update_f(state, cfg, cfg.p_override, dz)
             state.b = update_b(state, cfg, y)
             state.s = update_s(state, cfg, y)
-            state.dual_x, state.dual_grad, state.beta = update_multipliers(state, cfg)
+            state.dual_x, state.dual_grad, state.beta = update_multipliers(state, cfg, dz)
 
     def test_stripes_only_input_separates_stripe_field(self):
         truth = low_rank_cube((48, 48, 16), TuckerRanks(5, 5, 3), seed=11)
@@ -432,6 +517,25 @@ class TestSolve:
         _, diag = solve(noisy, cfg)
         assert len(calls) == 9 * terms * diag.iterations + 3 * terms
 
+    def test_one_gradient_of_z_per_iteration(self, monkeypatch):
+        # D z is formed once per iteration and shared by the f-step and the dual step
+        import hsirestore.solver
+
+        truth = low_rank_cube((12, 12, 6), TuckerRanks(3, 3, 2), seed=47)
+        noisy, _ = simulate_case(truth, case_spec(2, seed=47))
+        cfg = SolverConfig(ranks_x=TuckerRanks(4, 4, 3), max_iter=8, p_override=(0.7, 0.7, 0.7))
+        calls = []
+        real_diff_forward = hsirestore.solver.diff_forward
+
+        def counting_diff_forward(t, weights):
+            calls.append(t)
+            return real_diff_forward(t, weights)
+
+        monkeypatch.setattr(hsirestore.solver, "diff_forward", counting_diff_forward)
+        _, diag = solve(noisy, cfg)
+        assert diag.iterations == 8
+        assert len(calls) == diag.iterations
+
     def test_non_finite_input_rejected(self):
         y = np.zeros((8, 8, 4))
         y[0, 0, 0] = np.nan
@@ -458,7 +562,17 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("p_override", (0.5, 0.5)), ("p_override", ()), ("p_override", 0.5), ("max_iter", 2.5)],
+        [
+            ("p_override", (0.5, 0.5)),
+            ("p_override", ()),
+            ("p_override", 0.5),
+            ("max_iter", 2.5),
+            ("stripe_enabled", "no"),
+            ("stripe_enabled", 1),
+            ("ranks_x", (4, 4, 2)),
+            ("ranks_b", (1, 4, 2)),
+            ("weights", (1, 1, 0.5)),
+        ],
     )
     def test_malformed_field_rejected_up_front(self, field, value):
         with pytest.raises(ValueError, match=field):
