@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import MetricsReport
-from .noise import NoiseSpec
+from .noise import NoiseSpec, case_spec
 from .priors import TvWeights
 from .solver import SolveDiagnostics, SolverConfig
 from .tucker import TuckerRanks
@@ -187,8 +187,8 @@ def solver_config_text(cfg: SolverConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_manifest(path: str | Path, spec: NoiseSpec) -> None:
-    """Record a noise spec completely; :func:`read_manifest` round-trips it."""
+def manifest_text(spec: NoiseSpec) -> str:
+    """Serialize a noise spec completely to key=value lines."""
     lines = [
         f"case={spec.case_id}",
         f"seed={spec.seed}",
@@ -201,23 +201,18 @@ def write_manifest(path: str | Path, spec: NoiseSpec) -> None:
         f"deadline_count={spec.deadline_count[0]},{spec.deadline_count[1]}",
         f"deadline_width={spec.deadline_width[0]},{spec.deadline_width[1]}",
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_manifest(path: str | Path, spec: NoiseSpec) -> None:
+    """Record a noise spec completely; :func:`read_manifest` round-trips it."""
+    Path(path).write_text(manifest_text(spec), encoding="utf-8")
 
 
 def read_manifest(path: str | Path) -> NoiseSpec:
     values = _parse_lines(Path(path).read_text(encoding="utf-8"))
-    required = {
-        "case",
-        "seed",
-        "gaussian_variance",
-        "impulse_ratio",
-        "stripe_kind",
-        "stripe_coverage",
-        "stripe_amplitude",
-        "deadline_band_fraction",
-        "deadline_count",
-        "deadline_width",
-    }
+    # the serializer writes every key exactly once
+    required = set(_parse_lines(manifest_text(case_spec(1, 0))))
     missing = required - set(values)
     if missing:
         raise ConfigError(f"manifest missing keys: {sorted(missing)}")

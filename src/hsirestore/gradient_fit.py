@@ -16,8 +16,9 @@ Conventions used throughout:
   :func:`estimate_noise_sigma` reports the *original* (image-domain) sigma;
   :func:`fit_direction` takes the sigma of the noise actually present in the
   samples it is given.  :func:`estimate_p` bridges the two.
-* Histograms use an odd number of uniform bins symmetric about zero (so zero
-  is a bin center) with out-of-range samples clamped into the edge bins.
+* Every histogram is a mass vector on :data:`HIST_EDGES`: an odd number of
+  uniform bins symmetric about zero (so zero is a bin center), with
+  out-of-range samples clamped into the edge bins.
 """
 
 from __future__ import annotations
@@ -33,36 +34,18 @@ from .tensor_ops import validate_cube
 
 HIST_BINS = 255
 HIST_HALF_RANGE = 1.0
+HIST_EDGES = np.linspace(-HIST_HALF_RANGE, HIST_HALF_RANGE, HIST_BINS + 1)
+HIST_CENTERS = 0.5 * (HIST_EDGES[:-1] + HIST_EDGES[1:])
 
 FIT_K_BOUNDS = (0.5, 500.0)
 FIT_P_BOUNDS = (0.1, 1.0)
 FIT_START = (10.0, 0.7)
 
+NELDER_MEAD_VALUE_TOL = 1e-8
+NELDER_MEAD_MAX_ITER = 500
+
 # MAD of a centered Gaussian is 0.6745 of its standard deviation.
 _MAD_TO_SIGMA = 0.6744897501960817
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Normalized histogram on a uniform grid symmetric about zero."""
-
-    edges: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.edges) != len(self.masses) + 1:
-            raise ValueError("edges must have one more entry than masses")
-        if len(self.masses) % 2 == 0 or len(self.masses) < 3:
-            raise ValueError(f"bin count must be odd and >= 3, got {len(self.masses)}")
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-    def same_grid(self, other: "Histogram") -> bool:
-        return self.edges.shape == other.edges.shape and np.array_equal(
-            self.edges, other.edges
-        )
 
 
 @dataclass(frozen=True)
@@ -108,64 +91,49 @@ def estimate_noise_sigma(g: np.ndarray) -> float:
     return float(mad / _MAD_TO_SIGMA / np.sqrt(2.0))
 
 
-def histogram(
-    values: Sequence[float] | np.ndarray,
-    half_range: float = HIST_HALF_RANGE,
-    bins: int = HIST_BINS,
-) -> Histogram:
-    """Normalized histogram of ``values`` on ``[-half_range, half_range]``.
-
-    Samples beyond the range are clamped into the edge bins.
-    """
-    if half_range <= 0:
-        raise ValueError(f"half_range must be positive, got {half_range}")
-    if bins < 3 or bins % 2 == 0:
-        raise ValueError(f"bins must be odd and >= 3, got {bins}")
+def histogram(values: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Normalized masses of ``values`` on :data:`HIST_EDGES`, tails clamped into the edge bins."""
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("cannot build a histogram from no samples")
-    edges = np.linspace(-half_range, half_range, bins + 1)
-    clipped = np.clip(values, -half_range, half_range)
-    counts, _ = np.histogram(clipped, bins=edges)
-    return Histogram(edges, counts / counts.sum())
+    clipped = np.clip(values, -HIST_HALF_RANGE, HIST_HALF_RANGE)
+    counts, _ = np.histogram(clipped, bins=HIST_EDGES)
+    return counts / counts.sum()
 
 
-def hyper_laplacian_histogram(k: float, p: float, template: Histogram) -> Histogram:
-    """Model histogram with masses proportional to ``exp(-k*|x|**p)`` at bin centers."""
+def hyper_laplacian_histogram(k: float, p: float) -> np.ndarray:
+    """Model masses proportional to ``exp(-k*|x|**p)`` at the bin centers."""
     if not np.isfinite(k) or k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    masses = np.exp(-k * np.abs(template.centers) ** p)
-    return Histogram(template.edges, masses / masses.sum())
+    masses = np.exp(-k * np.abs(HIST_CENTERS) ** p)
+    return masses / masses.sum()
 
 
-def gaussian_histogram(sigma: float, template: Histogram) -> Histogram:
-    """Histogram of a centered Gaussian integrated per bin, tails clamped into the edge bins.
+def gaussian_histogram(sigma: float) -> np.ndarray:
+    """Masses of a centered Gaussian integrated per bin, tails clamped into the edge bins.
 
     ``sigma=0`` degenerates to a unit mass at the center bin.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    n = len(template.masses)
     if sigma == 0.0:
-        masses = np.zeros(n)
-        masses[n // 2] = 1.0
-        return Histogram(template.edges, masses)
-    cdf = 0.5 * (1.0 + erf(template.edges / (sigma * np.sqrt(2.0))))
+        masses = np.zeros(HIST_BINS)
+        masses[HIST_BINS // 2] = 1.0
+        return masses
+    cdf = 0.5 * (1.0 + erf(HIST_EDGES / (sigma * np.sqrt(2.0))))
     cdf[0] = 0.0
     cdf[-1] = 1.0
-    return Histogram(template.edges, np.diff(cdf))
+    return np.diff(cdf)
 
 
-def convolve_hist(a: Histogram, b: Histogram) -> Histogram:
-    """Discrete convolution of two histograms, truncated to their shared grid."""
-    if not a.same_grid(b):
-        raise ValueError("histograms must share the same bin grid")
-    full = np.convolve(a.masses, b.masses)
-    half = (len(a.masses) - 1) // 2
-    masses = full[half : half + len(a.masses)]
-    return Histogram(a.edges, masses / masses.sum())
+def convolve_hist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Discrete convolution of two mass vectors, truncated to the grid and renormalized."""
+    full = np.convolve(a, b)
+    half = (len(a) - 1) // 2
+    masses = full[half : half + len(a)]
+    return masses / masses.sum()
 
 
 def nelder_mead(
@@ -173,15 +141,14 @@ def nelder_mead(
     start: Sequence[float],
     lower: Sequence[float],
     upper: Sequence[float],
-    value_tol: float = 1e-8,
-    max_iter: int = 500,
 ) -> tuple[np.ndarray, float]:
     """Nelder-Mead simplex search with box projection.
 
     Standard coefficients (reflection 1, expansion 2, contraction 0.5, shrink
     0.5); candidate points are clipped into the box before evaluation.  Stops
-    when the spread of the simplex values falls below ``value_tol`` or after
-    ``max_iter`` iterations.  Returns the best vertex and its value.
+    when the spread of the simplex values falls below
+    :data:`NELDER_MEAD_VALUE_TOL` or after :data:`NELDER_MEAD_MAX_ITER`
+    iterations.  Returns the best vertex and its value.
     """
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
@@ -202,11 +169,11 @@ def nelder_mead(
         sim.append(project(v))
     fvals = [float(objective(v)) for v in sim]
 
-    for _ in range(max_iter):
+    for _ in range(NELDER_MEAD_MAX_ITER):
         order = np.argsort(fvals, kind="stable")
         sim = [sim[i] for i in order]
         fvals = [fvals[i] for i in order]
-        if fvals[-1] - fvals[0] < value_tol:
+        if fvals[-1] - fvals[0] < NELDER_MEAD_VALUE_TOL:
             break
         centroid = np.mean(sim[:-1], axis=0)
         reflected = project(centroid + (centroid - sim[-1]))
@@ -245,14 +212,13 @@ def fit_direction(y_gradients: np.ndarray, sigma: float) -> tuple[float, float, 
     """
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    h_obs = histogram(y_gradients)
-    sym = 0.5 * (h_obs.masses + h_obs.masses[::-1])
-    h_obs = Histogram(h_obs.edges, sym)
-    h_noise = gaussian_histogram(sigma, h_obs)
+    observed = histogram(y_gradients)
+    observed = 0.5 * (observed + observed[::-1])
+    noise = gaussian_histogram(sigma)
 
     def objective(v: np.ndarray) -> float:
-        model = convolve_hist(hyper_laplacian_histogram(v[0], v[1], h_obs), h_noise)
-        return float(np.sum((h_obs.masses - model.masses) ** 2))
+        model = convolve_hist(hyper_laplacian_histogram(v[0], v[1]), noise)
+        return float(np.sum((observed - model) ** 2))
 
     (k, p), residual = nelder_mead(
         objective,

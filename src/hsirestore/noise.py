@@ -10,6 +10,7 @@ nothing touches global RNG state.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +66,8 @@ class NoiseSpec:
         ):
             if not 0 <= lo <= hi:
                 raise ValueError(f"{name} range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 _CASE_TABLE = {

@@ -174,13 +174,15 @@ class TestManifest:
         assert read_manifest(path) == spec
 
     def test_missing_key_rejected(self, tmp_path):
-        spec = case_spec(1, seed=0)
         path = tmp_path / "manifest.txt"
-        write_manifest(path, spec)
-        text = path.read_text().replace("stripe_kind=none\n", "")
-        path.write_text(text)
-        with pytest.raises(ConfigError, match="missing"):
-            read_manifest(path)
+        write_manifest(path, case_spec(1, seed=0))
+        lines = path.read_text().splitlines()
+        assert len(lines) == 10
+        for dropped in lines:
+            key = dropped.partition("=")[0]
+            path.write_text("".join(f"{line}\n" for line in lines if line != dropped))
+            with pytest.raises(ConfigError, match=f"missing keys: \\['{key}'\\]"):
+                read_manifest(path)
 
     def test_invalid_value_rejected(self, tmp_path):
         spec = case_spec(2, seed=0)
@@ -196,6 +198,7 @@ class TestManifest:
             ("deadline_count", "3,1"),
             ("deadline_count", "-1,2"),
             ("deadline_width", "2,1"),
+            ("seed", "-1"),
         ):
             write_manifest(path, spec)
             lines = path.read_text().splitlines()

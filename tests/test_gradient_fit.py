@@ -7,7 +7,9 @@ from hsirestore.gradient_fit import (
     FIT_K_BOUNDS,
     FIT_P_BOUNDS,
     FIT_START,
-    Histogram,
+    HIST_BINS,
+    HIST_CENTERS,
+    HIST_EDGES,
     convolve_hist,
     estimate_noise_sigma,
     estimate_p,
@@ -41,104 +43,97 @@ class TestEstimateNoiseSigma:
             estimate_noise_sigma(np.zeros((0,)))
 
 
+def unit_mass_at(index):
+    masses = np.zeros(HIST_BINS)
+    masses[index] = 1.0
+    return masses
+
+
+class TestHistogramGrid:
+    def test_grid_invariants(self):
+        assert HIST_BINS % 2 == 1 and HIST_BINS >= 3
+        assert HIST_EDGES.shape == (HIST_BINS + 1,) and HIST_CENTERS.shape == (HIST_BINS,)
+        np.testing.assert_allclose(HIST_EDGES, -HIST_EDGES[::-1], rtol=0, atol=1e-15)
+        assert HIST_CENTERS[HIST_BINS // 2] == 0.0
+        np.testing.assert_array_equal(gaussian_histogram(0.0), unit_mass_at(HIST_BINS // 2))
+
+
 class TestHistogram:
     def test_single_zero_sample_fills_center_bin(self):
-        h = histogram([0.0], half_range=1.0, bins=5)
-        np.testing.assert_array_equal(h.masses, [0, 0, 1, 0, 0])
+        np.testing.assert_array_equal(histogram([0.0]), unit_mass_at(HIST_BINS // 2))
 
     def test_mirrored_data_gives_mirrored_histogram(self):
         rng = np.random.default_rng(1)
         x = rng.normal(0, 0.3, 10_000)
         data = np.concatenate([x, -x])
-        h = histogram(data, bins=101)
-        np.testing.assert_array_equal(h.masses, h.masses[::-1])
+        h = histogram(data)
+        np.testing.assert_array_equal(h, h[::-1])
 
     def test_uniform_samples_spread_evenly(self):
         rng = np.random.default_rng(2)
-        n = 100_000
-        h = histogram(rng.uniform(-1, 1, n), half_range=1.0, bins=101)
-        target = 1.0 / 101
+        n = 1000 * HIST_BINS
+        h = histogram(rng.uniform(-1, 1, n))
+        target = 1.0 / HIST_BINS
         stderr = np.sqrt(target * (1 - target) / n)
-        assert np.all(np.abs(h.masses - target) <= 3 * stderr + 1e-12)
+        assert np.all(np.abs(h - target) <= 3 * stderr + 1e-12)
 
     def test_tails_are_clamped_into_edge_bins(self):
-        h = histogram([-5.0, 5.0, 0.0], half_range=1.0, bins=3)
-        np.testing.assert_allclose(h.masses, [1 / 3, 1 / 3, 1 / 3])
-
-    @pytest.mark.parametrize("bins", [2, 4, 1])
-    def test_even_or_tiny_bin_counts_rejected(self, bins):
-        with pytest.raises(ValueError):
-            histogram([0.0], bins=bins)
-
-    def test_nonpositive_range_rejected(self):
-        with pytest.raises(ValueError):
-            histogram([0.0], half_range=0.0)
+        h = histogram([-5.0, 5.0, 0.0])
+        expected = np.zeros(HIST_BINS)
+        expected[[0, HIST_BINS // 2, -1]] = 1 / 3
+        np.testing.assert_allclose(h, expected)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)
     def test_unit_mass_property(self, seed):
         data = np.random.default_rng(seed).normal(0, 0.5, 1000)
-        assert abs(histogram(data).masses.sum() - 1.0) <= 1e-12
+        assert abs(histogram(data).sum() - 1.0) <= 1e-12
 
 
 class TestModelHistograms:
-    def template(self, bins=255):
-        return histogram([0.0], bins=bins)
-
     def test_large_k_concentrates_at_center(self):
-        h = hyper_laplacian_histogram(1000.0, 1.0, self.template())
-        assert h.masses[len(h.masses) // 2] > 0.99
+        h = hyper_laplacian_histogram(1000.0, 1.0)
+        assert h[HIST_BINS // 2] > 0.99
 
     def test_unit_mass_and_symmetry(self):
-        h = hyper_laplacian_histogram(7.3, 0.6, self.template())
-        assert abs(h.masses.sum() - 1.0) <= 1e-12
-        np.testing.assert_allclose(h.masses, h.masses[::-1], atol=1e-15)
+        h = hyper_laplacian_histogram(7.3, 0.6)
+        assert abs(h.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(h, h[::-1], atol=1e-15)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            hyper_laplacian_histogram(0.0, 0.5, self.template())
+            hyper_laplacian_histogram(0.0, 0.5)
         with pytest.raises(ValueError):
-            hyper_laplacian_histogram(1.0, 1.5, self.template())
+            hyper_laplacian_histogram(1.0, 1.5)
 
     def test_gaussian_histogram_integrates_bins(self):
-        h = gaussian_histogram(0.1, self.template())
-        assert abs(h.masses.sum() - 1.0) <= 1e-12
-        np.testing.assert_allclose(h.masses, h.masses[::-1], atol=1e-15)
+        h = gaussian_histogram(0.1)
+        assert abs(h.sum() - 1.0) <= 1e-12
+        np.testing.assert_allclose(h, h[::-1], atol=1e-15)
 
     def test_gaussian_sigma_zero_is_delta(self):
-        h = gaussian_histogram(0.0, self.template(bins=7))
-        np.testing.assert_array_equal(h.masses, [0, 0, 0, 1, 0, 0, 0])
+        h = gaussian_histogram(0.0)
+        assert h[HIST_BINS // 2] == 1.0 and np.count_nonzero(h) == 1
 
 
 class TestConvolveHist:
-    def delta(self, offset, bins=11):
-        edges = np.linspace(-1, 1, bins + 1)
-        masses = np.zeros(bins)
-        masses[bins // 2 + offset] = 1.0
-        return Histogram(edges, masses)
+    def delta(self, offset):
+        return unit_mass_at(HIST_BINS // 2 + offset)
 
     def test_delta_at_zero_is_identity(self):
         rng = np.random.default_rng(3)
-        h = histogram(rng.normal(0, 0.3, 5000), bins=11)
-        out = convolve_hist(h, self.delta(0))
-        np.testing.assert_allclose(out.masses, h.masses, atol=1e-15)
+        h = histogram(rng.normal(0, 0.3, 5000))
+        np.testing.assert_allclose(convolve_hist(h, self.delta(0)), h, atol=1e-15)
 
     def test_opposite_deltas_cancel(self):
         out = convolve_hist(self.delta(3), self.delta(-3))
-        np.testing.assert_array_equal(out.masses, self.delta(0).masses)
+        np.testing.assert_array_equal(out, self.delta(0))
 
     def test_matches_naive_quadratic_oracle(self):
         rng = np.random.default_rng(4)
-        a = histogram(rng.normal(0, 0.3, 4000), bins=101)
-        b = histogram(rng.normal(0, 0.2, 4000), bins=101)
-        got = convolve_hist(a, b)
-        np.testing.assert_allclose(
-            got.masses, convolve_masses_oracle(a.masses, b.masses), atol=1e-12
-        )
-
-    def test_mismatched_grids_rejected(self):
-        with pytest.raises(ValueError):
-            convolve_hist(self.delta(0, bins=11), self.delta(0, bins=13))
+        a = histogram(rng.normal(0, 0.3, 4000))
+        b = histogram(rng.normal(0, 0.2, 4000))
+        np.testing.assert_allclose(convolve_hist(a, b), convolve_masses_oracle(a, b), atol=1e-12)
 
 
 class TestNelderMead:
@@ -202,11 +197,9 @@ class TestFitDirection:
         assert FIT_K_BOUNDS[0] <= k <= FIT_K_BOUNDS[1]
         assert FIT_P_BOUNDS[0] <= p <= FIT_P_BOUNDS[1]
         h = histogram(y)
-        sym = Histogram(h.edges, 0.5 * (h.masses + h.masses[::-1]))
-        start_model = convolve_hist(
-            hyper_laplacian_histogram(*FIT_START, sym), gaussian_histogram(0.01, sym)
-        )
-        start_objective = float(np.sum((sym.masses - start_model.masses) ** 2))
+        sym = 0.5 * (h + h[::-1])
+        start_model = convolve_hist(hyper_laplacian_histogram(*FIT_START), gaussian_histogram(0.01))
+        start_objective = float(np.sum((sym - start_model) ** 2))
         assert 0.0 <= residual <= start_objective
 
     def test_negative_sigma_rejected(self):
@@ -269,8 +262,8 @@ class TestEstimateP:
     def test_unit_mass_of_all_histograms(self):
         rng = np.random.default_rng(12)
         h = histogram(rng.normal(0, 0.2, 10_000))
-        model = hyper_laplacian_histogram(10.0, 0.5, h)
-        noise = gaussian_histogram(0.05, h)
+        model = hyper_laplacian_histogram(10.0, 0.5)
+        noise = gaussian_histogram(0.05)
         conv = convolve_hist(model, noise)
-        for hist in (h, model, noise, conv):
-            assert abs(hist.masses.sum() - 1.0) <= 1e-12
+        for masses in (h, model, noise, conv):
+            assert abs(masses.sum() - 1.0) <= 1e-12

@@ -195,6 +195,11 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError, match=field):
             case_spec(2, seed=0, **overrides)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            case_spec(2, seed=seed)
+
     def test_zero_amplitude_and_empty_deadline_ranges_accepted(self):
         spec = case_spec(2, seed=0, stripe_amplitude=0.0, deadline_count=(0, 0))
         _, comps = simulate_case(np.full((8, 8, 4), 0.5), spec)
