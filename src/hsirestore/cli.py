@@ -28,8 +28,9 @@ from .solver import SolverConfig, solve
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    truth = read_cube(args.truth, normalize=args.normalize)
+    # a bad case or seed is reported before the truth cube is read
     spec = case_spec(args.case, args.seed)
+    truth = read_cube(args.truth, normalize=args.normalize)
     noisy, components = simulate_case(truth, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,6 +6,10 @@ Cube container layout (little endian):
 * three uint32: height, width, bands
 * ``h*w*p`` float32 values, mode-1 (height index) varying fastest
 
+The payload stays height-fastest on disk, while cubes in memory are C-ordered
+(band index fastest): :func:`read_cube` returns a C-ordered float64 cube and
+:func:`write_cube` accepts any layout, each converting in one transposing cast.
+
 Configs and manifests are plain UTF-8 ``key=value`` lines; ``#`` starts a
 comment.  Unknown keys are rejected so typos fail loudly.
 """
@@ -44,10 +48,11 @@ def write_cube(path: str | Path, cube: np.ndarray) -> None:
     if not np.all(np.isfinite(cube)):
         raise CubeFileError("cube contains non-finite values")
     h, w, p = cube.shape
-    payload = np.asarray(cube, dtype="<f4").ravel(order="F").tobytes()
+    # the C order of the reversed axes is the height-fastest order of the file
+    payload = cube.transpose(2, 1, 0).astype("<f4", order="C")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, h, w, p))
-        fh.write(payload)
+        fh.write(payload.data)
 
 
 def read_cube(path: str | Path, normalize: bool = False) -> np.ndarray:
@@ -66,7 +71,7 @@ def read_cube(path: str | Path, normalize: bool = False) -> np.ndarray:
             f"{path}: payload length mismatch, expected {expected} bytes, got {len(raw)}"
         )
     flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    cube = flat.reshape((h, w, p), order="F").astype(np.float64)
+    cube = flat.reshape((p, w, h)).transpose(2, 1, 0).astype(np.float64, order="C")
     if not np.all(np.isfinite(cube)):
         raise CubeFileError(f"{path}: payload contains non-finite values")
     return normalize_bands(cube) if normalize else cube

@@ -130,9 +130,13 @@ def evaluate(ref: np.ndarray, test: np.ndarray, peak: float = 1.0) -> MetricsRep
     test = validate_cube(test, "test")
     if ref.shape != test.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
-    bands = ref.shape[2]
-    psnr_pb = np.array([psnr(ref[:, :, b], test[:, :, b], peak) for b in range(bands)])
-    ssim_pb = np.array([ssim(ref[:, :, b], test[:, :, b], peak) for b in range(bands)])
+    # band-major copies make every band a contiguous plane; they are freed
+    # before the spectral angles, whose temporaries set the peak memory
+    ref_planes = np.ascontiguousarray(ref.transpose(2, 0, 1))
+    test_planes = np.ascontiguousarray(test.transpose(2, 0, 1))
+    psnr_pb = np.array([psnr(r, t, peak) for r, t in zip(ref_planes, test_planes)])
+    ssim_pb = np.array([ssim(r, t, peak) for r, t in zip(ref_planes, test_planes)])
+    del ref_planes, test_planes
     sam_map = sam(ref, test)
     return MetricsReport(
         psnr_per_band=psnr_pb,

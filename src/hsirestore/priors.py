@@ -71,7 +71,9 @@ def _circular_diff(t: np.ndarray, axis: int, step: int, weight: float) -> np.nda
     # entry i is t[i + step] - t[i]; at the end of the axis it wraps around
     np.subtract(flat[ahead], flat[behind], out=flat_out[behind])
     np.subtract(t[first], t[last], out=out[last])
-    out *= weight
+    # x * 1.0 is x bit for bit, so a unit weight needs no pass
+    if weight != 1.0:
+        out *= weight
     return out
 
 

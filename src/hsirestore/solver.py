@@ -247,12 +247,16 @@ def update_z(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
         shifted.append(block)
     rhs += diff_adjoint(GradientStack(*shifted), cfg.weights)
     del shifted
-    denom = state.beta * _diff_transfer(y.shape, cfg.weights)
-    denom += 1.0 + state.beta
+    # the reciprocal of the real denominator, once per call: numpy divides a
+    # complex number by a real one as a multiply by its reciprocal, so only
+    # the sign of a zero can differ from the plain division
+    inv_denom = state.beta * _diff_transfer(y.shape, cfg.weights)
+    inv_denom += 1.0 + state.beta
+    np.divide(1.0, inv_denom, out=inv_denom)
     axes = (0, 1, 2)
     spectrum = np.fft.rfftn(rhs, axes=axes)
     del rhs
-    spectrum /= denom
+    spectrum *= inv_denom
     return np.fft.irfftn(spectrum, s=y.shape, axes=axes)
 
 

@@ -1,10 +1,14 @@
 """Dense order-3 tensor primitives: matricization, mode products, norms.
 
 Cubes are plain ``numpy.ndarray`` objects of shape ``(h, w, p)`` (height,
-width, band).  Modes are numbered 1..3.  Matricization follows the standard
-Kolda-Bader column ordering: the mode-n unfolding maps element ``(i1,i2,i3)``
-to row ``i_n`` and a column index built from the remaining indices in
-ascending mode order with the lower mode varying fastest.
+width, band).  In memory every cube is C-ordered float64, band index fastest:
+:func:`validate_cube` and :func:`mode_product` return that layout, so the
+elementwise passes of the solver never meet two layouts.  Modes are numbered
+1..3.  Matricization follows the standard Kolda-Bader column ordering: the
+mode-n unfolding maps element ``(i1,i2,i3)`` to row ``i_n`` and a column index
+built from the remaining indices in ascending mode order with the lower mode
+varying fastest; :func:`unfold` and :func:`fold` keep that order whatever the
+memory layout.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ _MODES = (1, 2, 3)
 
 
 def validate_cube(t: np.ndarray, name: str = "cube") -> np.ndarray:
-    """Check that ``t`` is a finite 3-D float array and return it as float64."""
+    """Check that ``t`` is a finite 3-D float array and return it as C-ordered float64."""
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 3:
         raise ValueError(f"{name} must be a 3-D array, got ndim={t.ndim}")
@@ -23,7 +27,7 @@ def validate_cube(t: np.ndarray, name: str = "cube") -> np.ndarray:
         raise ValueError(f"{name} must be non-empty, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError(f"{name} contains non-finite values")
-    return t
+    return np.ascontiguousarray(t)
 
 
 def _check_mode(mode: int) -> int:
@@ -56,7 +60,11 @@ def fold(m: np.ndarray, mode: int, shape: tuple[int, int, int]) -> np.ndarray:
 
 
 def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
-    """n-mode product ``t x_n m``: contracts mode ``mode`` of ``t`` with ``m``'s columns."""
+    """n-mode product ``t x_n m``: contracts mode ``mode`` of ``t`` with ``m``'s columns.
+
+    One matrix product, with no transposed copy of a C-ordered operand; the
+    result is C-ordered whatever the layout of ``t``.
+    """
     axis = _check_mode(mode)
     t = np.asarray(t)
     m = np.asarray(m)
@@ -68,7 +76,13 @@ def mode_product(t: np.ndarray, m: np.ndarray, mode: int) -> np.ndarray:
         raise ValueError(
             f"factor has {m.shape[1]} columns but tensor mode {mode} has size {t.shape[axis]}"
         )
-    return np.moveaxis(np.tensordot(m, t, axes=(1, axis)), 0, axis)
+    n1, n2, n3 = t.shape
+    r = m.shape[0]
+    if axis == 0:
+        return (m @ t.reshape(n1, -1)).reshape(r, n2, n3)
+    if axis == 1:
+        return np.matmul(m, t)
+    return (t.reshape(-1, n3) @ m.T).reshape(n1, n2, r)
 
 
 def fro_norm(t: np.ndarray) -> float:

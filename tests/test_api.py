@@ -2,6 +2,8 @@
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -36,3 +38,21 @@ def test_every_traced_name_resolves(monkeypatch):
     for module_name, attr, _ in tracing.WRAPPED:
         module = importlib.import_module(f"hsirestore.{module_name}")
         assert callable(getattr(module, attr, None)), f"hsirestore.{module_name}.{attr}"
+
+
+# each of these costs the CLI start-up time and none is needed: scipy.optimize
+# alone added 0.38 s, scipy.linalg adds about 0.06 s and scipy.fft 0.035 s
+HEAVY_MODULES = ("scipy.fft", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+
+
+def test_cli_import_loads_no_heavy_scipy_module():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, hsirestore.cli\n"
+        f"print(','.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == ""

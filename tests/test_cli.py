@@ -58,6 +58,17 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_seed_reported_before_the_truth_is_read(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(
+            ["simulate", "--truth", str(tmp_path / "missing.cube"), "--case", "2",
+             "--seed", "-1", "--out-dir", str(out)]
+        )
+        assert code == 1
+        # the message names the seed, not the missing file (whose path names the test)
+        assert capsys.readouterr().err.startswith("error: seed")
+        assert not out.exists()
+
     def test_usage_error_exits_2(self):
         assert main(["simulate", "--case", "1"]) == 2
 
