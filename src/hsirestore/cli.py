@@ -78,14 +78,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_fit_p(args: argparse.Namespace) -> int:
     y = read_cube(args.input, normalize=args.normalize)
     fit = estimate_p(y)
-    for name, d in (("h", fit.height), ("w", fit.width), ("p", fit.band)):
-        print(f"p_{name}={d.p!r}")
-    for name, d in (("h", fit.height), ("w", fit.width), ("p", fit.band)):
-        print(f"sigma_{name}={d.sigma!r}")
-    for name, d in (("h", fit.height), ("w", fit.width), ("p", fit.band)):
-        print(f"k_{name}={d.k!r}")
-    for name, d in (("h", fit.height), ("w", fit.width), ("p", fit.band)):
-        print(f"residual_{name}={d.residual!r}")
+    for key, values in (("p", fit.p_values), ("sigma", fit.sigmas), ("k", fit.ks),
+                        ("residual", fit.residuals)):
+        for direction, value in zip("hwp", values):
+            print(f"{key}_{direction}={value!r}")
     return 0
 
 

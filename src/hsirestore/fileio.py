@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import csv
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .metrics import MetricsReport
 from .noise import NoiseSpec, case_spec
-from .priors import TvWeights
 from .solver import SolveDiagnostics, SolverConfig
 from .tucker import TuckerRanks
 
@@ -152,13 +152,11 @@ def parse_solver_config(text: str) -> SolverConfig:
         kwargs["p_override"] = _as_tuple("p_override", values["p_override"], _as_float, 3)
     # the value objects check their own ranges and raise ValueError
     try:
-        weights = dict(w_h=1.0, w_w=1.0, w_p=0.5)
-        weight_keys = {"weight_h": "w_h", "weight_w": "w_w", "weight_p": "w_p"}
-        if any(k in values for k in weight_keys):
-            for key, attr in weight_keys.items():
-                if key in values:
-                    weights[attr] = _as_float(key, values[key])
-            kwargs["weights"] = TvWeights(**weights)
+        weights = {attr: _as_float(key, values[key])
+                   for key, attr in (("weight_h", "w_h"), ("weight_w", "w_w"), ("weight_p", "w_p"))
+                   if key in values}
+        if weights:
+            kwargs["weights"] = replace(SolverConfig().weights, **weights)
         for key in ("ranks_x", "ranks_b"):
             if key in values and values[key].lower() != "auto":
                 kwargs[key] = TuckerRanks(*_as_tuple(key, values[key], _as_int, 3))

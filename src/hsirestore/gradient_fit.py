@@ -49,30 +49,19 @@ _MAD_TO_SIGMA = 0.6744897501960817
 
 
 @dataclass(frozen=True)
-class DirectionFit:
-    """Fitted parameters for one difference direction."""
-
-    sigma: float  # Gaussian noise std in the image domain (intensity units)
-    k: float  # hyper-Laplacian scale
-    p: float  # hyper-Laplacian exponent, in (0, 1]
-    residual: float  # squared histogram mismatch at the optimum
-
-
-@dataclass(frozen=True)
 class HyperLaplacianFit:
-    """Per-direction fits for the height, width and band differences."""
+    """Fitted parameters per difference direction, each a (height, width, band) triple.
 
-    height: DirectionFit
-    width: DirectionFit
-    band: DirectionFit
+    ``sigmas`` are the Gaussian noise stds in the image domain (intensity
+    units), ``ks`` and ``p_values`` the hyper-Laplacian scales and exponents
+    (in (0, 1]), and ``residuals`` the squared histogram mismatches at the
+    optimum.
+    """
 
-    @property
-    def p_values(self) -> tuple[float, float, float]:
-        return (self.height.p, self.width.p, self.band.p)
-
-    @property
-    def sigmas(self) -> tuple[float, float, float]:
-        return (self.height.sigma, self.width.sigma, self.band.sigma)
+    p_values: tuple[float, float, float]
+    sigmas: tuple[float, float, float]
+    ks: tuple[float, float, float]
+    residuals: tuple[float, float, float]
 
 
 def estimate_noise_sigma(g: np.ndarray) -> float:
@@ -229,21 +218,14 @@ def fit_direction(y_gradients: np.ndarray, sigma: float) -> tuple[float, float, 
     return float(k), float(p), float(residual)
 
 
-def fit_gradient_field(field: np.ndarray) -> DirectionFit:
-    """Estimate the noise scale of one difference field, then fit its (k, p)."""
-    sigma = estimate_noise_sigma(field)
-    k, p, residual = fit_direction(np.asarray(field).ravel(), sigma * np.sqrt(2.0))
-    return DirectionFit(sigma=sigma, k=k, p=p, residual=residual)
-
-
 def estimate_p(y: np.ndarray) -> HyperLaplacianFit:
     """Fit the three direction exponents from the unweighted circular differences of ``y``."""
     y = validate_cube(y, "y")
     if min(y.shape) < 2:
         raise ValueError(f"every mode must have size >= 2, got shape {y.shape}")
-    g = diff_forward(y, TvWeights(1.0, 1.0, 1.0))
-    return HyperLaplacianFit(
-        height=fit_gradient_field(g.gh),
-        width=fit_gradient_field(g.gw),
-        band=fit_gradient_field(g.gp),
-    )
+    fits = []
+    for field in diff_forward(y, TvWeights(1.0, 1.0, 1.0)).g:
+        sigma = estimate_noise_sigma(field)
+        k, p, residual = fit_direction(field.ravel(), sigma * np.sqrt(2.0))
+        fits.append((p, sigma, k, residual))
+    return HyperLaplacianFit(*zip(*fits))

@@ -66,7 +66,8 @@ class NoiseSpec:
         ):
             if not 0 <= lo <= hi:
                 raise ValueError(f"{name} range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
+                and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
@@ -82,7 +83,8 @@ _CASE_TABLE = {
 
 def case_spec(case_id: int, seed: int, **overrides) -> NoiseSpec:
     """Build the :class:`NoiseSpec` of one of the six predefined cases."""
-    if case_id not in _CASE_TABLE:
+    # True == 1 would find case 1
+    if isinstance(case_id, bool) or case_id not in _CASE_TABLE:
         raise ValueError(f"case_id must be in 1..6, got {case_id!r}")
     spec = NoiseSpec(case_id=case_id, seed=seed, **_CASE_TABLE[case_id])
     return replace(spec, **overrides) if overrides else spec

@@ -2,9 +2,11 @@
 
 All three difference directions use circular (periodic) boundaries: the
 splitting step of the solver inverts ``I + c * D^T D`` by 3-D FFT division,
-which is exact only for periodic stencils.  The direction weights live inside
-the difference operator; the shrinkage step applies a single threshold per
-gradient block with its own exponent.
+which is exact only for periodic stencils.  The three difference fields of a
+cube (height, width, band) are one ``(3, h, w, p)`` array, the direction on
+its leading axis.  The direction weights live inside the difference operator;
+the shrinkage step applies a single threshold per gradient block with its own
+exponent.
 """
 
 from __future__ import annotations
@@ -36,31 +38,35 @@ class TvWeights:
 
 @dataclass
 class GradientStack:
-    """Three same-shape difference fields, one per direction (height, width, band)."""
+    """The difference fields along height, width and band, stacked as one ``(3, h, w, p)`` array."""
 
-    gh: np.ndarray
-    gw: np.ndarray
-    gp: np.ndarray
+    g: np.ndarray
+
+    def __post_init__(self) -> None:
+        g = self.g
+        if not (isinstance(g, np.ndarray) and g.dtype == np.float64 and g.ndim == 4 and len(g) == 3):
+            got = f"{g.dtype} {g.shape}" if isinstance(g, np.ndarray) else type(g).__name__
+            raise ValueError(f"a gradient stack must be a (3, h, w, p) float64 array, got {got}")
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.gh, self.gw, self.gp)
+        return tuple(self.g)
 
 
-def zero_gradient_stack(shape: tuple[int, int, int]) -> GradientStack:
-    return GradientStack(np.zeros(shape), np.zeros(shape), np.zeros(shape))
-
-
-def _circular_diff(t: np.ndarray, axis: int, step: int, weight: float) -> np.ndarray:
+def _circular_diff(
+    t: np.ndarray, axis: int, step: int, weight: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """``weight * (np.roll(t, -step, axis) - t)`` for a ``step`` of 1 or -1.
 
-    Written into one new C-ordered array instead of a rolled copy.  In the
+    Written into ``out``, a C-contiguous array of ``t``'s shape, or into a new
+    one when it is ``None``, instead of a rolled copy.  In the
     flat C-ordered data an entry's neighbour along ``axis`` sits ``stride``
     places away, so one contiguous pass over the flat data forms every
     difference except those across the end of the axis, which a second, small
     pass then overwrites with the wrapped-around ones.  ``t.reshape(-1)`` is
     a view of C-ordered data and a C-ordered copy of any other layout.
     """
-    out = np.empty(t.shape)
+    if out is None:
+        out = np.empty(t.shape)
     flat, flat_out = t.reshape(-1), out.reshape(-1)
     stride = int(np.prod(t.shape[axis + 1:]))
     ahead, behind = slice(stride, None), slice(None, flat.size - stride)
@@ -80,24 +86,19 @@ def _circular_diff(t: np.ndarray, axis: int, step: int, weight: float) -> np.nda
 def diff_forward(t: np.ndarray, weights: TvWeights) -> GradientStack:
     """Weighted circular forward differences along height, width and band."""
     t = np.asarray(t, dtype=np.float64)
-    w_h, w_w, w_p = weights.as_tuple()
-    return GradientStack(
-        _circular_diff(t, 0, 1, w_h),
-        _circular_diff(t, 1, 1, w_w),
-        _circular_diff(t, 2, 1, w_p),
-    )
+    g = np.empty((3,) + t.shape)
+    for axis, (out, weight) in enumerate(zip(g, weights.as_tuple())):
+        _circular_diff(t, axis, 1, weight, out)
+    return GradientStack(g)
 
 
 def diff_adjoint(g: GradientStack, weights: TvWeights) -> np.ndarray:
     """Exact adjoint of :func:`diff_forward` under the Euclidean inner product."""
-    if not (g.gh.shape == g.gw.shape == g.gp.shape):
-        raise ValueError(
-            f"gradient blocks must share one shape, got {g.gh.shape}, {g.gw.shape}, {g.gp.shape}"
-        )
+    gh, gw, gp = g.g
     w_h, w_w, w_p = weights.as_tuple()
-    out = _circular_diff(g.gh, 0, -1, w_h)
-    out += _circular_diff(g.gw, 1, -1, w_w)
-    out += _circular_diff(g.gp, 2, -1, w_p)
+    out = _circular_diff(gh, 0, -1, w_h)
+    out += _circular_diff(gw, 1, -1, w_w)
+    out += _circular_diff(gp, 2, -1, w_p)
     return out
 
 
@@ -192,13 +193,10 @@ def gst_shrink(y, tau: float, p: float):
 def shrink_gradient_stack(
     g: GradientStack, tau: float, p: tuple[float, float, float]
 ) -> GradientStack:
-    """Blockwise generalized shrinkage of a gradient stack.
+    """Blockwise generalized shrinkage of a gradient stack, in place; returns ``g``.
 
     One shared threshold ``tau``, one exponent per direction.
     """
-    p_h, p_w, p_p = p
-    return GradientStack(
-        gst_shrink(g.gh, tau, p_h),
-        gst_shrink(g.gw, tau, p_w),
-        gst_shrink(g.gp, tau, p_p),
-    )
+    for block, p_dir in zip(g.g, p):
+        block[...] = gst_shrink(block, tau, p_dir)
+    return g

@@ -57,7 +57,6 @@ from .priors import (
     diff_forward,
     shrink_gradient_stack,
     soft_threshold,
-    zero_gradient_stack,
 )
 from .tensor_ops import fro_norm, validate_cube
 from .tucker import TuckerRanks, feasible_ranks, hooi, reconstruct
@@ -94,7 +93,7 @@ class SolverConfig:
     # image estimate reliably clears 1e-6 within 100 iterations at equal or
     # better restoration quality
     beta_growth: float = 1.1
-    weights: TvWeights = TvWeights(1.0, 1.0, 0.5)
+    weights: TvWeights = TvWeights()
     ranks_x: TuckerRanks | None = None
     ranks_b: TuckerRanks | None = None
     epsilon: float = 1e-6
@@ -116,7 +115,9 @@ class SolverConfig:
             raise ValueError("beta_growth must be >= 1")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        # a bool is an Integral, and True would run one iteration
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.p_override is not None and (
             np.shape(self.p_override) != (3,) or not all(0.0 < p <= 1.0 for p in self.p_override)
@@ -167,9 +168,9 @@ class SolverState:
             z=np.zeros(shape),
             s=np.zeros(shape),
             b=np.zeros(shape),
-            f=zero_gradient_stack(shape),
+            f=GradientStack(np.zeros((3,) + shape)),
             dual_x=np.zeros(shape),
-            dual_grad=zero_gradient_stack(shape),
+            dual_grad=GradientStack(np.zeros((3,) + shape)),
             beta=beta,
         )
 
@@ -240,12 +241,9 @@ def update_z(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
     rhs -= state.s
     rhs += state.dual_x
     rhs += state.beta * state.x
-    shifted = []
-    for f, dual in zip(state.f.blocks(), state.dual_grad.blocks()):
-        block = state.beta * f
-        block -= dual
-        shifted.append(block)
-    rhs += diff_adjoint(GradientStack(*shifted), cfg.weights)
+    shifted = state.beta * state.f.g
+    shifted -= state.dual_grad.g
+    rhs += diff_adjoint(GradientStack(shifted), cfg.weights)
     del shifted
     # the reciprocal of the real denominator, once per call: numpy divides a
     # complex number by a real one as a multiply by its reciprocal, so only
@@ -267,12 +265,9 @@ def update_f(
     dz: GradientStack,
 ) -> GradientStack:
     """Generalized shrinkage of the multiplier-shifted gradients ``dz`` of ``z``."""
-    target = []
-    for d, dual in zip(dz.blocks(), state.dual_grad.blocks()):
-        block = dual * (1.0 / state.beta)
-        block += d
-        target.append(block)
-    return shrink_gradient_stack(GradientStack(*target), cfg.lambda_tv / state.beta, p_values)
+    target = state.dual_grad.g * (1.0 / state.beta)
+    target += dz.g
+    return shrink_gradient_stack(GradientStack(target), cfg.lambda_tv / state.beta, p_values)
 
 
 def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
@@ -306,14 +301,11 @@ def update_multipliers(
     dual_x = state.x - state.z
     dual_x *= state.beta
     dual_x += state.dual_x
-    dual_grad = []
-    for d, f, dual in zip(dz.blocks(), state.f.blocks(), state.dual_grad.blocks()):
-        block = d - f
-        block *= state.beta
-        block += dual
-        dual_grad.append(block)
+    dual_grad = dz.g - state.f.g
+    dual_grad *= state.beta
+    dual_grad += state.dual_grad.g
     beta = min(state.beta * cfg.beta_growth, cfg.beta_max)
-    return dual_x, GradientStack(*dual_grad), beta
+    return dual_x, GradientStack(dual_grad), beta
 
 
 def solve(

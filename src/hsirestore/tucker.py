@@ -27,7 +27,9 @@ class TuckerRanks:
     r3: int
 
     def __post_init__(self) -> None:
-        if not all(isinstance(r, numbers.Integral) and r >= 1 for r in self.as_tuple()):
+        # a bool is an Integral too
+        if not all(isinstance(r, numbers.Integral) and not isinstance(r, bool) and r >= 1
+                   for r in self.as_tuple()):
             raise ValueError(f"ranks must be positive integers, got {self.as_tuple()}")
 
     def as_tuple(self) -> tuple[int, int, int]:

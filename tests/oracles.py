@@ -259,5 +259,5 @@ def dense_difference_matrix(shape: tuple[int, int, int], weights) -> np.ndarray:
         e = np.zeros(n)
         e[j] = 1.0
         g = diff_forward(e.reshape(shape), weights)
-        cols.append(np.concatenate([g.gh.ravel(), g.gw.ravel(), g.gp.ravel()]))
+        cols.append(g.g.ravel())
     return np.array(cols).T

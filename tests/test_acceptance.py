@@ -108,16 +108,16 @@ def test_criterion_1_oracle_equivalence():
     state.x = rng.standard_normal(shape)
     state.s = rng.standard_normal(shape)
     state.b = rng.standard_normal(shape)
-    state.f = GradientStack(*(rng.standard_normal(shape) for _ in range(3)))
+    state.f = GradientStack(np.stack([rng.standard_normal(shape) for _ in range(3)]))
     state.dual_x = rng.standard_normal(shape)
-    state.dual_grad = GradientStack(*(rng.standard_normal(shape) for _ in range(3)))
+    state.dual_grad = GradientStack(np.stack([rng.standard_normal(shape) for _ in range(3)]))
     cfg = SolverConfig(ranks_x=TuckerRanks(2, 2, 2), ranks_b=TuckerRanks(1, 2, 2), weights=weights)
     got = update_z(state, cfg, y)
     d = dense_difference_matrix(shape, weights)
     n = int(np.prod(shape))
     a = (1.0 + beta) * np.eye(n) + beta * (d.T @ d)
     shifted = GradientStack(
-        *(beta * f - g for f, g in zip(state.f.blocks(), state.dual_grad.blocks()))
+        np.stack([beta * f - g for f, g in zip(state.f.blocks(), state.dual_grad.blocks())])
     )
     rhs = (y - state.b - state.s + state.dual_x + beta * state.x) + diff_adjoint(shifted, weights)
     residual = a @ got.ravel() - rhs.ravel()
@@ -157,7 +157,7 @@ def test_criterion_2_multilinear_invariants():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((4, 5, 3))
-        g = GradientStack(*(rng.standard_normal((4, 5, 3)) for _ in range(3)))
+        g = GradientStack(np.stack([rng.standard_normal((4, 5, 3)) for _ in range(3)]))
         lhs = sum(float(np.sum(a * b)) for a, b in zip(diff_forward(x, weights).blocks(), g.blocks()))
         rhs = float(np.sum(x * diff_adjoint(g, weights)))
         assert abs(lhs - rhs) <= 1e-10

@@ -5,6 +5,7 @@ import pytest
 
 from hsirestore.cli import main
 from hsirestore.fileio import read_cube, read_manifest, write_cube
+from hsirestore.gradient_fit import estimate_p
 from hsirestore.noise import case_spec
 from hsirestore.synthetic import low_rank_cube
 from hsirestore.tucker import TuckerRanks
@@ -132,6 +133,18 @@ class TestFitP:
             assert key in values
             float(values[key])
         assert 0.1 <= float(values["p_h"]) <= 1.0
+
+    def test_prints_every_fitted_value_in_order(self, tmp_path, truth_file, capsys):
+        sim = tmp_path / "sim"
+        main(["simulate", "--truth", str(truth_file), "--case", "1", "--seed", "2",
+              "--out-dir", str(sim)])
+        capsys.readouterr()
+        assert main(["fit-p", "--in", str(sim / "noisy.cube")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        fit = estimate_p(read_cube(sim / "noisy.cube"))
+        values = fit.p_values + fit.sigmas + fit.ks + fit.residuals
+        keys = [f"{name}_{d}" for name in ("p", "sigma", "k", "residual") for d in "hwp"]
+        assert lines == [f"{key}={value!r}" for key, value in zip(keys, values)]
 
 
 class TestPipelineDeterminism:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,9 @@ class TestSolverConfigIO:
             stripe_enabled=False,
         )
         assert parse_solver_config(solver_config_text(cfg)) == cfg
+
+    def test_weights_not_given_keep_the_config_defaults(self):
+        assert parse_solver_config("weight_h=2").weights == replace(SolverConfig().weights, w_h=2.0)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):

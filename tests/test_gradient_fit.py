@@ -36,7 +36,7 @@ class TestEstimateNoiseSigma:
 
     def test_constant_cube_gradients_give_zero(self):
         g = diff_forward(np.full((5, 5, 5), 0.3), TvWeights(1.0, 1.0, 1.0))
-        assert estimate_noise_sigma(g.gh) == 0.0
+        assert estimate_noise_sigma(g.g[0]) == 0.0
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
@@ -225,17 +225,17 @@ class TestEstimateP:
         cube = self.piecewise_cube()
         noisy = cube + rng.normal(0, 0.05, cube.shape)
         fit = estimate_p(noisy)
-        for d in (fit.height, fit.width, fit.band):
-            assert 0.1 <= d.p <= 1.0
-            assert np.isfinite(d.residual)
+        for p, residual in zip(fit.p_values, fit.residuals):
+            assert 0.1 <= p <= 1.0
+            assert np.isfinite(residual)
 
     def test_pure_gaussian_cube_stays_in_bounds(self):
         noisy = np.random.default_rng(9).normal(0.5, 0.1, (16, 16, 8))
         fit = estimate_p(noisy)
-        for d in (fit.height, fit.width, fit.band):
-            assert FIT_P_BOUNDS[0] <= d.p <= FIT_P_BOUNDS[1]
-            assert FIT_K_BOUNDS[0] <= d.k <= FIT_K_BOUNDS[1]
-            assert d.sigma >= 0.0
+        for p, k, sigma in zip(fit.p_values, fit.ks, fit.sigmas):
+            assert FIT_P_BOUNDS[0] <= p <= FIT_P_BOUNDS[1]
+            assert FIT_K_BOUNDS[0] <= k <= FIT_K_BOUNDS[1]
+            assert sigma >= 0.0
 
     def test_sign_flip_invariance(self):
         rng = np.random.default_rng(10)

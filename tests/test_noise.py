@@ -157,6 +157,11 @@ class TestSimulateCase:
         with pytest.raises(ValueError):
             case_spec(7, seed=0)
 
+    def test_bool_case_rejected(self):
+        # True == 1, so a dict lookup alone would find case 1
+        with pytest.raises(ValueError, match="case_id"):
+            case_spec(True, seed=0)
+
 
 class TestNoiseSpecValidation:
     def test_bad_ranges_rejected(self):
@@ -195,7 +200,7 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError, match=field):
             case_spec(2, seed=0, **overrides)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
             case_spec(2, seed=seed)

@@ -29,22 +29,22 @@ def impulse_cube():
 class TestDiffForward:
     def test_constant_cube_has_zero_gradients(self):
         g = diff_forward(np.full((4, 5, 6), 0.7), TvWeights(1, 1, 0.5))
-        assert not g.gh.any() and not g.gw.any() and not g.gp.any()
+        assert g.g.shape == (3, 4, 5, 6) and not g.g.any()
 
     def test_impulse_stencil_entries(self):
         g = diff_forward(impulse_cube(), TvWeights(1, 1, 0.5))
         expected_h = np.zeros((3, 3, 3))
         expected_h[2, 0, 0] = 1.0  # wraps around: x(0) - x(2)
         expected_h[0, 0, 0] = -1.0  # x(1) - x(0)
-        np.testing.assert_array_equal(g.gh, expected_h)
+        np.testing.assert_array_equal(g.g[0], expected_h)
         expected_w = np.zeros((3, 3, 3))
         expected_w[0, 2, 0] = 1.0
         expected_w[0, 0, 0] = -1.0
-        np.testing.assert_array_equal(g.gw, expected_w)
+        np.testing.assert_array_equal(g.g[1], expected_w)
         expected_p = np.zeros((3, 3, 3))
         expected_p[0, 0, 2] = 0.5
         expected_p[0, 0, 0] = -0.5
-        np.testing.assert_array_equal(g.gp, expected_p)
+        np.testing.assert_array_equal(g.g[2], expected_p)
 
     def test_matches_explicit_stencil_loop(self):
         rng = np.random.default_rng(0)
@@ -55,16 +55,16 @@ class TestDiffForward:
         for i in range(h):
             for j in range(w):
                 for k in range(p):
-                    assert g.gh[i, j, k] == pytest.approx(t[(i + 1) % h, j, k] - t[i, j, k])
-                    assert g.gw[i, j, k] == pytest.approx(t[i, (j + 1) % w, k] - t[i, j, k])
-                    assert g.gp[i, j, k] == pytest.approx(
+                    assert g.g[0, i, j, k] == pytest.approx(t[(i + 1) % h, j, k] - t[i, j, k])
+                    assert g.g[1, i, j, k] == pytest.approx(t[i, (j + 1) % w, k] - t[i, j, k])
+                    assert g.g[2, i, j, k] == pytest.approx(
                         0.5 * (t[i, j, (k + 1) % p] - t[i, j, k])
                     )
 
     def test_zero_weights_give_zero_stack(self):
         t = np.random.default_rng(1).standard_normal((3, 3, 3))
         g = diff_forward(t, TvWeights(0.0, 0.0, 0.0))
-        assert not g.gh.any() and not g.gw.any() and not g.gp.any()
+        assert g.g.shape == (3, 3, 3, 3) and not g.g.any()
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
@@ -80,7 +80,7 @@ class TestDiffForward:
 
 class TestDiffAdjoint:
     def test_zero_stack_gives_zero_cube(self):
-        g = GradientStack(np.zeros((3, 3, 3)), np.zeros((3, 3, 3)), np.zeros((3, 3, 3)))
+        g = GradientStack(np.zeros((3, 3, 3, 3)))
         assert not diff_adjoint(g, TvWeights(1, 1, 0.5)).any()
 
     def test_adjoint_identity_over_seeds(self):
@@ -88,11 +88,7 @@ class TestDiffAdjoint:
         for seed in range(100):
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((4, 5, 3))
-            g = GradientStack(
-                rng.standard_normal((4, 5, 3)),
-                rng.standard_normal((4, 5, 3)),
-                rng.standard_normal((4, 5, 3)),
-            )
+            g = GradientStack(np.stack([rng.standard_normal((4, 5, 3)) for _ in range(3)]))
             dx = diff_forward(x, weights)
             lhs = sum(float(np.sum(a * b)) for a, b in zip(dx.blocks(), g.blocks()))
             rhs = float(np.sum(x * diff_adjoint(g, weights)))
@@ -103,10 +99,12 @@ class TestDiffAdjoint:
         g = diff_forward(np.full((3, 4, 5), 2.0), weights)
         np.testing.assert_allclose(diff_adjoint(g, weights), 0.0, atol=1e-14)
 
-    def test_mismatched_blocks_rejected(self):
-        g = GradientStack(np.zeros((3, 3, 3)), np.zeros((3, 3, 3)), np.zeros((2, 3, 3)))
-        with pytest.raises(ValueError):
-            diff_adjoint(g, TvWeights())
+    def test_malformed_stack_rejected(self):
+        # not 4-D, a leading axis other than 3, not float64, not an array
+        for g in (np.zeros((3, 3, 3)), np.zeros((2, 3, 3, 3)), np.zeros((4, 3, 3, 3)),
+                  np.zeros((3, 3, 3, 3), dtype=np.float32), [np.zeros((3, 3, 3))] * 3):
+            with pytest.raises(ValueError, match=r"\(3, h, w, p\) float64"):
+                GradientStack(g)
 
 
 class TestSoftThreshold:
@@ -182,31 +180,37 @@ class TestGstShrink:
 
 
 class TestAhsstvProx:
+    # the shrinkage works in place, so each test compares against a copy taken before the call
     def random_stack(self, seed):
-        rng = np.random.default_rng(seed)
-        return GradientStack(
-            rng.uniform(-2, 2, (3, 4, 5)),
-            rng.uniform(-2, 2, (3, 4, 5)),
-            rng.uniform(-2, 2, (3, 4, 5)),
-        )
+        return GradientStack(np.random.default_rng(seed).uniform(-2, 2, (3, 3, 4, 5)))
 
     def test_zero_threshold_is_identity(self):
         g = self.random_stack(0)
+        before = g.g.copy()
         out = shrink_gradient_stack(g, 0.0, P_TRIPLE)
-        for got, orig in zip(out.blocks(), g.blocks()):
-            np.testing.assert_array_equal(got, orig)
+        np.testing.assert_array_equal(out.g, before)
+
+    def test_shrinks_in_place_and_returns_its_input(self):
+        g = self.random_stack(3)
+        before = g.g.copy()
+        out = shrink_gradient_stack(g, 0.3, P_TRIPLE)
+        assert out is g
+        for got, orig, p in zip(g.blocks(), before, P_TRIPLE):
+            assert got.tobytes() == gst_shrink(orig, 0.3, p).tobytes()
 
     def test_p_all_one_is_blockwise_soft_threshold(self):
         g = self.random_stack(1)
+        before = g.g.copy()
         out = shrink_gradient_stack(g, 0.3, (1.0, 1.0, 1.0))
-        for got, orig in zip(out.blocks(), g.blocks()):
+        for got, orig in zip(out.blocks(), before):
             np.testing.assert_allclose(got, soft_threshold(orig, 0.3), atol=1e-14)
 
     def test_elementwise_match_against_scalar_oracle(self):
         g = self.random_stack(2)
+        before = g.g.copy()
         tau = 0.1
         out = shrink_gradient_stack(g, tau, P_TRIPLE)
-        for got, orig, p in zip(out.blocks(), g.blocks(), P_TRIPLE):
+        for got, orig, p in zip(out.blocks(), before, P_TRIPLE):
             for value, source in zip(got.ravel(), orig.ravel()):
                 best = gst_minimize_oracle(float(source), tau, p)
                 assert gst_objective(float(value), float(source), tau, p) <= (
@@ -226,9 +230,10 @@ def roll_forward(t, weights):
 
 def roll_adjoint(g, weights):
     w_h, w_w, w_p = weights.as_tuple()
-    out = w_h * (np.roll(g.gh, 1, axis=0) - g.gh)
-    out += w_w * (np.roll(g.gw, 1, axis=1) - g.gw)
-    out += w_p * (np.roll(g.gp, 1, axis=2) - g.gp)
+    gh, gw, gp = g.g
+    out = w_h * (np.roll(gh, 1, axis=0) - gh)
+    out += w_w * (np.roll(gw, 1, axis=1) - gw)
+    out += w_p * (np.roll(gp, 1, axis=2) - gp)
     return out
 
 
@@ -246,6 +251,14 @@ LAYOUTS = {
     "transposed": lambda c: np.ascontiguousarray(c.transpose(2, 0, 1)).transpose(1, 2, 0),
     "strided": lambda c: np.repeat(c, 2, axis=1)[:, ::2],
     "reversed": lambda c: np.ascontiguousarray(c[::-1])[::-1],
+}
+# the layouts above for a (3, h, w, p) stack, each leaving every (h, w, p) slice in its layout
+STACK_LAYOUTS = {
+    "c_order": lambda g: g,
+    "fortran": lambda g: np.asfortranarray(g.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2),
+    "transposed": lambda g: np.ascontiguousarray(g.transpose(0, 3, 1, 2)).transpose(0, 2, 3, 1),
+    "strided": lambda g: np.repeat(g, 2, axis=2)[:, :, ::2],
+    "reversed": lambda g: np.ascontiguousarray(g[:, ::-1])[:, ::-1],
 }
 EDGE_SHAPES = [(1, 4, 3), (2, 1, 5), (3, 2, 1), (1, 1, 1), (2, 2, 2), (4, 5, 6)]
 
@@ -269,9 +282,8 @@ class TestLayoutsAndEdges:
     @pytest.mark.parametrize("shape", EDGE_SHAPES, ids=str)
     def test_diff_adjoint_equals_roll_formula(self, shape, layout):
         weights = TvWeights(1.0, 0.8, 0.5)
-        g = GradientStack(
-            *(LAYOUTS[layout](signed_zero_cube(shape, seed=51 + i)) for i in range(3))
-        )
+        c = np.stack([signed_zero_cube(shape, seed=51 + i) for i in range(3)])
+        g = GradientStack(STACK_LAYOUTS[layout](c))
         assert diff_adjoint(g, weights).tobytes() == roll_adjoint(g, weights).tobytes()
 
     @pytest.mark.parametrize("layout", LAYOUTS)

@@ -32,16 +32,16 @@ def make_state(shape, beta, seed=0, zero=False):
         state.z = rng.standard_normal(shape)
         state.s = rng.standard_normal(shape)
         state.b = rng.standard_normal(shape)
-        state.f = GradientStack(*(rng.standard_normal(shape) for _ in range(3)))
+        state.f = GradientStack(np.stack([rng.standard_normal(shape) for _ in range(3)]))
         state.dual_x = rng.standard_normal(shape)
-        state.dual_grad = GradientStack(*(rng.standard_normal(shape) for _ in range(3)))
+        state.dual_grad = GradientStack(np.stack([rng.standard_normal(shape) for _ in range(3)]))
     return state
 
 
 def z_step_rhs(state, y, weights):
     """Right-hand side of the z-step, written out as one plain expression per term."""
     shifted = GradientStack(
-        *(state.beta * f - g for f, g in zip(state.f.blocks(), state.dual_grad.blocks()))
+        np.stack([state.beta * f - g for f, g in zip(state.f.blocks(), state.dual_grad.blocks())])
     )
     return (
         y - state.b - state.s + state.dual_x + state.beta * state.x
@@ -572,6 +572,7 @@ class TestConfig:
             ("ranks_x", (4, 4, 2)),
             ("ranks_b", (1, 4, 2)),
             ("weights", (1, 1, 0.5)),
+            ("max_iter", True),
         ],
     )
     def test_malformed_field_rejected_up_front(self, field, value):

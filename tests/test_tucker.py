@@ -215,7 +215,7 @@ class TestTuckerRanks:
         with pytest.raises(ValueError):
             TuckerRanks(0, 1, 1)
 
-    @pytest.mark.parametrize("ranks", [(2.0, 2, 2), (2, np.float64(2.0), 2), (2, 2, "2")])
+    @pytest.mark.parametrize("ranks", [(2.0, 2, 2), (2, np.float64(2.0), 2), (2, 2, "2"), (True, 2, 2)])
     def test_non_integer_rank_rejected(self, ranks):
         with pytest.raises(ValueError, match="positive integers"):
             TuckerRanks(*ranks)
