@@ -84,7 +84,9 @@ def normalize_bands(cube: np.ndarray) -> np.ndarray:
     hi = cube.max(axis=(0, 1), keepdims=True)
     span = hi - lo
     span[span == 0] = 1.0
-    return (cube - lo) / span
+    out = cube - lo
+    out /= span
+    return out
 
 
 def _parse_lines(text: str) -> dict[str, str]:

@@ -64,19 +64,44 @@ class HyperLaplacianFit:
     residuals: tuple[float, float, float]
 
 
+def _median_in_place(buf: np.ndarray) -> float:
+    """Median of a flat float64 buffer by one single-k selection; reorders ``buf``.
+
+    The upper middle is the selected ``buf[n // 2]``; for even ``n`` the lower
+    middle is the largest entry left of it.  Their mean ``(lo + hi) / 2`` is
+    the value ``np.median`` returns, bit for bit.
+    """
+    k = buf.size // 2
+    buf.partition(k)
+    hi = buf[k]
+    if buf.size % 2:
+        return float(hi)
+    return float((buf[:k].max() + hi) / 2.0)
+
+
 def estimate_noise_sigma(g: np.ndarray) -> float:
     """Robust std estimate of the image-domain Gaussian noise from a difference field.
 
     MAD/0.6745 estimates the std of the (differenced) noise in ``g``; the
     sqrt(2) factor converts back to the std of the original i.i.d. noise.
     Piecewise-flat image content contributes mostly zero differences, which
-    the median absolute deviation ignores.
+    the median absolute deviation ignores.  ``g`` must be finite and is left
+    unchanged.
+
+    Both medians are taken in one private copy of ``g``, each by one
+    selection at a single k.  ``np.median`` gives the same value but selects
+    at two k (plus one more for its NaN check), which at 4M entries is about
+    four times slower; this is the noise estimate of every :func:`estimate_p`.
     """
-    g = np.asarray(g, dtype=np.float64)
-    if g.size == 0:
+    buf = np.array(g, dtype=np.float64, order="C").reshape(-1)
+    if buf.size == 0:
         raise ValueError("cannot estimate noise from an empty array")
-    flat = g.ravel()
-    mad = np.median(np.abs(flat - np.median(flat)))
+    if not np.isfinite(buf).all():
+        raise ValueError("cannot estimate noise from non-finite values")
+    center = _median_in_place(buf)
+    np.subtract(buf, center, out=buf)
+    np.abs(buf, out=buf)
+    mad = _median_in_place(buf)
     return float(mad / _MAD_TO_SIGMA / np.sqrt(2.0))
 
 

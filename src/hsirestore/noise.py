@@ -97,7 +97,9 @@ def gaussian_field(
     sigma_per_band = np.asarray(sigma_per_band, dtype=np.float64)
     if np.any(sigma_per_band < 0):
         raise ValueError("sigma must be nonnegative")
-    return rng.standard_normal(shape) * sigma_per_band[None, None, :]
+    field = rng.standard_normal(shape)
+    field *= sigma_per_band[None, None, :]
+    return field
 
 
 def impulse_perturbation(
@@ -236,13 +238,14 @@ def simulate_case(
         noisy, spec.stripe_kind, spec.stripe_coverage, rng, spec.stripe_amplitude
     )
 
+    # add_stripes returned a fresh cube, so the masks overwrite it in place
     dead = deadline_mask(truth.shape, spec, rng)
-    noisy = np.where(dead, 0.0, noisy)
+    np.copyto(noisy, 0.0, where=dead)
 
     lo_r, hi_r = spec.impulse_ratio
     ratio_per_band = rng.uniform(lo_r, hi_r, size=p)
     imp_mask, imp_values = impulse_perturbation(truth.shape, ratio_per_band, rng)
-    noisy = np.where(imp_mask, imp_values, noisy)
+    np.copyto(noisy, imp_values, where=imp_mask)
 
     components = {
         "gaussian": gauss,

@@ -109,6 +109,16 @@ class TestNormalization:
         out = normalize_bands(cube)
         assert not out.any()
 
+    def test_argument_left_unchanged(self):
+        cube = np.random.default_rng(2).random((5, 4, 3)) * 7 - 2
+        before = cube.copy()
+        out = normalize_bands(cube)
+        assert out is not cube
+        assert cube.tobytes() == before.tobytes()
+        lo = before.min(axis=(0, 1))
+        span = before.max(axis=(0, 1)) - lo
+        assert out.tobytes() == ((before - lo) / span).tobytes()
+
 
 class TestSolverConfigIO:
     def test_defaults_from_empty_text(self):

@@ -23,6 +23,12 @@ from hsirestore.priors import TvWeights, diff_forward
 from oracles import convolve_masses_oracle, sample_hyper_laplacian
 
 
+def np_median_sigma(g):
+    """The MAD noise estimate written with ``np.median``, as the reference."""
+    g = np.asarray(g, dtype=np.float64)
+    return float(np.median(np.abs(g - np.median(g))) / 0.6744897501960817 / np.sqrt(2.0))
+
+
 class TestEstimateNoiseSigma:
     def test_zero_field_gives_zero(self):
         assert estimate_noise_sigma(np.zeros((4, 4, 4))) == 0.0
@@ -41,6 +47,47 @@ class TestEstimateNoiseSigma:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             estimate_noise_sigma(np.zeros((0,)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_noise_sigma(np.array([0.0, 1.0, bad, 2.0]))
+
+    @given(
+        st.one_of(
+            # real-valued samples at ordinary, huge and subnormal scales
+            st.tuples(
+                st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=60),
+                st.sampled_from([1.0, 1e300, 1e-310]),
+            ),
+            # integer values: medians and deviations full of ties
+            st.tuples(st.lists(st.integers(-3, 3), min_size=1, max_size=60), st.just(1.0)),
+            # constant fields
+            st.tuples(
+                st.builds(lambda v, n: [v] * n, st.floats(-1e3, 1e3), st.integers(1, 60)),
+                st.sampled_from([1.0, 1e300, 1e-310]),
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_np_median_mad_bit_for_bit(self, sample):
+        values, scale = sample
+        g = np.asarray(values, dtype=np.float64) * scale
+        assert estimate_noise_sigma(g) == np_median_sigma(g)
+
+    def test_input_left_unchanged(self):
+        cube = np.random.default_rng(5).normal(size=(6, 7, 8))
+        view = cube[::2, 1:, ::-3]
+        assert not view.flags.c_contiguous
+        before = cube.copy()
+        assert estimate_noise_sigma(view) == np_median_sigma(view)
+        np.testing.assert_array_equal(cube, before)
+        estimate_noise_sigma(cube)  # contiguous float64: the one input a reshape would not copy
+        np.testing.assert_array_equal(cube, before)
+
+        values = [3.0, -1.0, 2.0, 2.0, 7.5, 0.0]
+        assert estimate_noise_sigma(values) == np_median_sigma(values)
+        assert values == [3.0, -1.0, 2.0, 2.0, 7.5, 0.0]
 
 
 def unit_mass_at(index):

@@ -10,6 +10,36 @@ from hsirestore.noise import (
     impulse_perturbation,
     simulate_case,
 )
+from hsirestore.tensor_ops import validate_cube
+
+
+def np_where_composition(truth, spec, comps):
+    """The noisy cube as two ``np.where`` copies build it from ``comps``.
+
+    The impulse values are not a component, so they come from replaying the
+    seeded draws in ``simulate_case``'s order; the replayed components must
+    equal the returned ones.
+    """
+    rng = np.random.default_rng(spec.seed)
+    p = truth.shape[2]
+    sigma_per_band = np.sqrt(rng.uniform(*spec.gaussian_variance, size=p))
+    gauss = rng.standard_normal(truth.shape) * sigma_per_band
+    _, stripe_field = add_stripes(
+        truth + gauss, spec.stripe_kind, spec.stripe_coverage, rng, spec.stripe_amplitude
+    )
+    dead = deadline_mask(truth.shape, spec, rng)
+    ratio_per_band = rng.uniform(*spec.impulse_ratio, size=p)
+    imp_mask, imp_values = impulse_perturbation(truth.shape, ratio_per_band, rng)
+    for name, replayed in (
+        ("gaussian", gauss),
+        ("stripe_field", stripe_field),
+        ("deadline_mask", dead),
+        ("impulse_mask", imp_mask),
+    ):
+        np.testing.assert_array_equal(comps[name], replayed)
+    noisy = truth + comps["gaussian"] + comps["stripe_field"]
+    noisy = np.where(comps["deadline_mask"], 0.0, noisy)
+    return np.where(comps["impulse_mask"], imp_values, noisy)
 
 
 class TestGaussianField:
@@ -142,6 +172,21 @@ class TestSimulateCase:
         untouched = ~(comps["impulse_mask"] | comps["deadline_mask"])
         rebuilt = truth + comps["gaussian"] + comps["stripe_field"]
         np.testing.assert_array_equal(rebuilt[untouched], noisy[untouched])
+
+    @pytest.mark.parametrize("case_id", [1, 2, 3, 4, 5, 6])
+    def test_truth_unchanged_and_noisy_equals_np_where_composition(self, case_id):
+        spec = case_spec(case_id, seed=50 + case_id)
+        truth = self.truth(seed=60 + case_id, shape=(12, 16, 6))
+        assert validate_cube(truth) is truth  # the cube simulate_case works on is truth itself
+        before = truth.copy()
+        noisy, comps = simulate_case(truth, spec)
+        assert truth.tobytes() == before.tobytes()
+        assert noisy.tobytes() == np_where_composition(truth, spec, comps).tobytes()
+
+        fortran = np.asfortranarray(truth)
+        noisy_f, _ = simulate_case(fortran, spec)
+        assert fortran.tobytes() == before.tobytes()
+        assert noisy_f.tobytes() == noisy.tobytes()
 
     def test_impulse_voxels_are_binary(self):
         noisy, comps = simulate_case(self.truth(), case_spec(2, seed=40))
