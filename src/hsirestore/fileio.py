@@ -72,19 +72,25 @@ def read_cube(path: str | Path, normalize: bool = False) -> np.ndarray:
         )
     flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
     cube = flat.reshape((p, w, h)).transpose(2, 1, 0).astype(np.float64, order="C")
+    del raw, flat
     if not np.all(np.isfinite(cube)):
         raise CubeFileError(f"{path}: payload contains non-finite values")
-    return normalize_bands(cube) if normalize else cube
+    # the cube is this function's own, so it is normalized where it lies
+    return _normalize_bands(cube, out=cube) if normalize else cube
 
 
 def normalize_bands(cube: np.ndarray) -> np.ndarray:
     """Min-max normalize each band to [0, 1]; constant bands map to zero."""
-    cube = np.asarray(cube, dtype=np.float64)
+    return _normalize_bands(np.asarray(cube, dtype=np.float64), out=None)
+
+
+def _normalize_bands(cube: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """Write the band-normalized ``cube`` to ``out``, which may be ``cube`` itself."""
     lo = cube.min(axis=(0, 1), keepdims=True)
     hi = cube.max(axis=(0, 1), keepdims=True)
     span = hi - lo
     span[span == 0] = 1.0
-    out = cube - lo
+    out = np.subtract(cube, lo, out=out)
     out /= span
     return out
 

@@ -1,11 +1,15 @@
-"""Restoration quality metrics: band-wise PSNR/SSIM and pixel-wise spectral angle."""
+"""Restoration quality metrics: band-wise PSNR/SSIM and pixel-wise spectral angle.
+
+SSIM uses the 11x11 Gaussian window with sigma 1.5 of Wang, Bovik, Sheikh and
+Simoncelli (IEEE TIP 2004), taken as two separable passes in plain numpy whose
+sums equal those of ``scipy.ndimage.correlate1d`` bit for bit.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .tensor_ops import validate_cube
 
@@ -15,6 +19,10 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+
+# spectral angles are taken over blocks of whole rows holding about this many
+# entries, so their temporaries stay small instead of cube-sized
+SAM_BLOCK_ENTRIES = 32768
 
 
 @dataclass(frozen=True)
@@ -59,16 +67,40 @@ def _gaussian_window() -> np.ndarray:
 _SSIM_G = _gaussian_window()
 
 
+def _window_pass(field: np.ndarray, axis: int) -> np.ndarray:
+    """Gaussian-weighted sum along ``axis`` (0 or 1) over every fully interior window.
+
+    The output is ``2 * (SSIM_WINDOW // 2)`` shorter than ``field`` along
+    ``axis``.  The sum starts from the center tap and adds the mirrored pairs
+    from the outermost inwards, ``(x[i-j] + x[i+j]) * g[half-j]`` for
+    ``j = half, ..., 1``: the order in which ``scipy.ndimage.correlate1d``
+    evaluates a symmetric kernel, so the two agree bit for bit.
+    """
+    half = SSIM_WINDOW // 2
+    n = field.shape[axis] - 2 * half
+
+    def tap(offset: int) -> np.ndarray:
+        return field[offset : offset + n] if axis == 0 else field[:, offset : offset + n]
+
+    # C order whatever the input's layout, as correlate1d's output, so that
+    # the mean of the SSIM map sums in the same order
+    out = np.multiply(_SSIM_G[half], tap(half), order="C")
+    pair = np.empty_like(out)
+    for j in range(half, 0, -1):
+        np.add(tap(half - j), tap(half + j), out=pair)
+        pair *= _SSIM_G[half - j]
+        out += pair
+    return out
+
+
 def _window_means(field: np.ndarray) -> np.ndarray:
     """Gaussian-weighted mean of every fully interior window of a 2-D field.
 
     The 2-D window is ``outer(g, g)``, so the mean is a 1-D pass along axis 0
-    and one along axis 1; cropping after each pass keeps only values that read
-    no padding, so the boundary mode has no effect.
+    and one along axis 1; each pass computes only windows that read no
+    padding, so no boundary mode is involved.
     """
-    half = SSIM_WINDOW // 2
-    rows = correlate1d(field, _SSIM_G, axis=0)[half:-half]
-    return correlate1d(rows, _SSIM_G, axis=1)[:, half:-half]
+    return _window_pass(_window_pass(field, 0), 1)
 
 
 def ssim(ref_band: np.ndarray, test_band: np.ndarray, peak: float = 1.0) -> float:
@@ -125,19 +157,28 @@ def sam(ref: np.ndarray, test: np.ndarray) -> float | np.ndarray:
 
 
 def evaluate(ref: np.ndarray, test: np.ndarray, peak: float = 1.0) -> MetricsReport:
-    """Assemble per-band PSNR/SSIM, the pixel-wise spectral-angle summary, and their means."""
+    """Assemble per-band PSNR/SSIM, the pixel-wise spectral-angle summary, and their means.
+
+    The spectral angles are taken over blocks of whole rows of about
+    :data:`SAM_BLOCK_ENTRIES` entries, which gives the same map as one
+    :func:`sam` call on the whole cube.
+    """
     ref = validate_cube(ref, "ref")
     test = validate_cube(test, "test")
     if ref.shape != test.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
-    # band-major copies make every band a contiguous plane; they are freed
-    # before the spectral angles, whose temporaries set the peak memory
+    # band-major copies make every band a contiguous plane
     ref_planes = np.ascontiguousarray(ref.transpose(2, 0, 1))
     test_planes = np.ascontiguousarray(test.transpose(2, 0, 1))
     psnr_pb = np.array([psnr(r, t, peak) for r, t in zip(ref_planes, test_planes)])
     ssim_pb = np.array([ssim(r, t, peak) for r, t in zip(ref_planes, test_planes)])
     del ref_planes, test_planes
-    sam_map = sam(ref, test)
+    # each pixel's angle reduces along the contiguous last axis only, so the
+    # row blocks give the map of one whole-cube call bit for bit
+    rows = max(1, SAM_BLOCK_ENTRIES // (ref.shape[1] * ref.shape[2]))
+    sam_map = np.concatenate(
+        [sam(ref[i : i + rows], test[i : i + rows]) for i in range(0, ref.shape[0], rows)]
+    )
     return MetricsReport(
         psnr_per_band=psnr_pb,
         ssim_per_band=ssim_pb,

@@ -208,10 +208,18 @@ def add_stripes(
     lo, hi = coverage
     if not (0.0 <= lo <= hi <= 1.0):
         raise ValueError(f"coverage must lie in [0, 1], got ({lo}, {hi})")
-    h, w, p = t.shape
-    profile = _stripe_profile(w, p, kind, (lo, hi), amplitude, rng)
-    stripe_field = np.broadcast_to(profile[None, :, :], t.shape).copy()
+    stripe_field = _stripe_field(t.shape, kind, (lo, hi), amplitude, rng)
     return t + stripe_field, stripe_field
+
+
+def _stripe_field(
+    shape: tuple[int, int, int], kind: str, coverage: tuple[float, float], amplitude: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The stripe cube: one drawn per-(column, band) profile repeated along the rows."""
+    h, w, p = shape
+    profile = _stripe_profile(w, p, kind, coverage, amplitude, rng)
+    return np.broadcast_to(profile[None, :, :], shape).copy()
 
 
 def simulate_case(
@@ -232,13 +240,13 @@ def simulate_case(
     lo_v, hi_v = spec.gaussian_variance
     sigma_per_band = np.sqrt(rng.uniform(lo_v, hi_v, size=p))
     gauss = gaussian_field(truth.shape, sigma_per_band, rng)
+    # noisy is this function's own cube, so every later layer goes in in place
     noisy = truth + gauss
-
-    noisy, stripe_field = add_stripes(
-        noisy, spec.stripe_kind, spec.stripe_coverage, rng, spec.stripe_amplitude
+    stripe_field = _stripe_field(
+        truth.shape, spec.stripe_kind, spec.stripe_coverage, spec.stripe_amplitude, rng
     )
+    noisy += stripe_field
 
-    # add_stripes returned a fresh cube, so the masks overwrite it in place
     dead = deadline_mask(truth.shape, spec, rng)
     np.copyto(noisy, 0.0, where=dead)
 

@@ -103,6 +103,9 @@ class TestNormalization:
         for b in range(3):
             assert norm[:, :, b].min() == pytest.approx(0.0)
             assert norm[:, :, b].max() == pytest.approx(1.0)
+        # read_cube normalizes its own cube in place, to the same bytes
+        assert norm.flags.c_contiguous
+        assert norm.tobytes() == normalize_bands(raw).tobytes()
 
     def test_constant_band_maps_to_zero(self):
         cube = np.full((4, 4, 2), 3.5)

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +13,7 @@ from hsirestore.gradient_fit import (
     HIST_BINS,
     HIST_CENTERS,
     HIST_EDGES,
+    _erf,
     convolve_hist,
     estimate_noise_sigma,
     estimate_p,
@@ -161,6 +165,48 @@ class TestModelHistograms:
     def test_gaussian_sigma_zero_is_delta(self):
         h = gaussian_histogram(0.0)
         assert h[HIST_BINS // 2] == 1.0 and np.count_nonzero(h) == 1
+
+    def test_gaussian_histogram_equals_scipy_erf_formula(self):
+        sigmas = np.concatenate(
+            [np.random.default_rng(40).uniform(0.0, 1.0, 300), np.geomspace(1e-8, 1e3, 300)]
+        )
+        for sigma in sigmas.tolist():
+            cdf = 0.5 * (1.0 + scipy.special.erf(HIST_EDGES / (sigma * np.sqrt(2.0))))
+            cdf[0] = 0.0
+            cdf[-1] = 1.0
+            assert gaussian_histogram(sigma).tobytes() == np.diff(cdf).tobytes(), sigma
+
+
+class TestErf:
+    """``_erf`` against ``scipy.special.erf``, compared by bit pattern (so -0.0 != 0.0)."""
+
+    @staticmethod
+    def same_bits_as_scipy(xs: np.ndarray) -> bool:
+        return np.array([_erf(x) for x in xs.tolist()]).tobytes() == scipy.special.erf(xs).tobytes()
+
+    def test_dense_grid(self):
+        xs = np.concatenate([np.linspace(-30.0, 30.0, 60_001), np.linspace(-1.5, 1.5, 30_001)])
+        assert self.same_bits_as_scipy(xs)
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(41)
+        xs = np.concatenate([rng.normal(0.0, 3.0, 50_000), rng.uniform(-10.0, 10.0, 50_000)])
+        assert self.same_bits_as_scipy(xs)
+
+    def test_branch_edges_tail_and_special_values(self):
+        # Cephes switches formulas at 1 and 8 and cuts erfc to 0 where exp(-x^2) underflows
+        maxlog_root = math.sqrt(7.09782712893383996843e2)
+        edges = [1.0, 8.0, maxlog_root]
+        near = [x for e in edges for x in np.nextafter(e, [-np.inf, np.inf]).tolist()]
+        tiny = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-20]
+        xs = np.array(edges + near + tiny + [0.0, 27.0, 1e300, np.inf])
+        xs = np.concatenate([xs, -xs])
+        assert self.same_bits_as_scipy(xs)
+        assert math.copysign(1.0, _erf(-0.0)) == -1.0
+        assert _erf(np.inf) == 1.0 and _erf(-np.inf) == -1.0
+
+    def test_nan_propagates(self):
+        assert math.isnan(_erf(math.nan))
 
 
 class TestConvolveHist:

@@ -1,8 +1,35 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import correlate1d
 
+import hsirestore.metrics
 from hsirestore.metrics import evaluate, psnr, sam, ssim
 from oracles import psnr_oracle, sam_oracle, ssim_oracle
+
+
+def ssim_correlate1d(ref, test, peak=1.0):
+    """The SSIM formula with the windows taken by ``scipy.ndimage.correlate1d``, as the reference."""
+    x = np.arange(-5, 6, dtype=np.float64)
+    g = np.exp(-(x**2) / (2.0 * 1.5**2))
+    g = g / g.sum()
+
+    def means(field):
+        rows = correlate1d(field, g, axis=0)[5:-5]
+        return correlate1d(rows, g, axis=1)[:, 5:-5]
+
+    ref = np.asarray(ref, dtype=np.float64)
+    test = np.asarray(test, dtype=np.float64)
+    mu_r, mu_t = means(ref), means(test)
+    var_r = means(ref * ref) - mu_r**2
+    var_t = means(test * test) - mu_t**2
+    cov = means(ref * test) - mu_r * mu_t
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+    ssim_map = ((2.0 * mu_r * mu_t + c1) * (2.0 * cov + c2)) / (
+        (mu_r**2 + mu_t**2 + c1) * (var_r + var_t + c2)
+    )
+    return float(np.mean(ssim_map))
 
 
 class TestPsnr:
@@ -65,6 +92,26 @@ class TestSsim:
         ref = rng.random(shape)
         test = np.clip(ref + rng.normal(0, 0.1, ref.shape), 0, 1)
         assert ssim(ref, test) == pytest.approx(ssim_oracle(ref, test), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(11, 40),
+        w=st.integers(11, 40),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        scale=st.sampled_from([1.0, 255.0, 1e-3, 1e6]),
+        peak=st.sampled_from([1.0, 255.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_correlate1d_formula_bit_for_bit(self, h, w, layout, scale, peak, seed):
+        rng = np.random.default_rng(seed)
+        ref = scale * rng.random((h, w))
+        test = ref + scale * rng.normal(0.0, 0.1, (h, w))
+        if layout == "F":
+            ref, test = np.asfortranarray(ref), np.asfortranarray(test)
+        elif layout == "strided":
+            ref = np.repeat(np.repeat(ref, 2, axis=0), 3, axis=1)[::2, ::3]
+            test = np.repeat(np.repeat(test, 2, axis=0), 3, axis=1)[::2, ::3]
+        assert ssim(ref, test, peak) == ssim_correlate1d(ref, test, peak)
 
     def test_symmetric(self):
         rng = np.random.default_rng(5)
@@ -167,6 +214,21 @@ class TestEvaluate:
         assert report.sam_min == float(np.min(angles))
         assert report.sam_max == float(np.max(angles))
         assert report.sam_max == pytest.approx(np.pi, abs=1e-12)
+
+    @pytest.mark.parametrize("block_entries", [1, 500, 10**6])
+    def test_sam_row_blocks_equal_the_whole_cube_map(self, monkeypatch, block_entries):
+        # 1 gives one-row blocks, 500 blocks of 2 rows and a short last one, 10**6 one block
+        monkeypatch.setattr(hsirestore.metrics, "SAM_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(15)
+        ref = rng.random((13, 12, 20))
+        test = ref + rng.normal(0.0, 0.2, ref.shape)
+        test[2, 3] = -ref[2, 3]
+        ref[5, 6] = 0.0
+        angles = sam(ref, test)
+        report = evaluate(ref, test)
+        assert report.msam == float(np.mean(angles))
+        assert report.sam_min == float(np.min(angles))
+        assert report.sam_max == float(np.max(angles))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
