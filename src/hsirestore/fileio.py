@@ -10,8 +10,9 @@ The payload stays height-fastest on disk, while cubes in memory are C-ordered
 (band index fastest): :func:`read_cube` returns a C-ordered float64 cube and
 :func:`write_cube` accepts any layout, each converting in one transposing cast.
 
-Configs and manifests are plain UTF-8 ``key=value`` lines; ``#`` starts a
-comment.  Unknown keys are rejected so typos fail loudly.
+Configs and manifests are plain UTF-8 ``key=value`` lines.  In a config ``#``
+starts a comment and unknown keys are rejected so typos fail loudly; a manifest
+is only written, as the complete record of a simulated degradation.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import MetricsReport
-from .noise import NoiseSpec, case_spec
+from .noise import NoiseSpec
 from .solver import SolveDiagnostics, SolverConfig
 from .tucker import TuckerRanks
 
@@ -198,8 +199,8 @@ def solver_config_text(cfg: SolverConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def manifest_text(spec: NoiseSpec) -> str:
-    """Serialize a noise spec completely to key=value lines."""
+def write_manifest(path: str | Path, spec: NoiseSpec) -> None:
+    """Record a noise spec completely, one key=value line per field."""
     lines = [
         f"case={spec.case_id}",
         f"seed={spec.seed}",
@@ -212,43 +213,7 @@ def manifest_text(spec: NoiseSpec) -> str:
         f"deadline_count={spec.deadline_count[0]},{spec.deadline_count[1]}",
         f"deadline_width={spec.deadline_width[0]},{spec.deadline_width[1]}",
     ]
-    return "\n".join(lines) + "\n"
-
-
-def write_manifest(path: str | Path, spec: NoiseSpec) -> None:
-    """Record a noise spec completely; :func:`read_manifest` round-trips it."""
-    Path(path).write_text(manifest_text(spec), encoding="utf-8")
-
-
-def read_manifest(path: str | Path) -> NoiseSpec:
-    values = _parse_lines(Path(path).read_text(encoding="utf-8"))
-    # the serializer writes every key exactly once
-    required = set(_parse_lines(manifest_text(case_spec(1, 0))))
-    missing = required - set(values)
-    if missing:
-        raise ConfigError(f"manifest missing keys: {sorted(missing)}")
-    unknown = set(values) - required
-    if unknown:
-        raise ConfigError(f"unknown manifest keys: {sorted(unknown)}")
-    try:
-        return NoiseSpec(
-            case_id=_as_int("case", values["case"]),
-            seed=_as_int("seed", values["seed"]),
-            gaussian_variance=_as_tuple(
-                "gaussian_variance", values["gaussian_variance"], _as_float, 2
-            ),
-            impulse_ratio=_as_tuple("impulse_ratio", values["impulse_ratio"], _as_float, 2),
-            stripe_kind=values["stripe_kind"],
-            stripe_coverage=_as_tuple("stripe_coverage", values["stripe_coverage"], _as_float, 2),
-            stripe_amplitude=_as_float("stripe_amplitude", values["stripe_amplitude"]),
-            deadline_band_fraction=_as_float(
-                "deadline_band_fraction", values["deadline_band_fraction"]
-            ),
-            deadline_count=_as_tuple("deadline_count", values["deadline_count"], _as_int, 2),
-            deadline_width=_as_tuple("deadline_width", values["deadline_width"], _as_int, 2),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_diagnostics_csv(path: str | Path, diag: SolveDiagnostics) -> None:

@@ -19,6 +19,14 @@ from .tensor_ops import validate_cube
 
 STRIPE_KINDS = ("none", "random", "periodic", "mixed", "wide_vertical")
 WIDE_STRIPE_WIDTH = (5, 15)
+# impulses are drawn over blocks of whole rows holding about this many entries,
+# so the uniform draws need one small buffer instead of two cube-sized ones
+IMPULSE_BLOCK_ENTRIES = 32768
+
+
+def _is_int(value) -> bool:
+    # bool is an Integral, but True is no count
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,8 +60,10 @@ class NoiseSpec:
             if not (0.0 <= lo <= hi <= 1.0):
                 raise ValueError(f"{name} range must lie in [0, 1], got ({lo}, {hi})")
         lo, hi = self.gaussian_variance
-        if not (0.0 <= lo <= hi):
-            raise ValueError(f"gaussian_variance range must be nonnegative, got ({lo}, {hi})")
+        if not (0.0 <= lo <= hi < np.inf):
+            raise ValueError(
+                f"gaussian_variance range must be finite and nonnegative, got ({lo}, {hi})"
+            )
         if not 0.0 <= self.deadline_band_fraction <= 1.0:
             raise ValueError("deadline_band_fraction must lie in [0, 1]")
         if not (np.isfinite(self.stripe_amplitude) and self.stripe_amplitude >= 0.0):
@@ -64,10 +74,11 @@ class NoiseSpec:
             ("deadline_count", self.deadline_count),
             ("deadline_width", self.deadline_width),
         ):
-            if not 0 <= lo <= hi:
-                raise ValueError(f"{name} range must satisfy 0 <= lo <= hi, got ({lo}, {hi})")
-        if not (isinstance(self.seed, numbers.Integral) and not isinstance(self.seed, bool)
-                and self.seed >= 0):
+            if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
+                raise ValueError(
+                    f"{name} range must be integers with 0 <= lo <= hi, got ({lo!r}, {hi!r})"
+                )
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
@@ -103,15 +114,30 @@ def gaussian_field(
 
 
 def impulse_perturbation(
-    shape: tuple[int, int, int], ratio_per_band: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Salt-and-pepper mask and replacement values (0 or 1 with equal probability)."""
+    noisy: np.ndarray, ratio_per_band: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Overwrite a seeded share of each band of ``noisy`` with 0 or 1; returns the mask.
+
+    The mask draws come first, then the 0/1 draws (each with equal
+    probability), each over the whole cube in C order.  Both are taken in
+    blocks of whole rows holding about :data:`IMPULSE_BLOCK_ENTRIES` entries
+    into one reused buffer; every float64 draw takes one word of the stream in
+    order, so the blocks draw what one whole-cube ``rng.random`` would.
+    """
     ratio_per_band = np.asarray(ratio_per_band, dtype=np.float64)
     if np.any((ratio_per_band < 0) | (ratio_per_band > 1)):
         raise ValueError("impulse ratio must lie in [0, 1]")
-    mask = rng.random(shape) < ratio_per_band[None, None, :]
-    values = (rng.random(shape) < 0.5).astype(np.float64)
-    return mask, values
+    h, w, p = noisy.shape
+    rows = max(1, IMPULSE_BLOCK_ENTRIES // (w * p))
+    buf = np.empty((min(rows, h), w, p))
+    mask = np.empty(noisy.shape, dtype=bool)
+    for i in range(0, h, rows):
+        np.less(rng.random(out=buf[: h - i]), ratio_per_band, out=mask[i : i + rows])
+    for i in range(0, h, rows):
+        u = rng.random(out=buf[: h - i])
+        np.less(u, 0.5, out=u)  # 1.0 where the draw is below one half, else 0.0
+        np.copyto(noisy[i : i + rows], u, where=mask[i : i + rows])
+    return mask
 
 
 def deadline_mask(
@@ -188,30 +214,6 @@ def _stripe_profile(
     raise ValueError(f"unknown stripe kind {kind!r}")
 
 
-def add_stripes(
-    t: np.ndarray,
-    kind: str,
-    coverage: tuple[float, float] | float,
-    rng: np.random.Generator,
-    amplitude: float = 0.25,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Add an additive column-stripe field; returns ``(noisy, stripe_field)``.
-
-    The stripe field is constant along rows within each band, so its mode-1
-    unfolding has rank one per band slice.
-    """
-    if kind not in STRIPE_KINDS:
-        raise ValueError(f"unknown stripe kind {kind!r}")
-    t = np.asarray(t, dtype=np.float64)
-    if np.isscalar(coverage):
-        coverage = (float(coverage), float(coverage))
-    lo, hi = coverage
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise ValueError(f"coverage must lie in [0, 1], got ({lo}, {hi})")
-    stripe_field = _stripe_field(t.shape, kind, (lo, hi), amplitude, rng)
-    return t + stripe_field, stripe_field
-
-
 def _stripe_field(
     shape: tuple[int, int, int], kind: str, coverage: tuple[float, float], amplitude: float,
     rng: np.random.Generator,
@@ -252,8 +254,7 @@ def simulate_case(
 
     lo_r, hi_r = spec.impulse_ratio
     ratio_per_band = rng.uniform(lo_r, hi_r, size=p)
-    imp_mask, imp_values = impulse_perturbation(truth.shape, ratio_per_band, rng)
-    np.copyto(noisy, imp_values, where=imp_mask)
+    imp_mask = impulse_perturbation(noisy, ratio_per_band, rng)
 
     components = {
         "gaussian": gauss,

@@ -107,10 +107,10 @@ def soft_threshold(x, delta: float):
     if delta < 0:
         raise ValueError(f"threshold must be nonnegative, got {delta}")
     x = np.asarray(x, dtype=np.float64)
-    out = np.abs(np.atleast_1d(x))
-    out -= delta
-    np.maximum(out, 0.0, out=out)
-    out *= np.sign(x)
+    # x minus its clip is sign(x) * max(|x| - delta, 0) exactly, except that
+    # every zero it gives is +0
+    out = np.clip(np.atleast_1d(x), -delta, delta)
+    np.subtract(x, out, out=out)
     return out if x.ndim else float(out[0])
 
 

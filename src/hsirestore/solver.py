@@ -33,7 +33,10 @@ iteration performs, in order:
 
 Each update builds its result in arrays it allocates itself, in place and in
 the operation order of the plain expression it stands for (a regrouped sum
-would change the last bits); it never writes into the state or ``y``.
+would change the last bits).  It never writes into ``y`` or into the state's
+cubes; the one write to the state is that ``update_x`` and ``update_b`` store
+their new Tucker factors in ``state.x_factors`` and ``state.b_factors``, where
+the next iteration's sweep starts from them.
 
 Iterations stop when the squared relative change of ``x`` drops below
 ``epsilon`` or after ``max_iter`` iterations; hitting the cap is reported in

@@ -16,13 +16,8 @@ def _smooth_columns(n: int, r: int, rng: np.random.Generator) -> np.ndarray:
     return cols / norms
 
 
-def low_rank_cube(
-    shape: tuple[int, int, int],
-    ranks: TuckerRanks,
-    seed: int,
-    value_range: tuple[float, float] = (0.05, 0.95),
-) -> np.ndarray:
-    """Smooth cube of the given multilinear rank, affinely mapped into ``value_range``.
+def low_rank_cube(shape: tuple[int, int, int], ranks: TuckerRanks, seed: int) -> np.ndarray:
+    """Smooth cube of the given multilinear rank, affinely mapped onto [0.05, 0.95].
 
     The affine map adds at most one to each mode rank.
     """
@@ -33,7 +28,7 @@ def low_rank_cube(
     )
     core = rng.standard_normal(ranks.as_tuple())
     cube = reconstruct(TuckerFactors(core, factors))
-    lo, hi = value_range
+    lo, hi = 0.05, 0.95
     c_min, c_max = cube.min(), cube.max()
     span = c_max - c_min if c_max > c_min else 1.0
     return (cube - c_min) / span * (hi - lo) + lo

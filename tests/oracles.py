@@ -6,7 +6,12 @@ index loops, Jacobi eigensolves, grid searches, and naive summations.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+
 import numpy as np
+
+from hsirestore.noise import NoiseSpec
 
 
 # ---------------------------------------------------------------------------
@@ -261,3 +266,24 @@ def dense_difference_matrix(shape: tuple[int, int, int], weights) -> np.ndarray:
         g = diff_forward(e.reshape(shape), weights)
         cols.append(g.g.ravel())
     return np.array(cols).T
+
+
+# ---------------------------------------------------------------------------
+# file formats
+
+
+def manifest_spec_oracle(text: str) -> NoiseSpec:
+    """Rebuild the ``NoiseSpec`` a manifest records, which must name every field.
+
+    ``stripe_kind`` is kept as text, ``case`` names ``case_id``, and every
+    other value is read with ``ast.literal_eval`` (``0.1,0.1`` is a tuple).
+    """
+    kwargs = {}
+    for line in text.splitlines():
+        key, _, value = line.partition("=")
+        key = "case_id" if key == "case" else key
+        assert key not in kwargs, f"duplicate manifest key {key!r}"
+        kwargs[key] = value if key == "stripe_kind" else ast.literal_eval(value)
+    fields = {field.name for field in dataclasses.fields(NoiseSpec)}
+    assert kwargs.keys() == fields, sorted(kwargs.keys() ^ fields)
+    return NoiseSpec(**kwargs)

@@ -16,7 +16,7 @@ from hsirestore.cli import main as cli_main
 from hsirestore.fileio import read_cube, write_cube
 from hsirestore.gradient_fit import fit_direction, histogram, convolve_hist
 from hsirestore.metrics import evaluate, psnr, sam, ssim
-from hsirestore.noise import add_stripes, case_spec, simulate_case
+from hsirestore.noise import _stripe_field, case_spec, simulate_case
 from hsirestore.priors import GradientStack, TvWeights, diff_adjoint, diff_forward, gst_shrink
 from hsirestore.solver import SolverConfig, SolverState, solve, update_z
 from hsirestore.synthetic import low_rank_cube
@@ -74,7 +74,8 @@ def case2_fixture():
 @pytest.fixture(scope="module")
 def stripes_only_fixture():
     truth = low_rank_cube((48, 48, 16), TuckerRanks(5, 5, 3), seed=11)
-    noisy, stripe_field = add_stripes(truth, "random", (0.4, 0.5), np.random.default_rng(13))
+    stripe_field = _stripe_field(truth.shape, "random", (0.4, 0.5), 0.25, np.random.default_rng(13))
+    noisy = truth + stripe_field
     cfg = SolverConfig(
         ranks_x=TuckerRanks(8, 8, 5),
         ranks_b=TuckerRanks(1, 24, 16),

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from hsirestore.cli import main
-from hsirestore.fileio import read_cube, read_manifest, write_cube
+from hsirestore.fileio import read_cube, write_cube
 from hsirestore.gradient_fit import estimate_p
 from hsirestore.noise import case_spec
 from hsirestore.synthetic import low_rank_cube
 from hsirestore.tucker import TuckerRanks
+from oracles import manifest_spec_oracle
 
 
 @pytest.fixture()
@@ -37,7 +38,7 @@ class TestSimulate:
         assert code == 0
         for name in ("noisy", "gaussian", "stripe_field", "deadline_mask", "impulse_mask"):
             assert (out / f"{name}.cube").exists()
-        spec = read_manifest(out / "manifest.txt")
+        spec = manifest_spec_oracle((out / "manifest.txt").read_text(encoding="utf-8"))
         assert spec == case_spec(2, seed=9)
 
     def test_case1_manifest_records_zero_stripe_coverage(self, tmp_path, truth_file):
@@ -46,7 +47,7 @@ class TestSimulate:
             ["simulate", "--truth", str(truth_file), "--case", "1", "--seed", "3",
              "--out-dir", str(out)]
         ) == 0
-        spec = read_manifest(out / "manifest.txt")
+        spec = manifest_spec_oracle((out / "manifest.txt").read_text(encoding="utf-8"))
         assert spec.stripe_kind == "none"
         assert spec.stripe_coverage == (0.0, 0.0)
         assert not read_cube(out / "stripe_field.cube").any()

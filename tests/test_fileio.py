@@ -10,7 +10,6 @@ from hsirestore.fileio import (
     normalize_bands,
     parse_solver_config,
     read_cube,
-    read_manifest,
     solver_config_text,
     write_cube,
     write_manifest,
@@ -19,6 +18,7 @@ from hsirestore.noise import case_spec
 from hsirestore.priors import TvWeights
 from hsirestore.solver import SolverConfig
 from hsirestore.tucker import TuckerRanks
+from oracles import manifest_spec_oracle
 
 
 def f32_cube(seed=0, shape=(5, 6, 3)):
@@ -188,38 +188,16 @@ class TestManifest:
         spec = case_spec(2, seed=99, stripe_amplitude=0.5)
         path = tmp_path / "manifest.txt"
         write_manifest(path, spec)
-        assert read_manifest(path) == spec
+        assert manifest_spec_oracle(path.read_text(encoding="utf-8")) == spec
 
-    def test_missing_key_rejected(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        write_manifest(path, case_spec(1, seed=0))
-        lines = path.read_text().splitlines()
-        assert len(lines) == 10
-        for dropped in lines:
-            key = dropped.partition("=")[0]
-            path.write_text("".join(f"{line}\n" for line in lines if line != dropped))
-            with pytest.raises(ConfigError, match=f"missing keys: \\['{key}'\\]"):
-                read_manifest(path)
-
-    def test_invalid_value_rejected(self, tmp_path):
-        spec = case_spec(2, seed=0)
+    @pytest.mark.parametrize("case_id", [1, 2, 3, 4, 5, 6])
+    def test_records_every_field_of_each_case(self, tmp_path, case_id):
+        # off-default values in every field, so a dropped or swapped key shows
+        spec = case_spec(
+            case_id, seed=2**40 + case_id, gaussian_variance=(0.1 / 3, 0.2 / 3),
+            stripe_amplitude=1 / 7, deadline_band_fraction=0.3, deadline_count=(2, 5),
+            deadline_width=(0, 4),
+        )
         path = tmp_path / "manifest.txt"
         write_manifest(path, spec)
-        text = path.read_text().replace(f"stripe_kind={spec.stripe_kind}\n", "stripe_kind=bogus\n")
-        path.write_text(text)
-        with pytest.raises(ConfigError, match="bogus"):
-            read_manifest(path)
-        for key, bad in (
-            ("stripe_amplitude", "nan"),
-            ("stripe_amplitude", "-0.5"),
-            ("deadline_count", "3,1"),
-            ("deadline_count", "-1,2"),
-            ("deadline_width", "2,1"),
-            ("seed", "-1"),
-        ):
-            write_manifest(path, spec)
-            lines = path.read_text().splitlines()
-            lines = [f"{key}={bad}" if line.startswith(f"{key}=") else line for line in lines]
-            path.write_text("\n".join(lines) + "\n")
-            with pytest.raises(ConfigError, match=key):
-                read_manifest(path)
+        assert manifest_spec_oracle(path.read_text(encoding="utf-8")) == spec

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hsirestore import noise
 from hsirestore.noise import (
+    IMPULSE_BLOCK_ENTRIES,
     NoiseSpec,
-    add_stripes,
+    _stripe_field,
     case_spec,
     deadline_mask,
     gaussian_field,
@@ -17,19 +21,21 @@ def np_where_composition(truth, spec, comps):
     """The noisy cube as two ``np.where`` copies build it from ``comps``.
 
     The impulse values are not a component, so they come from replaying the
-    seeded draws in ``simulate_case``'s order; the replayed components must
-    equal the returned ones.
+    seeded draws in ``simulate_case``'s order, each impulse draw as one
+    whole-cube ``rng.random``; the replayed components must equal the
+    returned ones.
     """
     rng = np.random.default_rng(spec.seed)
     p = truth.shape[2]
     sigma_per_band = np.sqrt(rng.uniform(*spec.gaussian_variance, size=p))
     gauss = rng.standard_normal(truth.shape) * sigma_per_band
-    _, stripe_field = add_stripes(
-        truth + gauss, spec.stripe_kind, spec.stripe_coverage, rng, spec.stripe_amplitude
+    stripe_field = _stripe_field(
+        truth.shape, spec.stripe_kind, spec.stripe_coverage, spec.stripe_amplitude, rng
     )
     dead = deadline_mask(truth.shape, spec, rng)
     ratio_per_band = rng.uniform(*spec.impulse_ratio, size=p)
-    imp_mask, imp_values = impulse_perturbation(truth.shape, ratio_per_band, rng)
+    imp_mask = rng.random(truth.shape) < ratio_per_band
+    imp_values = (rng.random(truth.shape) < 0.5).astype(np.float64)
     for name, replayed in (
         ("gaussian", gauss),
         ("stripe_field", stripe_field),
@@ -65,21 +71,37 @@ class TestGaussianField:
 
 class TestImpulsePerturbation:
     def test_zero_ratio_marks_nothing(self):
-        mask, _ = impulse_perturbation((16, 16, 2), np.zeros(2), np.random.default_rng(5))
+        cube = np.full((16, 16, 2), 0.5)
+        mask = impulse_perturbation(cube, np.zeros(2), np.random.default_rng(5))
         assert not mask.any()
+        assert np.all(cube == 0.5)
 
     def test_altered_fraction_near_ratio(self):
-        mask, _ = impulse_perturbation((256, 256, 1), np.full(1, 0.2), np.random.default_rng(6))
+        mask = impulse_perturbation(np.zeros((256, 256, 1)), np.full(1, 0.2), np.random.default_rng(6))
         assert abs(mask.mean() - 0.2) <= 0.01
 
     def test_full_ratio_makes_every_voxel_binary(self):
-        mask, values = impulse_perturbation((32, 32, 2), np.ones(2), np.random.default_rng(8))
+        cube = np.full((32, 32, 2), 0.5)
+        mask = impulse_perturbation(cube, np.ones(2), np.random.default_rng(8))
         assert mask.all()
-        assert np.all((values == 0.0) | (values == 1.0))
+        assert np.all((cube == 0.0) | (cube == 1.0))
 
     def test_out_of_range_ratio_rejected(self):
         with pytest.raises(ValueError):
-            impulse_perturbation((4, 4, 1), np.full(1, 1.5), np.random.default_rng(9))
+            impulse_perturbation(np.zeros((4, 4, 1)), np.full(1, 1.5), np.random.default_rng(9))
+
+    @pytest.mark.parametrize("block_entries", [1, 60, 10**6])
+    def test_row_blocks_draw_the_whole_cube_stream(self, monkeypatch, block_entries):
+        # 7 rows of 4x5 entries: one row, three rows with a short last block,
+        # and the whole cube per block
+        monkeypatch.setattr(noise, "IMPULSE_BLOCK_ENTRIES", block_entries)
+        cube = np.random.default_rng(10).random((7, 4, 5))
+        ratio = np.linspace(0.0, 1.0, 5)
+        rng = np.random.default_rng(11)
+        mask = rng.random(cube.shape) < ratio
+        expected = np.where(mask, rng.random(cube.shape) < 0.5, cube)
+        assert impulse_perturbation(cube, ratio, np.random.default_rng(11)).tobytes() == mask.tobytes()
+        assert cube.tobytes() == expected.tobytes()
 
 
 class TestDeadlineMask:
@@ -110,35 +132,31 @@ class TestDeadlineMask:
 
 class TestAddStripes:
     def test_zero_coverage_random_gives_zero_field(self):
-        t = np.zeros((8, 8, 3))
-        noisy, field = add_stripes(t, "random", 0.0, np.random.default_rng(15))
+        field = _stripe_field((8, 8, 3), "random", (0.0, 0.0), 0.25, np.random.default_rng(15))
+        assert field.shape == (8, 8, 3)
         assert not field.any()
-        np.testing.assert_array_equal(noisy, t)
 
     def test_periodic_coverage_quarter_hits_every_fourth_column(self):
-        t = np.zeros((8, 16, 3))
-        _, field = add_stripes(t, "periodic", 0.25, np.random.default_rng(16))
+        field = _stripe_field((8, 16, 3), "periodic", (0.25, 0.25), 0.25, np.random.default_rng(16))
         nonzero_cols = {tuple(np.where(field[0, :, b] != 0)[0]) for b in range(3)}
         assert nonzero_cols == {(0, 4, 8, 12)}
 
     def test_stripe_field_is_rank_one_along_rows(self):
-        t = np.zeros((12, 20, 4))
-        _, field = add_stripes(t, "random", (0.4, 0.5), np.random.default_rng(17))
+        field = _stripe_field((12, 20, 4), "random", (0.4, 0.5), 0.25, np.random.default_rng(17))
         for b in range(4):
             sv = np.linalg.svd(field[:, :, b], compute_uv=False)
             assert sv[1] <= 1e-10 * max(sv[0], 1e-300)
 
     def test_mixed_and_wide_kinds_produce_stripes(self):
-        t = np.zeros((8, 40, 2))
         for kind in ("mixed", "wide_vertical"):
-            _, field = add_stripes(t, kind, 0.4, np.random.default_rng(18))
+            field = _stripe_field((8, 40, 2), kind, (0.4, 0.4), 0.25, np.random.default_rng(18))
             assert field.any()
             # constant along rows
             np.testing.assert_array_equal(field, np.broadcast_to(field[:1], field.shape))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            add_stripes(np.zeros((4, 4, 1)), "diagonal", 0.4, np.random.default_rng(19))
+        with pytest.raises(ValueError, match="diagonal"):
+            _stripe_field((4, 4, 1), "diagonal", (0.4, 0.4), 0.25, np.random.default_rng(19))
 
 
 class TestSimulateCase:
@@ -187,6 +205,21 @@ class TestSimulateCase:
         noisy_f, _ = simulate_case(fortran, spec)
         assert fortran.tobytes() == before.tobytes()
         assert noisy_f.tobytes() == noisy.tobytes()
+
+    def test_peak_memory_is_returned_bytes_plus_one_impulse_block(self):
+        # 128x128x16 holds eight impulse blocks; drawing the impulse uniforms
+        # for the whole cube at once would hold two more cube-sized buffers.
+        # Beside the block, numpy's iterator takes a fixed buffer of about
+        # 64 KiB to broadcast the per-band ratios.
+        truth = self.truth(seed=42, shape=(128, 128, 16))
+        tracemalloc.start()
+        try:
+            noisy, comps = simulate_case(truth, case_spec(2, seed=43))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        returned = noisy.nbytes + sum(c.nbytes for c in comps.values())
+        assert peak <= returned + IMPULSE_BLOCK_ENTRIES * noisy.itemsize + 2**17
 
     def test_impulse_voxels_are_binary(self):
         noisy, comps = simulate_case(self.truth(), case_spec(2, seed=40))
@@ -237,6 +270,10 @@ class TestNoiseSpecValidation:
             {"deadline_count": (-1, 2)},
             {"deadline_width": (2, 1)},
             {"deadline_width": (-1, 1)},
+            {"gaussian_variance": (0.1, float("inf"))},
+            {"deadline_count": (1.5, 2.5)},
+            {"deadline_count": (1, 2.0)},
+            {"deadline_width": (True, 2)},
         ],
         ids=lambda o: ",".join(f"{k}={v}".replace(" ", "") for k, v in o.items()),
     )
@@ -244,6 +281,10 @@ class TestNoiseSpecValidation:
         field = next(iter(overrides))
         with pytest.raises(ValueError, match=field):
             case_spec(2, seed=0, **overrides)
+
+    def test_numpy_integer_deadline_ranges_accepted(self):
+        spec = case_spec(2, seed=0, deadline_count=(np.int64(1), np.int64(2)))
+        assert spec.deadline_count == (1, 2)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_rejected(self, seed):

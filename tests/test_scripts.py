@@ -28,7 +28,10 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_script_runs_and_prints_its_table(script, args, header):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        # a deprecation or runtime warning on the script's path is an error,
+        # as in the test suite's own filterwarnings
+        [sys.executable, "-W", "error::DeprecationWarning", "-W", "error::RuntimeWarning",
+         str(ROOT / "scripts" / script), *args],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
