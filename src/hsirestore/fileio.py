@@ -42,15 +42,17 @@ class ConfigError(Exception):
 
 
 def write_cube(path: str | Path, cube: np.ndarray) -> None:
-    """Write a cube as float32; values must be finite."""
+    """Write a cube as float32; values must be finite in float32."""
     cube = np.asarray(cube)
     if cube.ndim != 3 or cube.size == 0:
         raise CubeFileError(f"expected a non-empty 3-D cube, got shape {cube.shape}")
-    if not np.all(np.isfinite(cube)):
-        raise CubeFileError("cube contains non-finite values")
     h, w, p = cube.shape
-    # the C order of the reversed axes is the height-fastest order of the file
-    payload = cube.transpose(2, 1, 0).astype("<f4", order="C")
+    # the C order of the reversed axes is the height-fastest order of the file;
+    # values past the float32 range cast to inf, so one check catches them too
+    with np.errstate(over="ignore"):
+        payload = cube.transpose(2, 1, 0).astype("<f4", order="C")
+    if not np.all(np.isfinite(payload)):
+        raise CubeFileError("cube contains values that are not finite in float32")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, h, w, p))
         fh.write(payload.data)
@@ -150,7 +152,7 @@ def parse_solver_config(text: str) -> SolverConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
-    for key in ("lambda_tv", "lambda_sparse", "beta0", "beta_max", "beta_growth", "epsilon"):
+    for key in ("lambda_tv", "lambda_sparse", "beta0", "beta_growth", "epsilon"):
         if key in values:
             kwargs[key] = _as_float(key, values[key])
     if "max_iter" in values:
@@ -184,7 +186,6 @@ def solver_config_text(cfg: SolverConfig) -> str:
         f"lambda_tv={cfg.lambda_tv!r}",
         f"lambda_sparse={cfg.lambda_sparse!r}",
         f"beta0={cfg.beta0!r}",
-        f"beta_max={cfg.beta_max!r}",
         f"beta_growth={cfg.beta_growth!r}",
         f"weight_h={cfg.weights.w_h!r}",
         f"weight_w={cfg.weights.w_w!r}",
@@ -209,9 +210,6 @@ def write_manifest(path: str | Path, spec: NoiseSpec) -> None:
         f"stripe_kind={spec.stripe_kind}",
         f"stripe_coverage={spec.stripe_coverage[0]!r},{spec.stripe_coverage[1]!r}",
         f"stripe_amplitude={spec.stripe_amplitude!r}",
-        f"deadline_band_fraction={spec.deadline_band_fraction!r}",
-        f"deadline_count={spec.deadline_count[0]},{spec.deadline_count[1]}",
-        f"deadline_width={spec.deadline_width[0]},{spec.deadline_width[1]}",
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -46,15 +46,13 @@ def _check_band(ref: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ref, test
 
 
-def psnr(ref_band: np.ndarray, test_band: np.ndarray, peak: float = 1.0) -> float:
-    """Peak signal-to-noise ratio in dB, capped at 100 dB for exact matches."""
-    if peak <= 0:
-        raise ValueError(f"peak must be positive, got {peak}")
+def psnr(ref_band: np.ndarray, test_band: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB at peak 1, capped at 100 dB for exact matches."""
     ref, test = _check_band(ref_band, test_band)
     mse = float(np.mean((ref - test) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    return min(10.0 * np.log10(peak**2 / mse), PSNR_CAP_DB)
+    return min(10.0 * np.log10(1.0 / mse), PSNR_CAP_DB)
 
 
 def _gaussian_window() -> np.ndarray:
@@ -103,8 +101,8 @@ def _window_means(field: np.ndarray) -> np.ndarray:
     return _window_pass(_window_pass(field, 0), 1)
 
 
-def ssim(ref_band: np.ndarray, test_band: np.ndarray, peak: float = 1.0) -> float:
-    """Mean local SSIM with an 11x11 Gaussian window (sigma 1.5).
+def ssim(ref_band: np.ndarray, test_band: np.ndarray) -> float:
+    """Mean local SSIM with an 11x11 Gaussian window (sigma 1.5) at peak 1.
 
     Local means, variances and the covariance are Gaussian-weighted, each
     computed as two separable 1-D Gaussian passes (axis 0, then axis 1); only
@@ -124,8 +122,8 @@ def ssim(ref_band: np.ndarray, test_band: np.ndarray, peak: float = 1.0) -> floa
     var_t = e_tt - mu_t**2
     cov = e_rt - mu_r * mu_t
 
-    c1 = (SSIM_K1 * peak) ** 2
-    c2 = (SSIM_K2 * peak) ** 2
+    c1 = SSIM_K1**2
+    c2 = SSIM_K2**2
     ssim_map = ((2.0 * mu_r * mu_t + c1) * (2.0 * cov + c2)) / (
         (mu_r**2 + mu_t**2 + c1) * (var_r + var_t + c2)
     )
@@ -156,12 +154,12 @@ def sam(ref: np.ndarray, test: np.ndarray) -> float | np.ndarray:
     return float(angles) if angles.ndim == 0 else angles
 
 
-def evaluate(ref: np.ndarray, test: np.ndarray, peak: float = 1.0) -> MetricsReport:
+def evaluate(ref: np.ndarray, test: np.ndarray) -> MetricsReport:
     """Assemble per-band PSNR/SSIM, the pixel-wise spectral-angle summary, and their means.
 
-    The spectral angles are taken over blocks of whole rows of about
-    :data:`SAM_BLOCK_ENTRIES` entries, which gives the same map as one
-    :func:`sam` call on the whole cube.
+    PSNR and SSIM are taken at a peak of 1.  The spectral angles are taken
+    over blocks of whole rows of about :data:`SAM_BLOCK_ENTRIES` entries,
+    which gives the same map as one :func:`sam` call on the whole cube.
     """
     ref = validate_cube(ref, "ref")
     test = validate_cube(test, "test")
@@ -170,8 +168,8 @@ def evaluate(ref: np.ndarray, test: np.ndarray, peak: float = 1.0) -> MetricsRep
     # band-major copies make every band a contiguous plane
     ref_planes = np.ascontiguousarray(ref.transpose(2, 0, 1))
     test_planes = np.ascontiguousarray(test.transpose(2, 0, 1))
-    psnr_pb = np.array([psnr(r, t, peak) for r, t in zip(ref_planes, test_planes)])
-    ssim_pb = np.array([ssim(r, t, peak) for r, t in zip(ref_planes, test_planes)])
+    psnr_pb = np.array([psnr(r, t) for r, t in zip(ref_planes, test_planes)])
+    ssim_pb = np.array([ssim(r, t) for r, t in zip(ref_planes, test_planes)])
     del ref_planes, test_planes
     # each pixel's angle reduces along the contiguous last axis only, so the
     # row blocks give the map of one whole-cube call bit for bit

@@ -19,6 +19,10 @@ from .tensor_ops import validate_cube
 
 STRIPE_KINDS = ("none", "random", "periodic", "mixed", "wide_vertical")
 WIDE_STRIPE_WIDTH = (5, 15)
+# the dead-line pattern of every case; ranges are inclusive
+DEADLINE_BAND_FRACTION = 1.0 / 3.0
+DEADLINE_COUNT = (1, 3)
+DEADLINE_WIDTH = (1, 3)
 # impulses are drawn over blocks of whole rows holding about this many entries,
 # so the uniform draws need one small buffer instead of two cube-sized ones
 IMPULSE_BLOCK_ENTRIES = 32768
@@ -36,7 +40,8 @@ class NoiseSpec:
     Ranges are inclusive ``(lo, hi)`` pairs sampled per band; a degenerate
     range ``(v, v)`` pins the value.  ``gaussian_variance`` is the variance of
     the per-band Gaussian noise; ``stripe_coverage`` is the fraction of
-    columns striped per band.
+    columns striped per band.  Dead lines are the same in every case (see
+    :func:`deadline_mask`).
     """
 
     case_id: int
@@ -45,9 +50,6 @@ class NoiseSpec:
     stripe_kind: str
     stripe_coverage: tuple[float, float]
     stripe_amplitude: float = 0.25
-    deadline_band_fraction: float = 1.0 / 3.0
-    deadline_count: tuple[int, int] = (1, 3)
-    deadline_width: tuple[int, int] = (1, 3)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -64,20 +66,10 @@ class NoiseSpec:
             raise ValueError(
                 f"gaussian_variance range must be finite and nonnegative, got ({lo}, {hi})"
             )
-        if not 0.0 <= self.deadline_band_fraction <= 1.0:
-            raise ValueError("deadline_band_fraction must lie in [0, 1]")
         if not (np.isfinite(self.stripe_amplitude) and self.stripe_amplitude >= 0.0):
             raise ValueError(
                 f"stripe_amplitude must be finite and nonnegative, got {self.stripe_amplitude}"
             )
-        for name, (lo, hi) in (
-            ("deadline_count", self.deadline_count),
-            ("deadline_width", self.deadline_width),
-        ):
-            if not (_is_int(lo) and _is_int(hi) and 0 <= lo <= hi):
-                raise ValueError(
-                    f"{name} range must be integers with 0 <= lo <= hi, got ({lo!r}, {hi!r})"
-                )
         if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -94,10 +86,10 @@ _CASE_TABLE = {
 
 def case_spec(case_id: int, seed: int, **overrides) -> NoiseSpec:
     """Build the :class:`NoiseSpec` of one of the six predefined cases."""
-    # True == 1 would find case 1
-    if isinstance(case_id, bool) or case_id not in _CASE_TABLE:
-        raise ValueError(f"case_id must be in 1..6, got {case_id!r}")
-    spec = NoiseSpec(case_id=case_id, seed=seed, **_CASE_TABLE[case_id])
+    # True == 1 and 2.0 == 2 would find a case too
+    if not (_is_int(case_id) and case_id in _CASE_TABLE):
+        raise ValueError(f"case_id must be an integer in 1..6, got {case_id!r}")
+    spec = NoiseSpec(case_id=int(case_id), seed=seed, **_CASE_TABLE[case_id])
     return replace(spec, **overrides) if overrides else spec
 
 
@@ -140,18 +132,21 @@ def impulse_perturbation(
     return mask
 
 
-def deadline_mask(
-    shape: tuple[int, int, int], spec: NoiseSpec, rng: np.random.Generator
-) -> np.ndarray:
-    """Boolean cube marking dead column runs in a seeded subset of bands."""
+def deadline_mask(shape: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
+    """Boolean cube marking dead column runs in a seeded subset of bands.
+
+    Draws ``round(DEADLINE_BAND_FRACTION * p)`` bands, then per band a run
+    count in :data:`DEADLINE_COUNT` and per run a width in
+    :data:`DEADLINE_WIDTH` and a start column.
+    """
     h, w, p = shape
     mask = np.zeros(shape, dtype=bool)
-    n_bands = int(round(spec.deadline_band_fraction * p))
+    n_bands = int(round(DEADLINE_BAND_FRACTION * p))
     if n_bands == 0:
         return mask
     bands = rng.choice(p, size=n_bands, replace=False)
-    lo_c, hi_c = spec.deadline_count
-    lo_w, hi_w = spec.deadline_width
+    lo_c, hi_c = DEADLINE_COUNT
+    lo_w, hi_w = DEADLINE_WIDTH
     for band in bands:
         count = int(rng.integers(lo_c, hi_c + 1))
         for _ in range(count):
@@ -249,7 +244,7 @@ def simulate_case(
     )
     noisy += stripe_field
 
-    dead = deadline_mask(truth.shape, spec, rng)
+    dead = deadline_mask(truth.shape, rng)
     np.copyto(noisy, 0.0, where=dead)
 
     lo_r, hi_r = spec.impulse_ratio

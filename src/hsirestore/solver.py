@@ -28,8 +28,8 @@ iteration performs, in order:
 4. ``b``:  one warm HOOI sweep towards the Tucker fit of ``y - z - s`` at the
    stripe ranks, started like ``x``.
 5. ``s``:  soft threshold of ``y - z - b`` at ``lambda_sparse``.
-6. dual ascent on both multipliers, then geometric growth of ``beta`` up to
-   its cap.
+6. dual ascent on both multipliers, then geometric growth of ``beta``, which
+   stops at :data:`BETA_MAX`.
 
 Each update builds its result in arrays it allocates itself, in place and in
 the operation order of the plain expression it stands for (a regrouped sum
@@ -64,6 +64,10 @@ from .priors import (
 from .tensor_ops import fro_norm, validate_cube
 from .tucker import TuckerRanks, feasible_ranks, hooi, reconstruct
 
+# cap on the penalty; from the defaults (beta0=0.01, growth 1.1, max_iter=100)
+# beta reaches only about 125
+BETA_MAX = 1e6
+
 
 def default_image_ranks(shape: tuple[int, int, int]) -> TuckerRanks:
     """Loose spatial ranks plus a tight spectral rank, the usual HSI regime."""
@@ -91,7 +95,6 @@ class SolverConfig:
     lambda_tv: float = 0.002
     lambda_sparse: float = 0.02
     beta0: float = 0.01
-    beta_max: float = 1e6
     # 1.1 rather than the more timid 1.05: the squared relative change of the
     # image estimate reliably clears 1e-6 within 100 iterations at equal or
     # better restoration quality
@@ -106,14 +109,13 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         # every comparison with NaN is false, so the range checks below would pass it
-        scalars = (self.lambda_tv, self.lambda_sparse, self.beta0, self.beta_max,
-                   self.beta_growth, self.epsilon)
+        scalars = (self.lambda_tv, self.lambda_sparse, self.beta0, self.beta_growth, self.epsilon)
         if not np.all(np.isfinite(scalars)):
             raise ValueError(f"scalar settings must be finite, got {scalars}")
         if self.lambda_tv < 0 or self.lambda_sparse < 0:
             raise ValueError("regularization weights must be nonnegative")
-        if self.beta0 <= 0 or self.beta_max <= 0 or self.beta0 > self.beta_max:
-            raise ValueError("penalty schedule requires 0 < beta0 <= beta_max")
+        if not 0 < self.beta0 <= BETA_MAX:
+            raise ValueError(f"penalty schedule requires 0 < beta0 <= BETA_MAX ({BETA_MAX:g})")
         if self.beta_growth < 1.0:
             raise ValueError("beta_growth must be >= 1")
         if self.epsilon <= 0:
@@ -138,11 +140,13 @@ class SolverConfig:
             raise ValueError(f"weights must be TvWeights, got {self.weights!r}")
 
     def resolve_ranks(self, shape: tuple[int, int, int]) -> "SolverConfig":
+        """Fill in default ranks for ``shape``, then clamp both triples as :func:`hooi` does."""
         ranks_x = self.ranks_x or default_image_ranks(shape)
         ranks_b = self.ranks_b or default_stripe_ranks(shape)
         ranks_x.validate_for(shape)
         ranks_b.validate_for(shape)
-        return replace(self, ranks_x=ranks_x, ranks_b=ranks_b)
+        return replace(self, ranks_x=feasible_ranks(ranks_x, shape),
+                       ranks_b=feasible_ranks(ranks_b, shape))
 
 
 @dataclass
@@ -307,7 +311,7 @@ def update_multipliers(
     dual_grad = dz.g - state.f.g
     dual_grad *= state.beta
     dual_grad += state.dual_grad.g
-    beta = min(state.beta * cfg.beta_growth, cfg.beta_max)
+    beta = min(state.beta * cfg.beta_growth, BETA_MAX)
     return dual_x, GradientStack(dual_grad), beta
 
 

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,16 @@ def test_every_traced_name_resolves(monkeypatch):
     for module_name, attr, _ in tracing.WRAPPED:
         module = importlib.import_module(f"hsirestore.{module_name}")
         assert callable(getattr(module, attr, None)), f"hsirestore.{module_name}.{attr}"
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    mpsnr, converged, p_values = capsys.readouterr().out.split(" ", 2)
+    assert math.isfinite(float(mpsnr))
+    assert converged in ("True", "False")
+    assert p_values.startswith("(")
 
 
 def run_probe(probe: str, *args: str) -> subprocess.CompletedProcess:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hsirestore.cli import main
-from hsirestore.fileio import read_cube, write_cube
+from hsirestore.fileio import parse_solver_config, read_cube, write_cube
 from hsirestore.gradient_fit import estimate_p
 from hsirestore.noise import case_spec
 from hsirestore.synthetic import low_rank_cube
@@ -95,6 +95,41 @@ class TestDenoise:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iter", "rel_change", "beta"]
         assert len(rows) >= 2
+
+    @pytest.mark.parametrize(
+        "shape, ranks_x",
+        [((64, 32, 1), "26,26,1"), ((16, 12, 1), "10,10,1"), ((1, 8, 4), "1,4,4")],
+    )
+    def test_config_records_the_ranks_solved_at(self, tmp_path, shape, ranks_x):
+        # the default image ranks (51,26,1), (13,10,1) and (1,6,4) are not
+        # feasible triples; the solve fits at their clamped values
+        noisy = tmp_path / "noisy.cube"
+        write_cube(noisy, np.random.default_rng(3).random(shape))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("p_override=1,1,1\nmax_iter=5\n")
+        out = tmp_path / "den"
+        assert main(["denoise", "--in", str(noisy), "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+        written = parse_solver_config((out / "config.txt").read_text(encoding="utf-8"))
+        assert ",".join(map(str, written.ranks_x.as_tuple())) == ranks_x
+        assert written == written.resolve_ranks(shape)
+
+    def test_written_config_repeats_the_run(self, tmp_path, truth_file):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--truth", str(truth_file), "--case", "2", "--seed", "6",
+                     "--out-dir", str(sim)]) == 0
+        # auto ranks and a fitted p, so config.txt is the only record of both
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("max_iter=10\n")
+        runs = []
+        for name, config in (("first", cfg), ("again", tmp_path / "first" / "config.txt")):
+            out = tmp_path / name
+            assert main(["denoise", "--in", str(sim / "noisy.cube"), "--config", str(config),
+                         "--out-dir", str(out)]) == 0
+            runs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert runs[0].keys() == runs[1].keys()
+        for name in runs[0]:
+            assert runs[0][name] == runs[1][name], name
 
     def test_bad_config_exits_1(self, tmp_path, truth_file, capsys):
         cfg = tmp_path / "bad.txt"

@@ -81,6 +81,21 @@ class TestCubeRoundTrip:
         with pytest.raises(CubeFileError, match="finite"):
             write_cube(tmp_path / "g.cube", cube)
 
+    @pytest.mark.parametrize("value", [1e40, -1e40, 2.0 * float(np.finfo(np.float32).max)])
+    def test_values_beyond_float32_rejected_on_write(self, tmp_path, value):
+        # they would be written as inf, which read_cube then refuses
+        path = tmp_path / "o.cube"
+        with pytest.raises(CubeFileError, match="finite"):
+            write_cube(path, np.full((2, 2, 2), value))
+        assert not path.exists()
+
+    def test_largest_float32_value_written(self, tmp_path):
+        cube = np.full((2, 2, 2), float(np.finfo(np.float32).max))
+        cube[0, 0, 0] = -cube[0, 0, 0]
+        path = tmp_path / "m.cube"
+        write_cube(path, cube)
+        assert read_cube(path).tobytes() == cube.tobytes()
+
     def test_non_finite_payload_rejected_on_read(self, tmp_path):
         path = tmp_path / "h.cube"
         write_cube(path, f32_cube(shape=(1, 1, 1)))
@@ -195,8 +210,8 @@ class TestManifest:
         # off-default values in every field, so a dropped or swapped key shows
         spec = case_spec(
             case_id, seed=2**40 + case_id, gaussian_variance=(0.1 / 3, 0.2 / 3),
-            stripe_amplitude=1 / 7, deadline_band_fraction=0.3, deadline_count=(2, 5),
-            deadline_width=(0, 4),
+            impulse_ratio=(0.1 / 7, 0.3 / 7), stripe_coverage=(0.2 / 3, 0.4 / 3),
+            stripe_amplitude=1 / 7,
         )
         path = tmp_path / "manifest.txt"
         write_manifest(path, spec)

@@ -5,6 +5,8 @@ import pytest
 
 from hsirestore import noise
 from hsirestore.noise import (
+    DEADLINE_COUNT,
+    DEADLINE_WIDTH,
     IMPULSE_BLOCK_ENTRIES,
     NoiseSpec,
     _stripe_field,
@@ -32,7 +34,7 @@ def np_where_composition(truth, spec, comps):
     stripe_field = _stripe_field(
         truth.shape, spec.stripe_kind, spec.stripe_coverage, spec.stripe_amplitude, rng
     )
-    dead = deadline_mask(truth.shape, spec, rng)
+    dead = deadline_mask(truth.shape, rng)
     ratio_per_band = rng.uniform(*spec.impulse_ratio, size=p)
     imp_mask = rng.random(truth.shape) < ratio_per_band
     imp_values = (rng.random(truth.shape) < 0.5).astype(np.float64)
@@ -105,25 +107,42 @@ class TestImpulsePerturbation:
 
 
 class TestDeadlineMask:
-    def base_spec(self, **overrides):
-        return case_spec(1, seed=0, **overrides)
-
     def test_zero_band_fraction_marks_nothing(self):
-        spec = self.base_spec(deadline_band_fraction=0.0)
-        assert not deadline_mask((8, 8, 4), spec, np.random.default_rng(11)).any()
+        # a third of one band rounds to zero dead bands
+        assert not deadline_mask((8, 8, 1), np.random.default_rng(11)).any()
 
     def test_single_deadline_marks_full_columns(self):
-        spec = self.base_spec(
-            deadline_band_fraction=0.25, deadline_count=(1, 1), deadline_width=(2, 2)
-        )
-        mask = deadline_mask((10, 12, 4), spec, np.random.default_rng(12))
+        # a third of four bands rounds to one dead band
+        mask = deadline_mask((10, 12, 4), np.random.default_rng(12))
         dead_bands = [b for b in range(4) if mask[:, :, b].any()]
         assert len(dead_bands) == 1
-        assert mask[:, :, dead_bands[0]].sum() == 2 * 10
+        dead_cols = mask[:, :, dead_bands[0]].any(axis=0)
+        assert mask[:, :, dead_bands[0]].sum() == dead_cols.sum() * 10
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 9, 16])
+    def test_default_ranges(self, p):
+        # round(p/3) dead bands, each with 1-3 runs of 1-3 whole columns; the
+        # runs may overlap or touch, so a band has 1-9 dead columns in 1-3
+        # separate stretches
+        assert (DEADLINE_COUNT, DEADLINE_WIDTH) == ((1, 3), (1, 3))
+        dead_counts = []
+        for seed in range(40):
+            mask = deadline_mask((5, 40, p), np.random.default_rng(seed))
+            cols = mask.any(axis=0)
+            assert np.array_equal(mask, np.broadcast_to(cols, mask.shape))
+            dead_bands = np.flatnonzero(cols.any(axis=0))
+            assert dead_bands.size == round(p / 3)
+            for band in dead_bands:
+                stretches = np.count_nonzero(np.diff(cols[:, band].astype(int)) == 1)
+                stretches += int(cols[0, band])
+                assert 1 <= stretches <= 3
+                dead_counts.append(int(cols[:, band].sum()))
+        assert set(dead_counts) <= set(range(1, 10))
+        if dead_counts:
+            assert min(dead_counts) == 1 and max(dead_counts) >= 6
 
     def test_dead_columns_identical_across_rows(self):
-        spec = self.base_spec(deadline_band_fraction=0.5)
-        mask = deadline_mask((16, 16, 6), spec, np.random.default_rng(14))
+        mask = deadline_mask((16, 16, 6), np.random.default_rng(14))
         for b in range(6):
             cols = mask[:, :, b].any(axis=0)
             for j in np.where(cols)[0]:
@@ -266,14 +285,7 @@ class TestNoiseSpecValidation:
             {"stripe_amplitude": float("nan")},
             {"stripe_amplitude": float("inf")},
             {"stripe_amplitude": -0.5},
-            {"deadline_count": (3, 1)},
-            {"deadline_count": (-1, 2)},
-            {"deadline_width": (2, 1)},
-            {"deadline_width": (-1, 1)},
             {"gaussian_variance": (0.1, float("inf"))},
-            {"deadline_count": (1.5, 2.5)},
-            {"deadline_count": (1, 2.0)},
-            {"deadline_width": (True, 2)},
         ],
         ids=lambda o: ",".join(f"{k}={v}".replace(" ", "") for k, v in o.items()),
     )
@@ -282,17 +294,24 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError, match=field):
             case_spec(2, seed=0, **overrides)
 
-    def test_numpy_integer_deadline_ranges_accepted(self):
-        spec = case_spec(2, seed=0, deadline_count=(np.int64(1), np.int64(2)))
-        assert spec.deadline_count == (1, 2)
-
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="seed"):
             case_spec(2, seed=seed)
 
     def test_zero_amplitude_and_empty_deadline_ranges_accepted(self):
-        spec = case_spec(2, seed=0, stripe_amplitude=0.0, deadline_count=(0, 0))
-        _, comps = simulate_case(np.full((8, 8, 4), 0.5), spec)
+        # one band draws no dead lines, and a zero amplitude draws zero stripes
+        spec = case_spec(2, seed=0, stripe_amplitude=0.0)
+        _, comps = simulate_case(np.full((8, 8, 1), 0.5), spec)
         assert not comps["deadline_mask"].any()
         assert not comps["stripe_field"].any()
+
+    @pytest.mark.parametrize("case_id", [2.0, np.float64(2.0), "2", None])
+    def test_non_integer_case_rejected(self, case_id):
+        with pytest.raises(ValueError, match="case_id"):
+            case_spec(case_id, seed=0)
+
+    def test_numpy_integer_case_stored_as_int(self):
+        spec = case_spec(np.int64(2), seed=0)
+        assert type(spec.case_id) is int
+        assert spec == case_spec(2, seed=0)

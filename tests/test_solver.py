@@ -6,6 +6,7 @@ from hsirestore.metrics import evaluate
 from hsirestore.noise import _stripe_field, case_spec, simulate_case
 from hsirestore.priors import GradientStack, TvWeights, diff_adjoint, diff_forward, soft_threshold
 from hsirestore.solver import (
+    BETA_MAX,
     SolverConfig,
     SolverState,
     default_image_ranks,
@@ -268,10 +269,10 @@ class TestUpdateMultipliers:
 
     def test_beta_capped_at_max(self):
         shape = (3, 3, 3)
-        state = make_state(shape, beta=1e6, seed=22)
+        state = make_state(shape, beta=BETA_MAX, seed=22)
         cfg = small_cfg()
         _, _, beta = update_multipliers(state, cfg, diff_forward(state.z, cfg.weights))
-        assert beta == 1e6
+        assert beta == BETA_MAX
 
     def test_random_mismatch_arithmetic(self):
         shape = (4, 3, 3)
@@ -551,11 +552,26 @@ class TestConfig:
         # stripe ranks are clamped to a feasible multilinear triple
         assert default_stripe_ranks((48, 48, 16)).as_tuple() == (1, 8, 8)
 
+    def test_resolved_ranks_are_the_feasible_ranks_solved_at(self):
+        # denoise-64's default triples are feasible; case2-48's stripe ranks
+        # (1, 24, 16) are not, and hooi fits them at (1, 16, 16)
+        cfg = SolverConfig().resolve_ranks((64, 64, 32))
+        assert (cfg.ranks_x.as_tuple(), cfg.ranks_b.as_tuple()) == ((51, 51, 10), (1, 16, 16))
+        cfg = SolverConfig(ranks_x=TuckerRanks(8, 8, 5), ranks_b=TuckerRanks(1, 24, 16))
+        cfg = cfg.resolve_ranks((48, 48, 16))
+        assert (cfg.ranks_x.as_tuple(), cfg.ranks_b.as_tuple()) == ((8, 8, 5), (1, 16, 16))
+
+    def test_ranks_above_the_shape_rejected_by_resolve(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            SolverConfig(ranks_x=TuckerRanks(9, 4, 2)).resolve_ranks((8, 8, 4))
+
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(lambda_tv=-1.0)
         with pytest.raises(ValueError):
-            SolverConfig(beta0=2.0, beta_max=1.0)
+            SolverConfig(beta0=2.0 * BETA_MAX)
+        with pytest.raises(ValueError, match="beta0"):
+            SolverConfig(beta0=0.0)
         with pytest.raises(ValueError):
             SolverConfig(epsilon=0.0)
         with pytest.raises(ValueError):
