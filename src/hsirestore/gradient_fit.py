@@ -2,9 +2,11 @@
 
 The gradients of a clean cube are modeled as hyper-Laplacian,
 ``density(x) ~ exp(-k * |x|**p)``, while the observed gradients carry extra
-Gaussian noise.  Per direction we (1) estimate the noise scale robustly from
-the observed difference field, (2) build a normalized discrete histogram of
-the observed gradients, and (3) search (k, p) so that the model histogram
+Gaussian noise.  :func:`estimate_p` holds one difference field at a time:
+per direction it (1) writes the unit-weight circular difference of the cube
+into one reused buffer, (2) builds a normalized discrete histogram of it,
+(3) estimates the noise scale robustly from it by two medians taken in place,
+which overwrites it, and (4) searches (k, p) so that the model histogram
 convolved with the noise histogram matches the observed one in least squares.
 A small Nelder-Mead simplex does the search; the exponents feed the shrinkage
 step of the solver.
@@ -18,7 +20,9 @@ Conventions used throughout:
   samples it is given.  :func:`estimate_p` bridges the two.
 * Every histogram is a mass vector on :data:`HIST_EDGES`: an odd number of
   uniform bins symmetric about zero (so zero is a bin center), with
-  out-of-range samples clamped into the edge bins.
+  out-of-range samples clamped into the edge bins.  Samples are clipped and
+  counted in blocks of :data:`HIST_BLOCK_ENTRIES`, so no clipped copy of a
+  whole field is made; the counts are integers, so their block sums are exact.
 """
 
 from __future__ import annotations
@@ -29,13 +33,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .priors import TvWeights, diff_forward
+# the benchmark tracer wraps diff_forward in this module's namespace, so the
+# name stays importable from here
+from .priors import _circular_diff, diff_forward
 from .tensor_ops import validate_cube
 
 HIST_BINS = 255
 HIST_HALF_RANGE = 1.0
 HIST_EDGES = np.linspace(-HIST_HALF_RANGE, HIST_HALF_RANGE, HIST_BINS + 1)
 HIST_CENTERS = 0.5 * (HIST_EDGES[:-1] + HIST_EDGES[1:])
+# samples clipped and counted per block; np.histogram sorts its input in
+# blocks of this size for explicit edges, so each block is one sort
+HIST_BLOCK_ENTRIES = 65536
 
 FIT_K_BOUNDS = (0.5, 500.0)
 FIT_P_BOUNDS = (0.1, 1.0)
@@ -94,6 +103,15 @@ def _median_in_place(buf: np.ndarray) -> float:
     return float((buf[:k].max() + hi) / 2.0)
 
 
+def _mad_sigma_in_place(buf: np.ndarray) -> float:
+    """:func:`estimate_noise_sigma` of a flat, finite, non-empty float64 buffer; overwrites ``buf``."""
+    center = _median_in_place(buf)
+    np.subtract(buf, center, out=buf)
+    np.abs(buf, out=buf)
+    mad = _median_in_place(buf)
+    return float(mad / _MAD_TO_SIGMA / np.sqrt(2.0))
+
+
 def estimate_noise_sigma(g: np.ndarray) -> float:
     """Robust std estimate of the image-domain Gaussian noise from a difference field.
 
@@ -103,21 +121,19 @@ def estimate_noise_sigma(g: np.ndarray) -> float:
     the median absolute deviation ignores.  ``g`` must be finite and is left
     unchanged.
 
-    Both medians are taken in one private copy of ``g``, each by one
-    selection at a single k.  ``np.median`` gives the same value but selects
-    at two k (plus one more for its NaN check), which at 4M entries is about
-    four times slower; this is the noise estimate of every :func:`estimate_p`.
+    This public function takes both medians in one private copy of ``g``,
+    each by one selection at a single k.  ``np.median`` gives the same value
+    but selects at two k (plus one more for its NaN check), which at 4M
+    entries is about four times slower.  :func:`estimate_p` skips the copy:
+    it calls the private helper behind this function, which works in place
+    on the difference field it has just histogrammed.
     """
     buf = np.array(g, dtype=np.float64, order="C").reshape(-1)
     if buf.size == 0:
         raise ValueError("cannot estimate noise from an empty array")
     if not np.isfinite(buf).all():
         raise ValueError("cannot estimate noise from non-finite values")
-    center = _median_in_place(buf)
-    np.subtract(buf, center, out=buf)
-    np.abs(buf, out=buf)
-    mad = _median_in_place(buf)
-    return float(mad / _MAD_TO_SIGMA / np.sqrt(2.0))
+    return _mad_sigma_in_place(buf)
 
 
 def _polynomial(x: float, coefs: Sequence[float], monic: bool) -> float:
@@ -150,12 +166,23 @@ def _erf(x: float) -> float:
 
 
 def histogram(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Normalized masses of ``values`` on :data:`HIST_EDGES`, tails clamped into the edge bins."""
+    """Normalized masses of ``values`` on :data:`HIST_EDGES`, tails clamped into the edge bins.
+
+    ``values`` must be finite and non-empty.  They are checked, clipped and
+    counted in blocks of :data:`HIST_BLOCK_ENTRIES`, into one reused buffer.
+    """
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("cannot build a histogram from no samples")
-    clipped = np.clip(values, -HIST_HALF_RANGE, HIST_HALF_RANGE)
-    counts, _ = np.histogram(clipped, bins=HIST_EDGES)
+    counts = np.zeros(HIST_BINS, dtype=np.int64)
+    clipped = np.empty(min(values.size, HIST_BLOCK_ENTRIES))
+    for start in range(0, values.size, HIST_BLOCK_ENTRIES):
+        block = values[start : start + HIST_BLOCK_ENTRIES]
+        if not np.isfinite(block).all():
+            raise ValueError("cannot build a histogram from non-finite values")
+        part = clipped[: block.size]
+        np.clip(block, -HIST_HALF_RANGE, HIST_HALF_RANGE, out=part)
+        counts += np.histogram(part, bins=HIST_EDGES)[0]
     return counts / counts.sum()
 
 
@@ -260,18 +287,8 @@ def nelder_mead(
     return sim[i_best].copy(), fvals[i_best]
 
 
-def fit_direction(y_gradients: np.ndarray, sigma: float) -> tuple[float, float, float]:
-    """Fit (k, p) so the noise-convolved model matches the observed gradient histogram.
-
-    ``sigma`` is the std of the Gaussian noise carried by the samples
-    themselves.  The observed histogram is symmetrized before fitting, making
-    the result invariant to a global sign flip of the data.  Returns
-    ``(k, p, residual)`` with the residual equal to the squared mismatch at
-    the returned point.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    observed = histogram(y_gradients)
+def _fit_masses(observed: np.ndarray, sigma: float) -> tuple[float, float, float]:
+    """Fit (k, p) to the observed masses under Gaussian noise of std ``sigma``; see :func:`fit_direction`."""
     observed = 0.5 * (observed + observed[::-1])
     noise = gaussian_histogram(sigma)
 
@@ -288,14 +305,36 @@ def fit_direction(y_gradients: np.ndarray, sigma: float) -> tuple[float, float, 
     return float(k), float(p), float(residual)
 
 
+def fit_direction(y_gradients: np.ndarray, sigma: float) -> tuple[float, float, float]:
+    """Fit (k, p) so the noise-convolved model matches the observed gradient histogram.
+
+    ``sigma`` is the std of the Gaussian noise carried by the samples
+    themselves.  The observed histogram is symmetrized before fitting, making
+    the result invariant to a global sign flip of the data.  Returns
+    ``(k, p, residual)`` with the residual equal to the squared mismatch at
+    the returned point.
+    """
+    if sigma < 0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    return _fit_masses(histogram(y_gradients), sigma)
+
+
 def estimate_p(y: np.ndarray) -> HyperLaplacianFit:
-    """Fit the three direction exponents from the unweighted circular differences of ``y``."""
+    """Fit the three direction exponents from the unweighted circular differences of ``y``.
+
+    One difference field is held at a time, in one buffer of ``y``'s shape:
+    its histogram is taken first, then its noise scale, which overwrites it.
+    """
     y = validate_cube(y, "y")
     if min(y.shape) < 2:
         raise ValueError(f"every mode must have size >= 2, got shape {y.shape}")
+    field = np.empty(y.shape)
+    flat = field.reshape(-1)
     fits = []
-    for field in diff_forward(y, TvWeights(1.0, 1.0, 1.0)).g:
-        sigma = estimate_noise_sigma(field)
-        k, p, residual = fit_direction(field.ravel(), sigma * np.sqrt(2.0))
+    for axis in range(3):
+        _circular_diff(y, axis, 1, 1.0, field)
+        observed = histogram(flat)
+        sigma = _mad_sigma_in_place(flat)
+        k, p, residual = _fit_masses(observed, sigma * np.sqrt(2.0))
         fits.append((p, sigma, k, residual))
     return HyperLaplacianFit(*zip(*fits))

@@ -23,6 +23,9 @@ SSIM_K2 = 0.03
 # spectral angles are taken over blocks of whole rows holding about this many
 # entries, so their temporaries stay small instead of cube-sized
 SAM_BLOCK_ENTRIES = 32768
+# PSNR and SSIM read bands from band-major copies of blocks of whole bands
+# holding about this many entries, not from band-major copies of both cubes
+PLANE_BLOCK_ENTRIES = 2**19
 
 
 @dataclass(frozen=True)
@@ -157,25 +160,37 @@ def sam(ref: np.ndarray, test: np.ndarray) -> float | np.ndarray:
 def evaluate(ref: np.ndarray, test: np.ndarray) -> MetricsReport:
     """Assemble per-band PSNR/SSIM, the pixel-wise spectral-angle summary, and their means.
 
-    PSNR and SSIM are taken at a peak of 1.  The spectral angles are taken
-    over blocks of whole rows of about :data:`SAM_BLOCK_ENTRIES` entries,
-    which gives the same map as one :func:`sam` call on the whole cube.
+    PSNR and SSIM are taken at a peak of 1, band by band, on contiguous
+    band-major copies of blocks of whole bands holding about
+    :data:`PLANE_BLOCK_ENTRIES` entries, made into two reused buffers.  The
+    spectral angles are taken over blocks of whole rows of about
+    :data:`SAM_BLOCK_ENTRIES` entries, which gives the same map as one
+    :func:`sam` call on the whole cube.
     """
     ref = validate_cube(ref, "ref")
     test = validate_cube(test, "test")
     if ref.shape != test.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
-    # band-major copies make every band a contiguous plane
-    ref_planes = np.ascontiguousarray(ref.transpose(2, 0, 1))
-    test_planes = np.ascontiguousarray(test.transpose(2, 0, 1))
-    psnr_pb = np.array([psnr(r, t) for r, t in zip(ref_planes, test_planes)])
-    ssim_pb = np.array([ssim(r, t) for r, t in zip(ref_planes, test_planes)])
+    h, w, bands = ref.shape
+    block = min(bands, max(1, PLANE_BLOCK_ENTRIES // (h * w)))
+    ref_planes = np.empty((block, h, w))
+    test_planes = np.empty((block, h, w))
+    psnr_pb, ssim_pb = [], []
+    for b in range(0, bands, block):
+        n = min(block, bands - b)
+        # each plane of a block is C-contiguous, as a band of a whole-cube
+        # band-major copy is, so every band sums in the same order
+        np.copyto(ref_planes[:n], ref[:, :, b : b + n].transpose(2, 0, 1))
+        np.copyto(test_planes[:n], test[:, :, b : b + n].transpose(2, 0, 1))
+        psnr_pb += [psnr(r, t) for r, t in zip(ref_planes[:n], test_planes[:n])]
+        ssim_pb += [ssim(r, t) for r, t in zip(ref_planes[:n], test_planes[:n])]
     del ref_planes, test_planes
+    psnr_pb, ssim_pb = np.array(psnr_pb), np.array(ssim_pb)
     # each pixel's angle reduces along the contiguous last axis only, so the
     # row blocks give the map of one whole-cube call bit for bit
-    rows = max(1, SAM_BLOCK_ENTRIES // (ref.shape[1] * ref.shape[2]))
+    rows = max(1, SAM_BLOCK_ENTRIES // (w * bands))
     sam_map = np.concatenate(
-        [sam(ref[i : i + rows], test[i : i + rows]) for i in range(0, ref.shape[0], rows)]
+        [sam(ref[i : i + rows], test[i : i + rows]) for i in range(0, h, rows)]
     )
     return MetricsReport(
         psnr_per_band=psnr_pb,

@@ -198,6 +198,29 @@ def sample_hyper_laplacian(
     return signs * mags
 
 
+def estimate_p_stack_oracle(y: np.ndarray):
+    """The exponent fit from one whole ``(3, h, w, p)`` difference stack.
+
+    Each field's noise scale comes from a copy of it and its histogram from
+    the field itself, by the public calls ``diff_forward`` ->
+    ``estimate_noise_sigma`` -> ``fit_direction``.
+    """
+    from hsirestore.gradient_fit import (
+        HyperLaplacianFit,
+        estimate_noise_sigma,
+        fit_direction,
+    )
+    from hsirestore.priors import TvWeights, diff_forward
+
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    fits = []
+    for field in diff_forward(y, TvWeights(1.0, 1.0, 1.0)).g:
+        sigma = estimate_noise_sigma(field)
+        k, p, residual = fit_direction(field.ravel(), sigma * np.sqrt(2.0))
+        fits.append((p, sigma, k, residual))
+    return HyperLaplacianFit(*zip(*fits))
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

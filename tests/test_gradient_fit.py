@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hsirestore.gradient_fit import (
     FIT_P_BOUNDS,
     FIT_START,
     HIST_BINS,
+    HIST_BLOCK_ENTRIES,
     HIST_CENTERS,
     HIST_EDGES,
     _erf,
@@ -24,7 +26,7 @@ from hsirestore.gradient_fit import (
     nelder_mead,
 )
 from hsirestore.priors import TvWeights, diff_forward
-from oracles import convolve_masses_oracle, sample_hyper_laplacian
+from oracles import convolve_masses_oracle, estimate_p_stack_oracle, sample_hyper_laplacian
 
 
 def np_median_sigma(g):
@@ -133,6 +135,36 @@ class TestHistogram:
         expected = np.zeros(HIST_BINS)
         expected[[0, HIST_BINS // 2, -1]] = 1 / 3
         np.testing.assert_allclose(h, expected)
+
+    @pytest.mark.parametrize(
+        "size",
+        [1, HIST_BLOCK_ENTRIES - 1, HIST_BLOCK_ENTRIES, HIST_BLOCK_ENTRIES + 1,
+         3 * HIST_BLOCK_ENTRIES + 5],
+    )
+    def test_blocks_equal_one_histogram_of_the_clipped_samples(self, size):
+        rng = np.random.default_rng(size)
+        values = rng.uniform(-1.2, 1.2, size)
+        # samples on every edge, tails at +-2 and signed zeros, at random places
+        # and at both ends of the array and of every block
+        special = np.concatenate([HIST_EDGES, [-2.0, 2.0, -0.0, 0.0]])
+        ends = [i for b in range(0, size, HIST_BLOCK_ENTRIES) for i in (b, b - 1)]
+        places = np.concatenate([rng.integers(0, size, 4 * special.size), ends, [size - 1]])
+        values[places] = rng.choice(special, places.size)
+        counts, _ = np.histogram(np.clip(values, -1.0, 1.0), bins=HIST_EDGES)
+        assert histogram(values).tobytes() == (counts / counts.sum()).tobytes()
+
+    @pytest.mark.parametrize(
+        "values", [[np.nan, 0.1, 0.2], [np.inf, 0.1], [-np.inf], [np.nan]], ids=repr
+    )
+    def test_non_finite_samples_rejected(self, values):
+        with pytest.raises(ValueError, match="non-finite"):
+            histogram(values)
+
+    def test_non_finite_sample_in_a_later_block_rejected(self):
+        values = np.zeros(3 * HIST_BLOCK_ENTRIES + 5)
+        values[2 * HIST_BLOCK_ENTRIES + 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            histogram(values)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)
@@ -299,6 +331,10 @@ class TestFitDirection:
         with pytest.raises(ValueError):
             fit_direction(np.zeros(10) + 0.1, -1.0)
 
+    def test_non_finite_samples_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_direction(np.full(10, np.nan), 0.1)
+
 
 class TestEstimateP:
     def piecewise_cube(self, seed=7, shape=(24, 24, 12)):
@@ -340,6 +376,29 @@ class TestEstimateP:
     def test_too_small_cube_rejected(self):
         with pytest.raises(ValueError):
             estimate_p(np.zeros((1, 4, 4)))
+
+    # 70x40x30 holds more than one histogram block
+    @pytest.mark.parametrize("shape", [(5, 7, 3), (33, 17, 9), (70, 40, 30)])
+    @pytest.mark.parametrize("layout", ["C", "F", "float32"])
+    def test_equals_the_whole_stack_fit(self, shape, layout):
+        rng = np.random.default_rng(sum(shape))
+        cube = self.piecewise_cube(seed=shape[0], shape=shape) + rng.normal(0, 0.05, shape)
+        cube = {"C": cube, "F": np.asfortranarray(cube), "float32": cube.astype(np.float32)}[layout]
+        assert repr(estimate_p(cube)) == repr(estimate_p_stack_oracle(cube))
+
+    def test_peak_memory_is_one_field_plus_histogram_blocks(self):
+        # one difference field of y's shape, plus the histogram's clipped block
+        # and the sorted copy np.histogram makes of it; the whole (3, h, w, p)
+        # stack and a copy for the noise scale would hold three cubes more
+        rng = np.random.default_rng(13)
+        y = self.piecewise_cube(seed=14, shape=(128, 128, 32)) + rng.normal(0, 0.05, (128, 128, 32))
+        tracemalloc.start()
+        try:
+            estimate_p(y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= y.nbytes + 3 * HIST_BLOCK_ENTRIES * y.itemsize
 
     def test_planted_direction_exponents_recovered_via_fit(self):
         # Per-direction plants with the true noise scale supplied; the

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,38 @@ class TestEvaluate:
         assert report.msam == float(np.mean(angles))
         assert report.sam_min == float(np.min(angles))
         assert report.sam_max == float(np.max(angles))
+
+    @pytest.mark.parametrize("bands", [1, 3, 4, 5])
+    def test_band_blocks_equal_direct_band_values(self, monkeypatch, bands):
+        # blocks of 4 bands: one short block, one full, one full and one band
+        monkeypatch.setattr(hsirestore.metrics, "PLANE_BLOCK_ENTRIES", 4 * 16 * 13)
+        rng = np.random.default_rng(16 + bands)
+        ref = rng.random((16, 13, bands))
+        test = np.clip(ref + rng.normal(0, 0.1, ref.shape), 0, 1)
+        report = evaluate(ref, test)
+        assert report.psnr_per_band.shape == report.ssim_per_band.shape == (bands,)
+        for b in range(bands):
+            assert report.psnr_per_band[b] == psnr(ref[:, :, b], test[:, :, b])
+            assert report.ssim_per_band[b] == ssim(ref[:, :, b], test[:, :, b])
+        assert report.mpsnr == float(np.mean(report.psnr_per_band))
+        assert report.mssim == float(np.mean(report.ssim_per_band))
+
+    def test_peak_memory_is_two_plane_blocks_plus_band_scratch(self):
+        # 128x128x64 makes two blocks of 32 bands; band-major copies of both
+        # whole cubes would hold two cubes.  The slack covers the temporaries
+        # of one band's SSIM and of one row block's spectral angles.
+        rng = np.random.default_rng(17)
+        ref = rng.random((128, 128, 64))
+        test = np.clip(ref + rng.normal(0, 0.1, ref.shape), 0, 1)
+        block_bands = hsirestore.metrics.PLANE_BLOCK_ENTRIES // (128 * 128)
+        assert block_bands < 64
+        tracemalloc.start()
+        try:
+            evaluate(ref, test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * block_bands * 128 * 128 * ref.itemsize + 2**21
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
