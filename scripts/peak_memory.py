@@ -39,11 +39,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--size", type=int, nargs=3, default=(256, 256, 64),
                         metavar=("H", "W", "P"))
-    parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
     truth = low_rank_cube(tuple(args.size), TuckerRanks(5, 5, 3), seed=7)
-    spec = case_spec(5, seed=args.seed, gaussian_variance=(0.1, 0.1), impulse_ratio=(0.1, 0.1))
+    spec = case_spec(5, seed=7, gaussian_variance=(0.1, 0.1), impulse_ratio=(0.1, 0.1))
     peaks = {}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "noisy.cube"

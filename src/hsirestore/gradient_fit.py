@@ -20,9 +20,8 @@ Conventions used throughout:
   samples it is given.  :func:`estimate_p` bridges the two.
 * Every histogram is a mass vector on :data:`HIST_EDGES`: an odd number of
   uniform bins symmetric about zero (so zero is a bin center), with
-  out-of-range samples clamped into the edge bins.  Samples are clipped and
-  counted in blocks of :data:`HIST_BLOCK_ENTRIES`, so no clipped copy of a
-  whole field is made; the counts are integers, so their block sums are exact.
+  out-of-range samples clamped into the edge bins.  The clamp comes from
+  widening the outer edges, so no clipped copy of a whole field is made.
 """
 
 from __future__ import annotations
@@ -42,9 +41,10 @@ HIST_BINS = 255
 HIST_HALF_RANGE = 1.0
 HIST_EDGES = np.linspace(-HIST_HALF_RANGE, HIST_HALF_RANGE, HIST_BINS + 1)
 HIST_CENTERS = 0.5 * (HIST_EDGES[:-1] + HIST_EDGES[1:])
-# samples clipped and counted per block; np.histogram sorts its input in
-# blocks of this size for explicit edges, so each block is one sort
-HIST_BLOCK_ENTRIES = 65536
+# HIST_EDGES with the outer edges widened to the largest finite floats:
+# np.histogram then counts a tail sample in the edge bin its clip to
+# +-HIST_HALF_RANGE would fall in, and drops only non-finite samples
+_CLAMP_EDGES = np.r_[-np.finfo(float).max, HIST_EDGES[1:-1], np.finfo(float).max]
 
 FIT_K_BOUNDS = (0.5, 500.0)
 FIT_P_BOUNDS = (0.1, 1.0)
@@ -168,21 +168,16 @@ def _erf(x: float) -> float:
 def histogram(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Normalized masses of ``values`` on :data:`HIST_EDGES`, tails clamped into the edge bins.
 
-    ``values`` must be finite and non-empty.  They are checked, clipped and
-    counted in blocks of :data:`HIST_BLOCK_ENTRIES`, into one reused buffer.
+    ``values`` must be finite and non-empty.  No clipped copy is made:
+    np.histogram counts against :data:`_CLAMP_EDGES`, sorting blocks of
+    65536 samples at a time, and a non-finite sample shows as a short count.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("cannot build a histogram from no samples")
-    counts = np.zeros(HIST_BINS, dtype=np.int64)
-    clipped = np.empty(min(values.size, HIST_BLOCK_ENTRIES))
-    for start in range(0, values.size, HIST_BLOCK_ENTRIES):
-        block = values[start : start + HIST_BLOCK_ENTRIES]
-        if not np.isfinite(block).all():
-            raise ValueError("cannot build a histogram from non-finite values")
-        part = clipped[: block.size]
-        np.clip(block, -HIST_HALF_RANGE, HIST_HALF_RANGE, out=part)
-        counts += np.histogram(part, bins=HIST_EDGES)[0]
+    counts, _ = np.histogram(values, bins=_CLAMP_EDGES)
+    if counts.sum() != values.size:
+        raise ValueError("cannot build a histogram from non-finite values")
     return counts / counts.sum()
 
 

@@ -12,7 +12,6 @@ from hsirestore.gradient_fit import (
     FIT_P_BOUNDS,
     FIT_START,
     HIST_BINS,
-    HIST_BLOCK_ENTRIES,
     HIST_CENTERS,
     HIST_EDGES,
     _erf,
@@ -27,6 +26,9 @@ from hsirestore.gradient_fit import (
 )
 from hsirestore.priors import TvWeights, diff_forward
 from oracles import convolve_masses_oracle, estimate_p_stack_oracle, sample_hyper_laplacian
+
+# np.histogram sorts and counts its samples in blocks of this many entries
+NUMPY_HIST_BLOCK = 65536
 
 
 def np_median_sigma(g):
@@ -138,16 +140,18 @@ class TestHistogram:
 
     @pytest.mark.parametrize(
         "size",
-        [1, HIST_BLOCK_ENTRIES - 1, HIST_BLOCK_ENTRIES, HIST_BLOCK_ENTRIES + 1,
-         3 * HIST_BLOCK_ENTRIES + 5],
+        [1, NUMPY_HIST_BLOCK - 1, NUMPY_HIST_BLOCK, NUMPY_HIST_BLOCK + 1,
+         3 * NUMPY_HIST_BLOCK + 5],
     )
     def test_blocks_equal_one_histogram_of_the_clipped_samples(self, size):
         rng = np.random.default_rng(size)
         values = rng.uniform(-1.2, 1.2, size)
-        # samples on every edge, tails at +-2 and signed zeros, at random places
-        # and at both ends of the array and of every block
-        special = np.concatenate([HIST_EDGES, [-2.0, 2.0, -0.0, 0.0]])
-        ends = [i for b in range(0, size, HIST_BLOCK_ENTRIES) for i in (b, b - 1)]
+        # samples on every edge, tails at +-2 and at the largest finite floats
+        # and signed zeros, at random places and at both ends of the array and
+        # of every block
+        big = np.finfo(float).max
+        special = np.concatenate([HIST_EDGES, [-2.0, 2.0, -big, big, -0.0, 0.0]])
+        ends = [i for b in range(0, size, NUMPY_HIST_BLOCK) for i in (b, b - 1)]
         places = np.concatenate([rng.integers(0, size, 4 * special.size), ends, [size - 1]])
         values[places] = rng.choice(special, places.size)
         counts, _ = np.histogram(np.clip(values, -1.0, 1.0), bins=HIST_EDGES)
@@ -161,8 +165,8 @@ class TestHistogram:
             histogram(values)
 
     def test_non_finite_sample_in_a_later_block_rejected(self):
-        values = np.zeros(3 * HIST_BLOCK_ENTRIES + 5)
-        values[2 * HIST_BLOCK_ENTRIES + 3] = np.nan
+        values = np.zeros(3 * NUMPY_HIST_BLOCK + 5)
+        values[2 * NUMPY_HIST_BLOCK + 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             histogram(values)
 
@@ -387,8 +391,8 @@ class TestEstimateP:
         assert repr(estimate_p(cube)) == repr(estimate_p_stack_oracle(cube))
 
     def test_peak_memory_is_one_field_plus_histogram_blocks(self):
-        # one difference field of y's shape, plus the histogram's clipped block
-        # and the sorted copy np.histogram makes of it; the whole (3, h, w, p)
+        # one difference field of y's shape, plus the sorted block copy
+        # np.histogram makes and small scratch; the whole (3, h, w, p)
         # stack and a copy for the noise scale would hold three cubes more
         rng = np.random.default_rng(13)
         y = self.piecewise_cube(seed=14, shape=(128, 128, 32)) + rng.normal(0, 0.05, (128, 128, 32))
@@ -398,7 +402,7 @@ class TestEstimateP:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= y.nbytes + 3 * HIST_BLOCK_ENTRIES * y.itemsize
+        assert peak <= y.nbytes + 3 * NUMPY_HIST_BLOCK * y.itemsize
 
     def test_planted_direction_exponents_recovered_via_fit(self):
         # Per-direction plants with the true noise scale supplied; the
