@@ -36,15 +36,16 @@ def parse_args():
 def main() -> int:
     args = parse_args()
     truth = low_rank_cube(tuple(args.size), TuckerRanks(*args.truth_ranks), seed=args.seed)
-    h, w, p = truth.shape
+    p = truth.shape[2]
     cfg = SolverConfig(
         ranks_x=TuckerRanks(*args.ranks_x) if args.ranks_x else TuckerRanks(
             max(1, args.truth_ranks[0] + 3), max(1, args.truth_ranks[1] + 3),
             min(p, args.truth_ranks[2] + 2)),
-        ranks_b=TuckerRanks(*args.ranks_b) if args.ranks_b else TuckerRanks(1, w // 2, p),
+        ranks_b=TuckerRanks(*args.ranks_b) if args.ranks_b else None,
     )
-    print(f"truth {truth.shape}, solver ranks_x={cfg.ranks_x.as_tuple()}, "
-          f"ranks_b={cfg.ranks_b.as_tuple()}")
+    resolved = cfg.resolve_ranks(truth.shape)
+    print(f"truth {truth.shape}, solver ranks_x={resolved.ranks_x.as_tuple()}, "
+          f"ranks_b={resolved.ranks_b.as_tuple()}")
     header = f"{'case':>4} | {'noisy MPSNR':>11} {'MSSIM':>6} | {'clean MPSNR':>11} {'MSSIM':>6} {'MSAM':>6} | iters"
     print(header)
     print("-" * len(header))

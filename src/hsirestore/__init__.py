@@ -1,9 +1,9 @@
 """Mixed-noise removal and destriping for hyperspectral cubes.
 
-Double low-rank Tucker modeling (image and stripes), per-direction lp
-gradient priors with data-fitted exponents, and an alternating-direction
-solver, plus the seeded noise simulator and the evaluation metrics used to
-benchmark restorations.
+A low-rank Tucker image term, a column-constant zero-mean stripe term fitted
+in closed form, per-direction lp gradient priors with data-fitted exponents,
+and an alternating-direction solver, plus the seeded noise simulator and the
+evaluation metrics used to benchmark restorations.
 
 The package root exports the names of the library example in the README;
 everything else is imported from its submodule.

@@ -1,10 +1,13 @@
 """Alternating-direction solver for mixed denoising and destriping.
 
 The observed cube is modeled as ``y = x + s + b + n``: a multilinearly
-low-rank image ``x``, sparse noise ``s``, a separately modeled low-rank
-stripe component ``b``, and a Gaussian remainder ``n``.  The objective
-couples a data term, an lp penalty on the weighted gradients of the image,
-an l1 penalty on ``s``, and fixed Tucker ranks on both ``x`` and ``b``.
+low-rank image ``x``, sparse noise ``s``, a separately modeled stripe
+component ``b``, and a Gaussian remainder ``n``.  Stripes are constant along
+the height and zero-mean across the width in each band: ``b = 1_h (x) M``
+with a ``w x p`` profile ``M`` of rank at most ``ranks_b.r2``, a Tucker model
+whose mode-1 factor is fixed at ``1/sqrt(h)``.  The objective couples a data
+term, an lp penalty on the weighted gradients of the image, an l1 penalty on
+``s``, and fixed Tucker ranks on ``x``.
 
 Splitting variables ``z`` (a copy of the image constrained by the data term)
 and ``f`` (the gradient stack of ``z``) decouple the subproblems.  One outer
@@ -25,8 +28,9 @@ iteration performs, in order:
    with threshold ``lambda_tv / beta`` and the fitted exponents.  ``D(z)`` is
    formed once per iteration, right after the z-step, and shared by this
    step and the dual step.
-4. ``b``:  one warm HOOI sweep towards the Tucker fit of ``y - z - s`` at the
-   stripe ranks, started like ``x``.
+4. ``b``:  exact fit of the stripe model to ``y - z - s``: the mean over the
+   height, minus each band's mean across the width, cut to the profile rank
+   by an SVD (Eckart-Young) when that rank is below ``min(w, p)``.
 5. ``s``:  soft threshold of ``y - z - b`` at ``lambda_sparse``.
 6. dual ascent on both multipliers, then geometric growth of ``beta``, which
    stops at :data:`BETA_MAX`.
@@ -34,9 +38,9 @@ iteration performs, in order:
 Each update builds its result in arrays it allocates itself, in place and in
 the operation order of the plain expression it stands for (a regrouped sum
 would change the last bits).  It never writes into ``y`` or into the state's
-cubes; the one write to the state is that ``update_x`` and ``update_b`` store
-their new Tucker factors in ``state.x_factors`` and ``state.b_factors``, where
-the next iteration's sweep starts from them.
+cubes; the one write to the state is that ``update_x`` stores its new Tucker
+factors in ``state.x_factors``, where the next iteration's sweep starts from
+them.
 
 Iterations stop when the squared relative change of ``x`` drops below
 ``epsilon`` or after ``max_iter`` iterations; hitting the cap is reported in
@@ -75,19 +79,13 @@ def default_image_ranks(shape: tuple[int, int, int]) -> TuckerRanks:
     return TuckerRanks(max(1, round(0.8 * h)), max(1, round(0.8 * w)), min(10, p))
 
 
-def default_stripe_ranks(shape: tuple[int, int, int]) -> TuckerRanks:
-    """Stripes are constant along rows (mode-1 rank 1) and weakly correlated across bands."""
-    h, w, p = shape
-    raw = TuckerRanks(1, max(1, round(0.5 * w)), max(1, round(0.5 * p)))
-    return feasible_ranks(raw, shape)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """All scalars and structural choices of one solver run.
 
-    ``ranks_x``/``ranks_b`` default to :func:`default_image_ranks` /
-    :func:`default_stripe_ranks` for the input shape when left ``None``.
+    ``ranks_x`` defaults to :func:`default_image_ranks` for the input shape
+    when left ``None``.  ``ranks_b`` is ``(1, r, r)`` for a stripe profile of
+    rank at most ``r``; left ``None`` it is the full profile rank.
     ``p_override`` skips gradient-exponent estimation.  ``stripe_enabled=False``
     pins the stripe component at zero (ablation mode).
     """
@@ -136,13 +134,16 @@ class SolverConfig:
             ranks = getattr(self, name)
             if ranks is not None and not isinstance(ranks, TuckerRanks):
                 raise ValueError(f"{name} must be TuckerRanks or None, got {ranks!r}")
+        # stripes are constant along the height; a larger mode-1 rank would be ignored
+        if self.ranks_b is not None and self.ranks_b.r1 != 1:
+            raise ValueError(f"ranks_b must have mode-1 rank 1, got {self.ranks_b.as_tuple()}")
         if not isinstance(self.weights, TvWeights):
             raise ValueError(f"weights must be TvWeights, got {self.weights!r}")
 
     def resolve_ranks(self, shape: tuple[int, int, int]) -> "SolverConfig":
         """Fill in default ranks for ``shape``, then clamp both triples as :func:`hooi` does."""
         ranks_x = self.ranks_x or default_image_ranks(shape)
-        ranks_b = self.ranks_b or default_stripe_ranks(shape)
+        ranks_b = self.ranks_b or TuckerRanks(1, shape[1], shape[2])
         ranks_x.validate_for(shape)
         ranks_b.validate_for(shape)
         return replace(self, ranks_x=feasible_ranks(ranks_x, shape),
@@ -153,8 +154,8 @@ class SolverConfig:
 class SolverState:
     """Mutable iterate of the alternating loop.
 
-    ``x_factors``/``b_factors`` hold the Tucker factors of the last ``x``/``b``
-    fit, the warm start of the next one; ``None`` means start cold.
+    ``x_factors`` holds the Tucker factors of the last ``x`` fit, the warm
+    start of the next one; ``None`` means start cold.
     """
 
     x: np.ndarray
@@ -166,7 +167,6 @@ class SolverState:
     dual_grad: GradientStack
     beta: float
     x_factors: tuple[np.ndarray, ...] | None = None
-    b_factors: tuple[np.ndarray, ...] | None = None
 
     @classmethod
     def zeros(cls, shape: tuple[int, int, int], beta: float) -> "SolverState":
@@ -278,17 +278,19 @@ def update_f(
 
 
 def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
-    """One HOOI sweep on the image-free residual at the stripe ranks.
-
-    Starts from ``state.b_factors`` and stores the new factors there.
-    """
+    """Exact least-squares fit of the stripe model (step 4 above) to ``y - z - s``."""
     if not cfg.stripe_enabled:
         return np.zeros_like(y)
-    target = y - state.z
-    target -= state.s
-    fit = hooi(target, cfg.ranks_b, init=state.b_factors)
-    state.b_factors = fit.factors
-    return reconstruct(fit)
+    # the mean is linear, so no cube-sized residual is formed
+    profile = y.mean(axis=0)
+    profile -= state.z.mean(axis=0)
+    profile -= state.s.mean(axis=0)
+    profile -= profile.mean(axis=0)
+    r = cfg.ranks_b.r2
+    if r < min(profile.shape):
+        u, sv, vt = np.linalg.svd(profile, full_matrices=False)
+        profile = (u[:, :r] * sv[:r]) @ vt[:r]
+    return np.broadcast_to(profile, y.shape).copy()
 
 
 def update_s(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:

@@ -145,6 +145,29 @@ def hooi_single_sweep_oracle(
     return approx
 
 
+def stripe_fit_error_oracle(t: np.ndarray, r: int) -> float:
+    """Least squared error of ``t`` against ``1_h (x) M``, ``M`` zero-mean down each column, rank <= r.
+
+    The error splits into three orthogonal parts: the spread of ``t`` about
+    its height mean, ``h`` times the squared per-band width means of that
+    mean, and ``h`` times the tail of the centered mean's squared singular
+    values (Eckart-Young), taken from a Jacobi eigensolve of its Gram.
+    """
+    h, w, p = t.shape
+    mean = np.zeros((w, p))
+    for i in range(h):
+        mean += t[i]
+    mean /= h
+    height_part = 0.0
+    for i in range(h):
+        height_part += fro_norm_oracle(t[i] - mean) ** 2
+    band_means = np.array([sum(mean[:, k]) / w for k in range(p)])
+    centered = mean - band_means[None, :]
+    eigenvalues, _ = jacobi_eigh(centered.T @ centered)
+    tail = sum(max(float(e), 0.0) for e in eigenvalues[r:])
+    return height_part + h * w * float(np.sum(band_means**2)) + h * tail
+
+
 # ---------------------------------------------------------------------------
 # shrinkage
 

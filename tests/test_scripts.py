@@ -34,7 +34,7 @@ def run_script(script, args):
         (
             "stripe_ablation.py",
             ["--size", "12", "12", "6", "--cases", "2"],
-            "case |      with stripes |           without |  gap dB",
+            "case |      with stripes |           without |  gap dB |  b err",
         ),
     ],
 )

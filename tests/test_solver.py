@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from hsirestore.fileio import normalize_bands
 from hsirestore.metrics import evaluate
 from hsirestore.noise import _stripe_field, case_spec, simulate_case
 from hsirestore.priors import GradientStack, TvWeights, diff_adjoint, diff_forward, soft_threshold
@@ -10,7 +11,6 @@ from hsirestore.solver import (
     SolverConfig,
     SolverState,
     default_image_ranks,
-    default_stripe_ranks,
     solve,
     update_b,
     update_f,
@@ -22,7 +22,12 @@ from hsirestore.solver import (
 from hsirestore.synthetic import low_rank_cube
 from hsirestore.tensor_ops import fro_norm
 from hsirestore.tucker import TuckerFactors, TuckerRanks, hosvd_init, reconstruct
-from oracles import dense_difference_matrix, gst_minimize_oracle, gst_objective
+from oracles import (
+    dense_difference_matrix,
+    gst_minimize_oracle,
+    gst_objective,
+    stripe_fit_error_oracle,
+)
 
 
 def make_state(shape, beta, seed=0, zero=False):
@@ -208,21 +213,32 @@ class TestUpdateB:
         shape = (6, 8, 5)
         rng = np.random.default_rng(13)
         profile = rng.uniform(-0.25, 0.25, (shape[1], shape[2]))
+        # a stripe profile the model can represent: zero mean across the width
+        profile -= profile.mean(axis=0)
         stripes = np.broadcast_to(profile[None], shape).copy()
         state = make_state(shape, beta=0.5, zero=True)
         cfg = small_cfg(ranks_b=TuckerRanks(1, 8, 5))
         got = update_b(state, cfg, stripes)
         assert fro_norm(got - stripes) <= 1e-8 * fro_norm(stripes)
 
-    def test_error_bounded_by_hosvd(self):
-        shape = (8, 8, 8)
-        rng = np.random.default_rng(14)
-        y = rng.standard_normal(shape)
-        state = make_state(shape, beta=0.5, zero=True)
-        cfg = small_cfg(ranks_b=TuckerRanks(2, 3, 2))
-        got = update_b(state, cfg, y)
-        hosvd_err = fro_norm(y - reconstruct(hosvd_init(y, cfg.ranks_b)))
-        assert fro_norm(got - y) <= hosvd_err + 1e-12
+    @pytest.mark.parametrize("shape", [(5, 7, 4), (4, 3, 6)])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_fit_is_the_least_squares_optimum(self, shape, r):
+        state = make_state(shape, beta=0.5, seed=14 + r)
+        y = np.random.default_rng(r).standard_normal(shape) + 3.0
+        got = update_b(state, small_cfg(ranks_b=TuckerRanks(1, r, r)), y)
+        target = y - state.z - state.s
+        assert got.flags.c_contiguous
+        # constant along the height
+        assert all(np.array_equal(row, got[0]) for row in got)
+        # zero mean across the width in every band
+        assert np.max(np.abs(got[0].mean(axis=0))) <= 1e-12 * np.max(np.abs(target))
+        # profile rank at most r
+        sv = np.linalg.svd(got[0], compute_uv=False)
+        assert np.all(sv[r:] <= 1e-10 * sv[0])
+        # and no model cube fits better (Eckart-Young)
+        err = fro_norm(target - got) ** 2
+        assert err == pytest.approx(stripe_fit_error_oracle(target, r), rel=1e-10)
 
     def test_disabled_stripe_term_returns_zero(self):
         shape = (5, 5, 4)
@@ -295,9 +311,8 @@ def held_arrays(state, y):
     for name in ("f", "dual_grad"):
         for axis, block in zip("hwp", getattr(state, name).blocks()):
             named[f"{name}.g{axis}"] = block
-    for name in ("x_factors", "b_factors"):
-        for i, factor in enumerate(getattr(state, name) or ()):
-            named[f"{name}[{i}]"] = factor
+    for i, factor in enumerate(state.x_factors or ()):
+        named[f"x_factors[{i}]"] = factor
     return named
 
 
@@ -322,9 +337,8 @@ class TestUpdatesLeaveInputsAlone:
         cfg = small_cfg()
         state = make_state(shape, beta=0.6, seed=43)
         y = np.random.default_rng(44).standard_normal(shape)
-        # warm factors, so that the HOOI updates also start from arrays the state holds
+        # warm factors, so that the HOOI update also starts from arrays the state holds
         state.x_factors = hosvd_init(state.z, cfg.ranks_x).factors
-        state.b_factors = hosvd_init(y - state.z - state.s, cfg.ranks_b).factors
         dz = diff_forward(state.z, cfg.weights)
         inputs = held_arrays(state, y)
         inputs.update({f"dz.g{axis}": block for axis, block in zip("hwp", dz.blocks())})
@@ -400,6 +414,19 @@ class TestSolve:
         rel = fro_norm(dec.stripes - stripe_field) / fro_norm(stripe_field)
         assert rel <= 0.2
 
+    def test_fixed_penalty_beats_the_constant_baseline(self):
+        # at a fixed beta the solve runs to the model's own minimizer, so the
+        # stripe term must not take image content
+        truth = normalize_bands(low_rank_cube((48, 48, 16), TuckerRanks(5, 5, 3), seed=7))
+        noisy, _ = simulate_case(truth, case_spec(2, seed=7))
+        cfg = SolverConfig(
+            ranks_x=TuckerRanks(8, 8, 5), ranks_b=TuckerRanks(1, 24, 16),
+            p_override=(1.0, 1.0, 1.0), beta0=1.0, beta_growth=1.0, max_iter=400,
+        )
+        dec, _ = solve(noisy, cfg)
+        constant = np.broadcast_to(truth.mean(axis=(0, 1)), truth.shape)
+        assert evaluate(truth, dec.clean).mpsnr > evaluate(truth, constant).mpsnr
+
     def test_case2_analog_restoration_gain(self):
         truth = low_rank_cube((48, 48, 16), TuckerRanks(5, 5, 3), seed=7)
         noisy, _ = simulate_case(truth, case_spec(2, seed=7))
@@ -468,15 +495,15 @@ class TestSolve:
             cold_starts.clear()
             _, diag = solve(noisy, cfg)
             assert diag.iterations == 6
-            # warm factors live in the solve's own state: each solve starts cold again
-            assert len(cold_starts) == 2
+            # warm factors live in the solve's own state: each solve starts cold
+            # again; the image is the one Tucker term, the stripe fit is closed-form
+            assert cold_starts == [cfg.ranks_x]
 
-    @pytest.mark.parametrize("stripe_enabled, svds_per_fit", [(True, 6), (False, 3)])
-    def test_one_tucker_sweep_per_term_per_iteration(
-        self, monkeypatch, stripe_enabled, svds_per_fit
-    ):
-        # each fit is one sweep (three subspace solves); the first fit of each
-        # term also runs the three of its truncated-HOSVD start
+    @pytest.mark.parametrize("stripe_enabled", [True, False])
+    def test_one_tucker_sweep_per_term_per_iteration(self, monkeypatch, stripe_enabled):
+        # the image fit is one sweep (three subspace solves) and its first fit
+        # also runs the three of its truncated-HOSVD start; the stripe fit runs
+        # none, whether or not it is enabled
         import hsirestore.tucker
 
         calls = []
@@ -494,12 +521,12 @@ class TestSolve:
             stripe_enabled=stripe_enabled,
         )
         _, diag = solve(noisy, cfg)
-        assert len(calls) == svds_per_fit * diag.iterations + svds_per_fit
+        assert len(calls) == 3 * diag.iterations + 3
 
-    @pytest.mark.parametrize("stripe_enabled, terms", [(True, 2), (False, 1)])
-    def test_mode_product_budget(self, monkeypatch, stripe_enabled, terms):
-        # a fit is one sweep (6 products) plus its reconstruction (3); each
-        # term's cold start adds the 3 of its truncated-HOSVD core
+    @pytest.mark.parametrize("stripe_enabled", [True, False])
+    def test_mode_product_budget(self, monkeypatch, stripe_enabled):
+        # the image fit is one sweep (6 products) plus its reconstruction (3);
+        # its cold start adds the 3 of its truncated-HOSVD core
         import hsirestore.tucker
 
         truth = low_rank_cube((12, 12, 6), TuckerRanks(3, 3, 2), seed=41)
@@ -517,7 +544,7 @@ class TestSolve:
 
         monkeypatch.setattr(hsirestore.tucker, "mode_product", counting_mode_product)
         _, diag = solve(noisy, cfg)
-        assert len(calls) == 9 * terms * diag.iterations + 3 * terms
+        assert len(calls) == 9 * diag.iterations + 3
 
     def test_one_gradient_of_z_per_iteration(self, monkeypatch):
         # D z is formed once per iteration and shared by the f-step and the dual step
@@ -549,14 +576,15 @@ class TestConfig:
     def test_default_ranks_follow_shape(self):
         assert default_image_ranks((48, 48, 16)).as_tuple() == (38, 38, 10)
         assert default_image_ranks((10, 10, 4)).as_tuple() == (8, 8, 4)
-        # stripe ranks are clamped to a feasible multilinear triple
-        assert default_stripe_ranks((48, 48, 16)).as_tuple() == (1, 8, 8)
+        # the stripe default is the full profile rank, clamped to a feasible triple
+        assert SolverConfig().resolve_ranks((48, 48, 16)).ranks_b.as_tuple() == (1, 16, 16)
+        assert SolverConfig().resolve_ranks((8, 3, 6)).ranks_b.as_tuple() == (1, 3, 3)
 
     def test_resolved_ranks_are_the_feasible_ranks_solved_at(self):
-        # denoise-64's default triples are feasible; case2-48's stripe ranks
-        # (1, 24, 16) are not, and hooi fits them at (1, 16, 16)
+        # denoise-64's default image triple is feasible, its full stripe rank
+        # (1, 64, 32) is not; case2-48's stripe ranks (1, 24, 16) are not either
         cfg = SolverConfig().resolve_ranks((64, 64, 32))
-        assert (cfg.ranks_x.as_tuple(), cfg.ranks_b.as_tuple()) == ((51, 51, 10), (1, 16, 16))
+        assert (cfg.ranks_x.as_tuple(), cfg.ranks_b.as_tuple()) == ((51, 51, 10), (1, 32, 32))
         cfg = SolverConfig(ranks_x=TuckerRanks(8, 8, 5), ranks_b=TuckerRanks(1, 24, 16))
         cfg = cfg.resolve_ranks((48, 48, 16))
         assert (cfg.ranks_x.as_tuple(), cfg.ranks_b.as_tuple()) == ((8, 8, 5), (1, 16, 16))
@@ -590,6 +618,8 @@ class TestConfig:
             ("ranks_b", (1, 4, 2)),
             ("weights", (1, 1, 0.5)),
             ("max_iter", True),
+            # stripes are constant along the height
+            ("ranks_b", TuckerRanks(2, 4, 4)),
         ],
     )
     def test_malformed_field_rejected_up_front(self, field, value):
