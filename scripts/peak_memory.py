@@ -7,6 +7,9 @@ normalized, fits the gradient exponents and scores the noisy cube, as the
 memory it held at once beyond the arrays it was given (its outputs included),
 in MiB and in cubes of ``--size`` float64 entries.  The benchmark's
 ``peak_rss_mb`` is one number per process; this names the call that sets it.
+A last row runs the ``hsirestore simulate`` command for case 5 on the truth
+cube, which reads it, simulates the noise and writes the noisy cube and its
+four components.
 
 Example:
 
@@ -14,12 +17,15 @@ Example:
 """
 
 import argparse
+import contextlib
+import io
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
 from hsirestore import TuckerRanks, case_spec, evaluate, low_rank_cube, simulate_case
+from hsirestore.cli import main as cli_main
 from hsirestore.fileio import read_cube, write_cube
 from hsirestore.gradient_fit import estimate_p
 
@@ -51,6 +57,16 @@ def main() -> int:
         y, peaks["read_cube(normalize=True)"] = traced_peak(read_cube, path, normalize=True)
     _, peaks["estimate_p"] = traced_peak(estimate_p, y)
     _, peaks["evaluate"] = traced_peak(evaluate, truth, noisy)
+    with tempfile.TemporaryDirectory() as tmp:
+        truth_path = Path(tmp) / "truth.cube"
+        write_cube(truth_path, truth)
+        argv = ["simulate", "--truth", str(truth_path), "--case", "5", "--seed", "7",
+                "--out-dir", tmp]
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc, peaks["cli simulate"] = traced_peak(cli_main, argv)
+    if rc != 0:
+        print(f"hsirestore simulate exited {rc}", file=sys.stderr)
+        return 1
 
     print(f"{'call':<26} | {'peak MiB':>9} | {'cubes':>6}")
     for name, peak in peaks.items():

@@ -37,8 +37,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     write_cube(out_dir / "noisy.cube", noisy)
     write_cube(out_dir / "gaussian.cube", components["gaussian"])
     write_cube(out_dir / "stripe_field.cube", components["stripe_field"])
-    write_cube(out_dir / "deadline_mask.cube", components["deadline_mask"].astype(float))
-    write_cube(out_dir / "impulse_mask.cube", components["impulse_mask"].astype(float))
+    # the float32 cast writes the boolean masks as 0.0/1.0
+    write_cube(out_dir / "deadline_mask.cube", components["deadline_mask"])
+    write_cube(out_dir / "impulse_mask.cube", components["impulse_mask"])
     write_manifest(out_dir / "manifest.txt", spec)
     print(f"wrote noisy cube and components to {out_dir}")
     return 0

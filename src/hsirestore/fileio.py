@@ -8,7 +8,9 @@ Cube container layout (little endian):
 
 The payload stays height-fastest on disk, while cubes in memory are C-ordered
 (band index fastest): :func:`read_cube` returns a C-ordered float64 cube and
-:func:`write_cube` accepts any layout, each converting in one transposing cast.
+:func:`write_cube` accepts any layout.  Both stream the payload in blocks of
+whole bands, about :data:`CUBE_BLOCK_ENTRIES` values each, through one reused
+float32 buffer, so neither holds a second copy of the cube.
 
 Configs and manifests are plain UTF-8 ``key=value`` lines.  In a config ``#``
 starts a comment and unknown keys are rejected so typos fail loudly; a manifest
@@ -18,6 +20,7 @@ is only written, as the complete record of a simulated degradation.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -31,6 +34,8 @@ from .tucker import TuckerRanks
 
 MAGIC = b"HSICUBE1"
 _HEADER = struct.Struct("<8sIII")
+# the payload is converted in blocks of whole bands holding about this many values
+CUBE_BLOCK_ENTRIES = 2**20
 
 
 class CubeFileError(Exception):
@@ -41,43 +46,66 @@ class ConfigError(Exception):
     """Malformed or invalid key=value config."""
 
 
+def _band_block_buffer(h: int, w: int, p: int) -> np.ndarray:
+    """A float32 buffer for a block of whole bands, laid out as the file stores them."""
+    bands = max(1, CUBE_BLOCK_ENTRIES // (h * w))
+    return np.empty((min(bands, p), w, h), dtype="<f4")
+
+
 def write_cube(path: str | Path, cube: np.ndarray) -> None:
     """Write a cube as float32; values must be finite in float32."""
     cube = np.asarray(cube)
     if cube.ndim != 3 or cube.size == 0:
         raise CubeFileError(f"expected a non-empty 3-D cube, got shape {cube.shape}")
     h, w, p = cube.shape
-    # the C order of the reversed axes is the height-fastest order of the file;
-    # values past the float32 range cast to inf, so one check catches them too
-    with np.errstate(over="ignore"):
-        payload = cube.transpose(2, 1, 0).astype("<f4", order="C")
-    if not np.all(np.isfinite(payload)):
+    # the cast to float32 is monotonic, so it is finite everywhere when it is
+    # at the extremes, and NaN passes through min and max; the check comes
+    # before the file is opened, so a rejected cube leaves the path alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        extremes = np.array([cube.min(), cube.max()]).astype("<f4")
+    if not np.all(np.isfinite(extremes)):
         raise CubeFileError("cube contains values that are not finite in float32")
+    buf = _band_block_buffer(h, w, p)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, h, w, p))
-        fh.write(payload.data)
+        for b in range(0, p, len(buf)):
+            block = buf[: p - b]
+            # the C order of the reversed axes is the height-fastest order of the file
+            block[...] = cube[:, :, b : b + len(block)].transpose(2, 1, 0)
+            fh.write(block.data)
 
 
 def read_cube(path: str | Path, normalize: bool = False) -> np.ndarray:
     """Read a cube container; optionally min-max normalize each band to [0, 1]."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise CubeFileError(f"{path}: truncated header ({len(raw)} bytes)")
-    magic, h, w, p = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise CubeFileError(f"{path}: bad magic {magic!r}")
-    if h == 0 or w == 0 or p == 0:
-        raise CubeFileError(f"{path}: zero dimension in header ({h}, {w}, {p})")
-    expected = _HEADER.size + 4 * h * w * p
-    if len(raw) != expected:
-        raise CubeFileError(
-            f"{path}: payload length mismatch, expected {expected} bytes, got {len(raw)}"
-        )
-    flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    cube = flat.reshape((p, w, h)).transpose(2, 1, 0).astype(np.float64, order="C")
-    del raw, flat
-    if not np.all(np.isfinite(cube)):
-        raise CubeFileError(f"{path}: payload contains non-finite values")
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise CubeFileError(f"{path}: truncated header ({len(head)} bytes)")
+        magic, h, w, p = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise CubeFileError(f"{path}: bad magic {magic!r}")
+        if h == 0 or w == 0 or p == 0:
+            raise CubeFileError(f"{path}: zero dimension in header ({h}, {w}, {p})")
+        expected = _HEADER.size + 4 * h * w * p
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise CubeFileError(
+                f"{path}: payload length mismatch, expected {expected} bytes, got {size}"
+            )
+        cube = np.empty((h, w, p))
+        buf = _band_block_buffer(h, w, p)
+        for b in range(0, p, len(buf)):
+            block = buf[: p - b]
+            got = fh.readinto(block.data)
+            if got != block.nbytes:
+                # the file shrank after its size was taken
+                got += _HEADER.size + 4 * h * w * b
+                raise CubeFileError(
+                    f"{path}: payload length mismatch, expected {expected} bytes, got {got}"
+                )
+            if not np.all(np.isfinite(block)):
+                raise CubeFileError(f"{path}: payload contains non-finite values")
+            cube[:, :, b : b + len(block)] = block.transpose(2, 1, 0)
     # the cube is this function's own, so it is normalized where it lies
     return _normalize_bands(cube, out=cube) if normalize else cube
 

@@ -137,14 +137,14 @@ def deadline_mask(shape: tuple[int, int, int], rng: np.random.Generator) -> np.n
 
     Draws ``round(DEADLINE_BAND_FRACTION * p)`` bands, then per band a run
     count in :data:`DEADLINE_COUNT` and per run a width in
-    :data:`DEADLINE_WIDTH` and a start column.
+    :data:`DEADLINE_WIDTH` and a start column.  Dead columns run the whole
+    height, so the cube is a read-only view of its ``(w, p)`` profile
+    broadcast along the rows.
     """
     h, w, p = shape
-    mask = np.zeros(shape, dtype=bool)
+    dead = np.zeros((w, p), dtype=bool)
     n_bands = int(round(DEADLINE_BAND_FRACTION * p))
-    if n_bands == 0:
-        return mask
-    bands = rng.choice(p, size=n_bands, replace=False)
+    bands = rng.choice(p, size=n_bands, replace=False) if n_bands else ()
     lo_c, hi_c = DEADLINE_COUNT
     lo_w, hi_w = DEADLINE_WIDTH
     for band in bands:
@@ -153,8 +153,8 @@ def deadline_mask(shape: tuple[int, int, int], rng: np.random.Generator) -> np.n
             width = int(rng.integers(lo_w, hi_w + 1))
             width = min(width, w)
             start = int(rng.integers(0, w - width + 1))
-            mask[:, start : start + width, band] = True
-    return mask
+            dead[start : start + width, band] = True
+    return np.broadcast_to(dead, shape)
 
 
 def _stripe_profile(
@@ -213,10 +213,10 @@ def _stripe_field(
     shape: tuple[int, int, int], kind: str, coverage: tuple[float, float], amplitude: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """The stripe cube: one drawn per-(column, band) profile repeated along the rows."""
+    """The stripe cube: a read-only view of one drawn per-(column, band) profile
+    broadcast along the rows."""
     h, w, p = shape
-    profile = _stripe_profile(w, p, kind, coverage, amplitude, rng)
-    return np.broadcast_to(profile[None, :, :], shape).copy()
+    return np.broadcast_to(_stripe_profile(w, p, kind, coverage, amplitude, rng), shape)
 
 
 def simulate_case(
@@ -228,7 +228,10 @@ def simulate_case(
     ``gaussian`` (additive field), ``stripe_field`` (additive field),
     ``deadline_mask`` and ``impulse_mask`` (boolean cubes).  On voxels outside
     both masks, ``truth + gaussian + stripe_field`` reproduces the noisy cube
-    bit for bit (evaluated left to right).
+    bit for bit (evaluated left to right).  ``stripe_field`` and
+    ``deadline_mask`` are constant along the height, so they are read-only
+    views of a ``(w, p)`` profile broadcast along the rows; ``noisy``,
+    ``gaussian`` and ``impulse_mask`` are the caller's own arrays.
     """
     truth = validate_cube(truth, "truth")
     rng = np.random.default_rng(spec.seed)

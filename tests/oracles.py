@@ -319,6 +319,21 @@ def dense_difference_matrix(shape: tuple[int, int, int], weights) -> np.ndarray:
 # file formats
 
 
+def cube_file_oracle(cube) -> bytes:
+    """The cube container one whole-cube float32 cast makes: header, then the
+    payload with the height index varying fastest."""
+    cube = np.asarray(cube)
+    header = b"HSICUBE1" + np.array(cube.shape, dtype="<u4").tobytes()
+    return header + cube.transpose(2, 1, 0).astype("<f4", order="C").tobytes()
+
+
+def cube_read_oracle(raw: bytes) -> np.ndarray:
+    """The C-ordered float64 cube one whole-payload cast reads from container bytes."""
+    h, w, p = np.frombuffer(raw, dtype="<u4", count=3, offset=8)
+    flat = np.frombuffer(raw, dtype="<f4", offset=20)
+    return flat.reshape((p, w, h)).transpose(2, 1, 0).astype(np.float64, order="C")
+
+
 def manifest_spec_oracle(text: str) -> NoiseSpec:
     """Rebuild the ``NoiseSpec`` a manifest records, which must name every field.
 

@@ -6,10 +6,10 @@ import pytest
 from hsirestore.cli import main
 from hsirestore.fileio import parse_solver_config, read_cube, write_cube
 from hsirestore.gradient_fit import estimate_p
-from hsirestore.noise import case_spec
+from hsirestore.noise import case_spec, simulate_case
 from hsirestore.synthetic import low_rank_cube
 from hsirestore.tucker import TuckerRanks
-from oracles import manifest_spec_oracle
+from oracles import cube_file_oracle, manifest_spec_oracle
 
 
 @pytest.fixture()
@@ -40,6 +40,26 @@ class TestSimulate:
             assert (out / f"{name}.cube").exists()
         spec = manifest_spec_oracle((out / "manifest.txt").read_text(encoding="utf-8"))
         assert spec == case_spec(2, seed=9)
+
+    @pytest.mark.parametrize("case_id", [1, 5])
+    def test_component_files_equal_the_float64_route(self, tmp_path, truth_file, case_id):
+        # the masks go to write_cube as booleans and the stripe field as a
+        # view; the files must hold the bytes a whole float64 copy of each gives
+        out = tmp_path / "sim"
+        assert main(
+            ["simulate", "--truth", str(truth_file), "--case", str(case_id), "--seed", "9",
+             "--out-dir", str(out)]
+        ) == 0
+        noisy, comps = simulate_case(read_cube(truth_file), case_spec(case_id, seed=9))
+        float64_route = {
+            "noisy": noisy,
+            "gaussian": comps["gaussian"],
+            "stripe_field": np.array(comps["stripe_field"]),
+            "deadline_mask": comps["deadline_mask"].astype(float),
+            "impulse_mask": comps["impulse_mask"].astype(float),
+        }
+        for name, cube in float64_route.items():
+            assert (out / f"{name}.cube").read_bytes() == cube_file_oracle(cube), name
 
     def test_case1_manifest_records_zero_stripe_coverage(self, tmp_path, truth_file):
         out = tmp_path / "sim1"

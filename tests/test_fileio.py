@@ -1,9 +1,13 @@
+import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from hsirestore import fileio
 from hsirestore.fileio import (
     ConfigError,
     CubeFileError,
@@ -18,7 +22,7 @@ from hsirestore.noise import case_spec
 from hsirestore.priors import TvWeights
 from hsirestore.solver import SolverConfig
 from hsirestore.tucker import TuckerRanks
-from oracles import manifest_spec_oracle
+from oracles import cube_file_oracle, cube_read_oracle, manifest_spec_oracle
 
 
 def f32_cube(seed=0, shape=(5, 6, 3)):
@@ -104,6 +108,136 @@ class TestCubeRoundTrip:
         path.write_bytes(bytes(raw))
         with pytest.raises(CubeFileError, match="finite"):
             read_cube(path)
+
+
+# the smallest float64 whose float32 cast overflows: the midpoint between the
+# largest float32 and 2**128 rounds to the even neighbour, 2**128
+FLOAT32_LIMIT = 2.0**128 - 2.0**103
+
+
+def layouts(shape, seed=31):
+    """One cube in each layout ``write_cube`` accepts, all of ``shape``."""
+    rng = np.random.default_rng(seed)
+    h, w, p = shape
+    c = rng.standard_normal(shape) * 3
+    return {
+        "c": c,
+        "fortran": np.asfortranarray(c),
+        "strided": rng.standard_normal((2 * h, w, 3 * p))[::2, :, ::3],
+        "broadcast": np.broadcast_to(rng.standard_normal((w, p)), shape),
+        "bool": c > 0,
+    }
+
+
+class TestStreamedCube:
+    """The payload is converted in blocks of whole bands through one float32 buffer."""
+
+    SHAPE = (6, 5, 7)  # 30 values per band
+
+    # one band per block; blocks of 2, 2, 2 and 1 bands; one block for the cube
+    @pytest.mark.parametrize("block_entries", [1, 61, 10**9])
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided", "broadcast", "bool"])
+    def test_file_and_cube_equal_the_one_shot_cast(self, tmp_path, monkeypatch, block_entries, layout):
+        monkeypatch.setattr(fileio, "CUBE_BLOCK_ENTRIES", block_entries)
+        cube = layouts(self.SHAPE)[layout]
+        path = tmp_path / "s.cube"
+        write_cube(path, cube)
+        raw = path.read_bytes()
+        assert raw == cube_file_oracle(cube)
+        expected = cube_read_oracle(raw)
+        got = read_cube(path)
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+        assert read_cube(path, normalize=True).tobytes() == normalize_bands(expected).tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_values_just_below_the_float32_limit_written(self, tmp_path, sign):
+        cube = f32_cube()
+        cube[1, 2, 0] = sign * np.nextafter(FLOAT32_LIMIT, 0.0)
+        path = tmp_path / "edge.cube"
+        write_cube(path, cube)
+        assert path.read_bytes() == cube_file_oracle(cube)
+        assert read_cube(path)[1, 2, 0] == sign * float(np.finfo(np.float32).max)
+
+    @pytest.mark.parametrize("value", [FLOAT32_LIMIT, -FLOAT32_LIMIT, np.nan, np.inf, -np.inf])
+    def test_rejected_without_a_warning_and_the_path_left_alone(self, tmp_path, value):
+        path = tmp_path / "kept.cube"
+        write_cube(path, f32_cube(seed=4))
+        before = path.read_bytes()
+        cube = f32_cube()
+        cube[1, 2, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CubeFileError, match="not finite in float32"):
+                write_cube(path, cube)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("extra", [-1, 4])
+    def test_wrong_payload_length_reports_both_byte_counts(self, tmp_path, extra):
+        path = tmp_path / "len.cube"
+        write_cube(path, f32_cube())
+        raw = path.read_bytes()
+        expected = len(raw)
+        path.write_bytes(raw[:extra] if extra < 0 else raw + b"\0" * extra)
+        message = f"payload length mismatch, expected {expected} bytes, got {expected + extra}"
+        with pytest.raises(CubeFileError, match=message):
+            read_cube(path)
+
+    @pytest.mark.parametrize("block_entries", [1, 10**9])
+    def test_short_read_reports_the_bytes_found(self, tmp_path, monkeypatch, block_entries):
+        # the file shrinks after read_cube took its size
+        monkeypatch.setattr(fileio, "CUBE_BLOCK_ENTRIES", block_entries)
+        path = tmp_path / "short.cube"
+        write_cube(path, f32_cube())
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-6])
+        monkeypatch.setattr(fileio, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=len(raw))))
+        message = f"payload length mismatch, expected {len(raw)} bytes, got {len(raw) - 6}"
+        with pytest.raises(CubeFileError, match=message):
+            read_cube(path)
+
+    @pytest.mark.parametrize("band", [0, 6])
+    def test_non_finite_value_found_in_any_block(self, tmp_path, monkeypatch, band):
+        monkeypatch.setattr(fileio, "CUBE_BLOCK_ENTRIES", 1)
+        path = tmp_path / "nan.cube"
+        write_cube(path, f32_cube(shape=self.SHAPE))
+        raw = bytearray(path.read_bytes())
+        offset = 20 + 4 * 30 * band + 4 * 29  # the last value of the band
+        raw[offset : offset + 4] = np.array([np.inf], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CubeFileError, match="payload contains non-finite values"):
+            read_cube(path)
+
+
+class TestStreamedMemory:
+    """Peaks above the inputs on a cube of four blocks, measured with tracemalloc."""
+
+    SHAPE = (128, 128, 256)  # 64 bands per block of CUBE_BLOCK_ENTRIES
+
+    @staticmethod
+    def traced_peak(call, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            call(*args, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_write_holds_one_float32_block(self, tmp_path):
+        # a whole-cube cast would hold half a cube of float32 payload
+        cube = np.random.default_rng(6).random(self.SHAPE)
+        assert cube.size == 4 * fileio.CUBE_BLOCK_ENTRIES
+        peak = self.traced_peak(write_cube, tmp_path / "w.cube", cube)
+        assert peak <= 0.2 * cube.nbytes
+
+    def test_normalized_read_holds_the_cube_and_one_block(self, tmp_path):
+        # reading the whole file at once would hold half a cube of bytes beside it
+        cube = np.random.default_rng(7).random(self.SHAPE)
+        path = tmp_path / "r.cube"
+        write_cube(path, cube)
+        peak = self.traced_peak(read_cube, path, normalize=True)
+        assert peak <= 1.2 * cube.nbytes
 
 
 class TestNormalization:

@@ -237,8 +237,38 @@ class TestSimulateCase:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        returned = noisy.nbytes + sum(c.nbytes for c in comps.values())
+        # the stripe field and dead-line mask are views of (w, p) profiles,
+        # which fit in the slack beside the iterator buffer
+        returned = noisy.nbytes + sum(c.nbytes for c in comps.values() if c.flags.owndata)
         assert peak <= returned + IMPULSE_BLOCK_ENTRIES * noisy.itemsize + 2**17
+
+    @pytest.mark.parametrize("case_id", [1, 5])
+    def test_peak_memory_is_two_cubes_and_the_impulse_mask(self, case_id):
+        # noisy and gaussian are the only float64 cubes held; a stripe field
+        # and a dead-line mask copied out of their (w, p) profiles would hold
+        # one cube and one eighth more, case 1's stripe cube all zero
+        truth = self.truth(seed=44, shape=(128, 128, 128))
+        tracemalloc.start()
+        try:
+            noisy, comps = simulate_case(truth, case_spec(case_id, seed=45))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * truth.nbytes
+        assert comps["stripe_field"].any() == (case_id != 1)
+
+    @pytest.mark.parametrize("case_id", [1, 2, 3, 4, 5, 6])
+    def test_height_constant_components_are_read_only_views(self, case_id):
+        noisy, comps = simulate_case(self.truth(), case_spec(case_id, seed=46))
+        for name in ("stripe_field", "deadline_mask"):
+            component = comps[name]
+            assert component.shape == noisy.shape
+            assert component.strides[0] == 0
+            assert not component.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                component[0, 0, 0] = 1
+        for name in ("gaussian", "impulse_mask"):
+            assert comps[name].flags.writeable and comps[name].flags.owndata
 
     def test_impulse_voxels_are_binary(self):
         noisy, comps = simulate_case(self.truth(), case_spec(2, seed=40))

@@ -48,9 +48,12 @@ def test_script_runs_and_prints_its_table(script, args, header):
 def test_peak_memory_prints_one_row_per_call():
     lines = run_script("peak_memory.py", ["--size", "12", "12", "6"])
     rows = {line.split("|")[0].strip(): line.split("|")[1:] for line in lines[1:]}
-    calls = ["simulate_case", "write_cube", "read_cube(normalize=True)", "estimate_p", "evaluate"]
+    calls = ["simulate_case", "write_cube", "read_cube(normalize=True)", "estimate_p", "evaluate",
+             "cli simulate"]
     assert lines[0].split() == ["call", "|", "peak", "MiB", "|", "cubes"]
     assert list(rows) == calls
-    # every call allocates something, and estimate_p at least its difference field
+    # every call allocates something, estimate_p at least its difference field
+    # and the simulate command at least the truth cube it reads
     assert all(float(cubes) > 0 for _, cubes in rows.values())
     assert float(rows["estimate_p"][1]) >= 1.0
+    assert float(rows["cli simulate"][1]) >= 1.0
