@@ -16,7 +16,7 @@ Conventions used throughout:
 * Differencing i.i.d. noise of standard deviation ``sigma`` yields noise of
   standard deviation ``sigma * sqrt(2)`` in the difference field.
   :func:`estimate_noise_sigma` reports the *original* (image-domain) sigma;
-  :func:`fit_direction` takes the sigma of the noise actually present in the
+  the (k, p) fit takes the sigma of the noise actually present in the
   samples it is given.  :func:`estimate_p` bridges the two.
 * Every histogram is a mass vector on :data:`HIST_EDGES`: an odd number of
   uniform bins symmetric about zero (so zero is a bin center), with
@@ -55,22 +55,6 @@ NELDER_MEAD_MAX_ITER = 500
 
 # MAD of a centered Gaussian is 0.6745 of its standard deviation.
 _MAD_TO_SIGMA = 0.6744897501960817
-
-# Rational approximations of the Cephes library (ndtr.c), which
-# scipy.special.erf evaluates: erf = x*T(x^2)/U(x^2) for |x| <= 1, and
-# erf = 1 - exp(-x^2)*P(x)/Q(x) below 8.  U and Q have an implied leading
-# coefficient of 1.
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-           1.65666309194161350182e3, 5.57535340817727675546e2)
-
 
 @dataclass(frozen=True)
 class HyperLaplacianFit:
@@ -136,35 +120,6 @@ def estimate_noise_sigma(g: np.ndarray) -> float:
     return _mad_sigma_in_place(buf)
 
 
-def _polynomial(x: float, coefs: Sequence[float], monic: bool) -> float:
-    """Horner evaluation, highest power first; ``monic`` prepends a leading 1."""
-    acc = x + coefs[0] if monic else coefs[0]
-    for c in coefs[1:]:
-        acc = acc * x + c
-    return acc
-
-
-def _erf(x: float) -> float:
-    """The error function as Cephes computes it.
-
-    It equals ``scipy.special.erf`` bit for bit, which ``math.erf`` does not
-    (it differs in the last bit on 9% of uniform draws from [-6, 6]).  The
-    exponential is ``math.exp``, the C library's, as in Cephes; a vectorized
-    ``np.exp`` can differ from it in the last bit.
-    """
-    if x < 0.0:
-        return -_erf(-x)
-    if x <= 1.0:
-        z = x * x
-        return x * _polynomial(z, _ERF_T, False) / _polynomial(z, _ERF_U, True)
-    if x >= 8.0:
-        # erfc(8) is about 1e-29, far below half an ulp of 1, so Cephes' own
-        # tail (its R/S branch and underflow cut) also rounds to exactly 1
-        return 1.0
-    p, q = _polynomial(x, _ERFC_P, False), _polynomial(x, _ERFC_Q, True)
-    return 1.0 - (math.exp(-x * x) * p) / q
-
-
 def histogram(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Normalized masses of ``values`` on :data:`HIST_EDGES`, tails clamped into the edge bins.
 
@@ -194,16 +149,17 @@ def hyper_laplacian_histogram(k: float, p: float) -> np.ndarray:
 def gaussian_histogram(sigma: float) -> np.ndarray:
     """Masses of a centered Gaussian integrated per bin, tails clamped into the edge bins.
 
-    ``sigma=0`` degenerates to a unit mass at the center bin.
+    ``sigma=0`` degenerates to a unit mass at the center bin, and
+    ``sigma=inf`` to half the mass in each edge bin.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
     if sigma == 0.0:
         masses = np.zeros(HIST_BINS)
         masses[HIST_BINS // 2] = 1.0
         return masses
     scaled = HIST_EDGES / (sigma * np.sqrt(2.0))
-    cdf = 0.5 * (1.0 + np.array([_erf(v) for v in scaled.tolist()]))
+    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in scaled.tolist()]))
     cdf[0] = 0.0
     cdf[-1] = 1.0
     return np.diff(cdf)
@@ -283,7 +239,14 @@ def nelder_mead(
 
 
 def _fit_masses(observed: np.ndarray, sigma: float) -> tuple[float, float, float]:
-    """Fit (k, p) to the observed masses under Gaussian noise of std ``sigma``; see :func:`fit_direction`."""
+    """Fit (k, p) to the observed masses under Gaussian noise of std ``sigma``.
+
+    ``sigma`` is the std of the Gaussian noise carried by the samples the
+    masses count.  The masses are symmetrized before fitting, making the
+    result invariant to a global sign flip of the data.  Returns
+    ``(k, p, residual)`` with the residual equal to the squared mismatch at
+    the returned point.
+    """
     observed = 0.5 * (observed + observed[::-1])
     noise = gaussian_histogram(sigma)
 
@@ -298,20 +261,6 @@ def _fit_masses(observed: np.ndarray, sigma: float) -> tuple[float, float, float
         (FIT_K_BOUNDS[1], FIT_P_BOUNDS[1]),
     )
     return float(k), float(p), float(residual)
-
-
-def fit_direction(y_gradients: np.ndarray, sigma: float) -> tuple[float, float, float]:
-    """Fit (k, p) so the noise-convolved model matches the observed gradient histogram.
-
-    ``sigma`` is the std of the Gaussian noise carried by the samples
-    themselves.  The observed histogram is symmetrized before fitting, making
-    the result invariant to a global sign flip of the data.  Returns
-    ``(k, p, residual)`` with the residual equal to the squared mismatch at
-    the returned point.
-    """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    return _fit_masses(histogram(y_gradients), sigma)
 
 
 def estimate_p(y: np.ndarray) -> HyperLaplacianFit:

@@ -104,7 +104,7 @@ def diff_adjoint(g: GradientStack, weights: TvWeights) -> np.ndarray:
 
 def soft_threshold(x, delta: float):
     """Shrink toward zero by ``delta``; elementwise on arrays."""
-    if delta < 0:
+    if not delta >= 0:
         raise ValueError(f"threshold must be nonnegative, got {delta}")
     x = np.asarray(x, dtype=np.float64)
     # x minus its clip is sign(x) * max(|x| - delta, 0) exactly, except that
@@ -164,7 +164,7 @@ def gst_shrink(y, tau: float, p: float):
     relative to every entry, which quadratic convergence leaves with an
     error at the rounding level.  Elementwise on arrays.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")

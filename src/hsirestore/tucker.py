@@ -3,9 +3,9 @@
 :func:`hooi` runs exactly one sweep per call, and the fit's error never
 exceeds that of its starting projection.  A converged fit is a loop of calls,
 each started from the previous fit's factors.  The solver makes one call per
-outer iteration for the image estimate and one for the stripe estimate; each
-call after the first of a solve starts from the previous iteration's factors
-instead of a fresh truncated HOSVD.
+outer iteration, for the image estimate; each call after the first of a solve
+starts from the previous iteration's factors instead of a fresh truncated
+HOSVD.
 """
 
 from __future__ import annotations

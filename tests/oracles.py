@@ -225,13 +225,14 @@ def estimate_p_stack_oracle(y: np.ndarray):
     """The exponent fit from one whole ``(3, h, w, p)`` difference stack.
 
     Each field's noise scale comes from a copy of it and its histogram from
-    the field itself, by the public calls ``diff_forward`` ->
-    ``estimate_noise_sigma`` -> ``fit_direction``.
+    the field itself, by the calls ``diff_forward`` ->
+    ``estimate_noise_sigma`` -> ``histogram`` -> ``_fit_masses``.
     """
     from hsirestore.gradient_fit import (
         HyperLaplacianFit,
+        _fit_masses,
         estimate_noise_sigma,
-        fit_direction,
+        histogram,
     )
     from hsirestore.priors import TvWeights, diff_forward
 
@@ -239,7 +240,7 @@ def estimate_p_stack_oracle(y: np.ndarray):
     fits = []
     for field in diff_forward(y, TvWeights(1.0, 1.0, 1.0)).g:
         sigma = estimate_noise_sigma(field)
-        k, p, residual = fit_direction(field.ravel(), sigma * np.sqrt(2.0))
+        k, p, residual = _fit_masses(histogram(field), sigma * np.sqrt(2.0))
         fits.append((p, sigma, k, residual))
     return HyperLaplacianFit(*zip(*fits))
 

@@ -14,7 +14,7 @@ import pytest
 
 from hsirestore.cli import main as cli_main
 from hsirestore.fileio import read_cube, write_cube
-from hsirestore.gradient_fit import fit_direction, histogram, convolve_hist
+from hsirestore.gradient_fit import _fit_masses, histogram, convolve_hist
 from hsirestore.metrics import evaluate, psnr, sam, ssim
 from hsirestore.noise import _stripe_field, case_spec, simulate_case
 from hsirestore.priors import GradientStack, TvWeights, diff_adjoint, diff_forward, gst_shrink
@@ -193,7 +193,7 @@ def test_criterion_3_adaptive_p_recovery():
         rng = np.random.default_rng(seed)
         samples = sample_hyper_laplacian(10.0, p_star, 100_000, rng)
         noisy = samples + rng.normal(0.0, 0.01, samples.shape)
-        _, p_hat, _ = fit_direction(noisy, 0.01)
+        _, p_hat, _ = _fit_masses(histogram(noisy), 0.01)
         assert abs(p_hat - p_star) <= 0.1, f"plant {p_star}: got {p_hat}"
     report(3, "adaptive-p recovery", time.perf_counter() - t0, 120)
 

@@ -122,6 +122,14 @@ class TestSoftThreshold:
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
 
+    @pytest.mark.parametrize("x", [1.2, np.array([[[1.2, -0.3, 0.0]]])], ids=["scalar", "cube"])
+    def test_nan_threshold_rejected(self, x):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            soft_threshold(x, np.nan)
+
+    def test_infinite_threshold_gives_zeros(self):
+        np.testing.assert_array_equal(soft_threshold(np.array([1e300, -2.0, 0.0]), np.inf), np.zeros(3))
+
 
 class TestGstShrink:
     @given(
@@ -172,6 +180,15 @@ class TestGstShrink:
         ys = np.linspace(0, 4, 200)
         outs = gst_shrink(ys, 0.25, 0.45)
         assert np.all(np.diff(outs) >= -1e-10)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_nan_tau_rejected(self, p):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            gst_shrink(np.array([1.2, -0.3]), np.nan, p)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_infinite_tau_gives_zeros(self, p):
+        np.testing.assert_array_equal(gst_shrink(np.array([1e300, -2.0, 0.0]), np.inf, p), np.zeros(3))
 
     @pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
     def test_invalid_p_rejected(self, p):
