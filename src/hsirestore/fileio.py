@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import os
 import struct
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -191,11 +190,6 @@ def parse_solver_config(text: str) -> SolverConfig:
         kwargs["p_override"] = _as_tuple("p_override", values["p_override"], _as_float, 3)
     # the value objects check their own ranges and raise ValueError
     try:
-        weights = {attr: _as_float(key, values[key])
-                   for key, attr in (("weight_h", "w_h"), ("weight_w", "w_w"), ("weight_p", "w_p"))
-                   if key in values}
-        if weights:
-            kwargs["weights"] = replace(SolverConfig().weights, **weights)
         for key in ("ranks_x", "ranks_b"):
             if key in values and values[key].lower() != "auto":
                 kwargs[key] = TuckerRanks(*_as_tuple(key, values[key], _as_int, 3))
@@ -209,20 +203,18 @@ def load_solver_config(path: str | Path) -> SolverConfig:
 
 
 def solver_config_text(cfg: SolverConfig) -> str:
-    """Serialize a resolved config back to key=value lines."""
+    """Serialize a resolved config back to key=value lines, one per field in field order."""
+    # a numpy scalar's repr, such as ``np.float64(0.003)``, would not parse back
     lines = [
-        f"lambda_tv={cfg.lambda_tv!r}",
-        f"lambda_sparse={cfg.lambda_sparse!r}",
-        f"beta0={cfg.beta0!r}",
-        f"beta_growth={cfg.beta_growth!r}",
-        f"weight_h={cfg.weights.w_h!r}",
-        f"weight_w={cfg.weights.w_w!r}",
-        f"weight_p={cfg.weights.w_p!r}",
+        f"lambda_tv={float(cfg.lambda_tv)!r}",
+        f"lambda_sparse={float(cfg.lambda_sparse)!r}",
+        f"beta0={float(cfg.beta0)!r}",
+        f"beta_growth={float(cfg.beta_growth)!r}",
         "ranks_x=" + ("auto" if cfg.ranks_x is None else ",".join(map(str, cfg.ranks_x.as_tuple()))),
         "ranks_b=" + ("auto" if cfg.ranks_b is None else ",".join(map(str, cfg.ranks_b.as_tuple()))),
-        f"epsilon={cfg.epsilon!r}",
+        f"epsilon={float(cfg.epsilon)!r}",
         f"max_iter={cfg.max_iter}",
-        "p_override=" + ("auto" if cfg.p_override is None else ",".join(repr(p) for p in cfg.p_override)),
+        "p_override=" + ("auto" if cfg.p_override is None else ",".join(repr(float(p)) for p in cfg.p_override)),
         f"stripe_enabled={'true' if cfg.stripe_enabled else 'false'}",
     ]
     return "\n".join(lines) + "\n"

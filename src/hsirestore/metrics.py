@@ -37,8 +37,6 @@ class MetricsReport:
     mpsnr: float
     mssim: float
     msam: float  # mean spectral angle over pixels, radians
-    sam_min: float
-    sam_max: float
 
 
 def _check_band(ref: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +196,4 @@ def evaluate(ref: np.ndarray, test: np.ndarray) -> MetricsReport:
         mpsnr=float(np.mean(psnr_pb)),
         mssim=float(np.mean(ssim_pb)),
         msam=float(np.mean(sam_map)),
-        sam_min=float(np.min(sam_map)),
-        sam_max=float(np.max(sam_map)),
     )

@@ -19,23 +19,6 @@ import numpy as np
 _NEWTON_STEP_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
-@dataclass(frozen=True)
-class TvWeights:
-    """Per-direction weights of the difference operator (height, width, band)."""
-
-    w_h: float = 1.0
-    w_w: float = 1.0
-    w_p: float = 0.5
-
-    def __post_init__(self) -> None:
-        for w in self.as_tuple():
-            if not np.isfinite(w) or w < 0:
-                raise ValueError(f"weights must be finite and nonnegative, got {self.as_tuple()}")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.w_h, self.w_w, self.w_p)
-
-
 @dataclass
 class GradientStack:
     """The difference fields along height, width and band, stacked as one ``(3, h, w, p)`` array."""
@@ -83,19 +66,19 @@ def _circular_diff(
     return out
 
 
-def diff_forward(t: np.ndarray, weights: TvWeights) -> GradientStack:
+def diff_forward(t: np.ndarray, weights: tuple[float, float, float]) -> GradientStack:
     """Weighted circular forward differences along height, width and band."""
     t = np.asarray(t, dtype=np.float64)
     g = np.empty((3,) + t.shape)
-    for axis, (out, weight) in enumerate(zip(g, weights.as_tuple())):
+    for axis, (out, weight) in enumerate(zip(g, weights)):
         _circular_diff(t, axis, 1, weight, out)
     return GradientStack(g)
 
 
-def diff_adjoint(g: GradientStack, weights: TvWeights) -> np.ndarray:
+def diff_adjoint(g: GradientStack, weights: tuple[float, float, float]) -> np.ndarray:
     """Exact adjoint of :func:`diff_forward` under the Euclidean inner product."""
     gh, gw, gp = g.g
-    w_h, w_w, w_p = weights.as_tuple()
+    w_h, w_w, w_p = weights
     out = _circular_diff(gh, 0, -1, w_h)
     out += _circular_diff(gw, 1, -1, w_w)
     out += _circular_diff(gp, 2, -1, w_p)
@@ -116,6 +99,9 @@ def soft_threshold(x, delta: float):
 
 def gst_threshold(tau: float, p: float) -> float:
     """Smallest |y| with a nonzero minimizer of ``tau*|x|**p + (x-y)**2 / 2``."""
+    if tau == np.inf:
+        # every minimizer is zero; the formula below would take inf * 0
+        return np.inf
     x_bar = (2.0 * tau * (1.0 - p)) ** (1.0 / (2.0 - p))
     return x_bar + tau * p * x_bar ** (p - 1.0)
 

@@ -30,7 +30,9 @@ iteration performs, in order:
    step and the dual step.
 4. ``b``:  exact fit of the stripe model to ``y - z - s``: the mean over the
    height, minus each band's mean across the width, cut to the profile rank
-   by an SVD (Eckart-Young) when that rank is below ``min(w, p)``.
+   by an SVD (Eckart-Young) when that rank is below ``min(w, p)``.  ``b``
+   stays that ``w x p`` profile, broadcast along the height as a read-only
+   view.
 5. ``s``:  soft threshold of ``y - z - b`` at ``lambda_sparse``.
 6. dual ascent on both multipliers, then geometric growth of ``beta``, which
    stops at :data:`BETA_MAX`.
@@ -59,7 +61,6 @@ import numpy as np
 from .gradient_fit import HyperLaplacianFit, estimate_p
 from .priors import (
     GradientStack,
-    TvWeights,
     diff_adjoint,
     diff_forward,
     shrink_gradient_stack,
@@ -71,6 +72,9 @@ from .tucker import TuckerRanks, feasible_ranks, hooi, reconstruct
 # cap on the penalty; from the defaults (beta0=0.01, growth 1.1, max_iter=100)
 # beta reaches only about 125
 BETA_MAX = 1e6
+# weights of the height, width and band differences; the exponents, not the
+# weights, adapt to the data
+DIFF_WEIGHTS = (1.0, 1.0, 0.5)
 
 
 def default_image_ranks(shape: tuple[int, int, int]) -> TuckerRanks:
@@ -97,7 +101,6 @@ class SolverConfig:
     # image estimate reliably clears 1e-6 within 100 iterations at equal or
     # better restoration quality
     beta_growth: float = 1.1
-    weights: TvWeights = TvWeights()
     ranks_x: TuckerRanks | None = None
     ranks_b: TuckerRanks | None = None
     epsilon: float = 1e-6
@@ -137,8 +140,6 @@ class SolverConfig:
         # stripes are constant along the height; a larger mode-1 rank would be ignored
         if self.ranks_b is not None and self.ranks_b.r1 != 1:
             raise ValueError(f"ranks_b must have mode-1 rank 1, got {self.ranks_b.as_tuple()}")
-        if not isinstance(self.weights, TvWeights):
-            raise ValueError(f"weights must be TvWeights, got {self.weights!r}")
 
     def resolve_ranks(self, shape: tuple[int, int, int]) -> "SolverConfig":
         """Fill in default ranks for ``shape``, then clamp both triples as :func:`hooi` does."""
@@ -174,7 +175,7 @@ class SolverState:
             x=np.zeros(shape),
             z=np.zeros(shape),
             s=np.zeros(shape),
-            b=np.zeros(shape),
+            b=np.broadcast_to(np.zeros(shape[1:]), shape),
             f=GradientStack(np.zeros((3,) + shape)),
             dual_x=np.zeros(shape),
             dual_grad=GradientStack(np.zeros((3,) + shape)),
@@ -189,6 +190,7 @@ class ObservationDecomposition:
     ``residual`` is defined as the exact remainder
     ``y - (clean + sparse + stripes)`` (that expression, evaluated left to
     right), so the four components carry the observation without loss.
+    ``stripes`` is a read-only view of its height-constant profile.
     """
 
     clean: np.ndarray
@@ -211,14 +213,14 @@ class SolveDiagnostics:
 
 
 @lru_cache(maxsize=8)
-def _diff_transfer(shape: tuple[int, int, int], weights: TvWeights) -> np.ndarray:
+def _diff_transfer(shape: tuple[int, int, int], weights: tuple[float, float, float]) -> np.ndarray:
     """Fourier multipliers of ``D^T D`` for weighted circular differences.
 
     Only the half spectrum that ``rfftn`` keeps along the band axis is
     returned.  The array is cached per ``(shape, weights)`` and read-only.
     """
     mults = []
-    for n, wt in zip(shape, weights.as_tuple()):
+    for n, wt in zip(shape, weights):
         mults.append(wt**2 * (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)))
     transfer = (
         mults[0][:, None, None]
@@ -250,12 +252,12 @@ def update_z(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
     rhs += state.beta * state.x
     shifted = state.beta * state.f.g
     shifted -= state.dual_grad.g
-    rhs += diff_adjoint(GradientStack(shifted), cfg.weights)
+    rhs += diff_adjoint(GradientStack(shifted), DIFF_WEIGHTS)
     del shifted
     # the reciprocal of the real denominator, once per call: numpy divides a
     # complex number by a real one as a multiply by its reciprocal, so only
     # the sign of a zero can differ from the plain division
-    inv_denom = state.beta * _diff_transfer(y.shape, cfg.weights)
+    inv_denom = state.beta * _diff_transfer(y.shape, DIFF_WEIGHTS)
     inv_denom += 1.0 + state.beta
     np.divide(1.0, inv_denom, out=inv_denom)
     axes = (0, 1, 2)
@@ -280,7 +282,7 @@ def update_f(
 def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
     """Exact least-squares fit of the stripe model (step 4 above) to ``y - z - s``."""
     if not cfg.stripe_enabled:
-        return np.zeros_like(y)
+        return np.broadcast_to(np.zeros(y.shape[1:]), y.shape)
     # the mean is linear, so no cube-sized residual is formed
     profile = y.mean(axis=0)
     profile -= state.z.mean(axis=0)
@@ -290,7 +292,7 @@ def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
     if r < min(profile.shape):
         u, sv, vt = np.linalg.svd(profile, full_matrices=False)
         profile = (u[:, :r] * sv[:r]) @ vt[:r]
-    return np.broadcast_to(profile, y.shape).copy()
+    return np.broadcast_to(profile, y.shape)
 
 
 def update_s(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
@@ -352,7 +354,7 @@ def solve(
         x02 = fro_norm(x_old) ** 2
         del x_old
         state.z = update_z(state, cfg, y)
-        dz = diff_forward(state.z, cfg.weights)
+        dz = diff_forward(state.z, DIFF_WEIGHTS)
         state.f = update_f(state, cfg, p_values, dz)
         state.b = update_b(state, cfg, y)
         state.s = update_s(state, cfg, y)

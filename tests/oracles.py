@@ -234,11 +234,11 @@ def estimate_p_stack_oracle(y: np.ndarray):
         estimate_noise_sigma,
         histogram,
     )
-    from hsirestore.priors import TvWeights, diff_forward
+    from hsirestore.priors import diff_forward
 
     y = np.ascontiguousarray(y, dtype=np.float64)
     fits = []
-    for field in diff_forward(y, TvWeights(1.0, 1.0, 1.0)).g:
+    for field in diff_forward(y, (1.0, 1.0, 1.0)).g:
         sigma = estimate_noise_sigma(field)
         k, p, residual = _fit_masses(histogram(field), sigma * np.sqrt(2.0))
         fits.append((p, sigma, k, residual))

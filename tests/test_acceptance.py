@@ -17,8 +17,8 @@ from hsirestore.fileio import read_cube, write_cube
 from hsirestore.gradient_fit import _fit_masses, histogram, convolve_hist
 from hsirestore.metrics import evaluate, psnr, sam, ssim
 from hsirestore.noise import _stripe_field, case_spec, simulate_case
-from hsirestore.priors import GradientStack, TvWeights, diff_adjoint, diff_forward, gst_shrink
-from hsirestore.solver import SolverConfig, SolverState, solve, update_z
+from hsirestore.priors import GradientStack, diff_adjoint, diff_forward, gst_shrink
+from hsirestore.solver import DIFF_WEIGHTS, SolverConfig, SolverState, solve, update_z
 from hsirestore.synthetic import low_rank_cube
 from hsirestore.tensor_ops import fold, fro_norm, unfold
 from hsirestore.tucker import TuckerRanks, hooi, hosvd_init, reconstruct
@@ -101,7 +101,7 @@ def test_criterion_1_oracle_equivalence():
 
     # FFT splitting solve vs dense linear solve on 4x4x3
     shape = (4, 4, 3)
-    weights = TvWeights(1.0, 1.0, 0.5)
+    weights = DIFF_WEIGHTS
     beta = 0.37
     state = SolverState.zeros(shape, beta)
     rng = np.random.default_rng(8)
@@ -112,7 +112,7 @@ def test_criterion_1_oracle_equivalence():
     state.f = GradientStack(np.stack([rng.standard_normal(shape) for _ in range(3)]))
     state.dual_x = rng.standard_normal(shape)
     state.dual_grad = GradientStack(np.stack([rng.standard_normal(shape) for _ in range(3)]))
-    cfg = SolverConfig(ranks_x=TuckerRanks(2, 2, 2), ranks_b=TuckerRanks(1, 2, 2), weights=weights)
+    cfg = SolverConfig(ranks_x=TuckerRanks(2, 2, 2), ranks_b=TuckerRanks(1, 2, 2))
     got = update_z(state, cfg, y)
     d = dense_difference_matrix(shape, weights)
     n = int(np.prod(shape))
@@ -154,7 +154,7 @@ def test_criterion_2_multilinear_invariants():
             np.testing.assert_array_equal(fold(unfold(t, mode), mode, shape), t)
 
     # adjoint identity over 100 seeds at 1e-10
-    weights = TvWeights(1.0, 1.0, 0.5)
+    weights = (1.0, 1.0, 0.5)
     for seed in range(100):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((4, 5, 3))

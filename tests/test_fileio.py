@@ -1,6 +1,6 @@
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +19,6 @@ from hsirestore.fileio import (
     write_manifest,
 )
 from hsirestore.noise import case_spec
-from hsirestore.priors import TvWeights
 from hsirestore.solver import SolverConfig
 from hsirestore.tucker import TuckerRanks
 from oracles import cube_file_oracle, cube_read_oracle, manifest_spec_oracle
@@ -283,7 +282,6 @@ class TestSolverConfigIO:
             lambda_sparse=0.05,
             beta0=0.02,
             beta_growth=1.2,
-            weights=TvWeights(1.0, 0.9, 0.4),
             ranks_x=TuckerRanks(8, 8, 5),
             ranks_b=TuckerRanks(1, 24, 16),
             epsilon=1e-7,
@@ -293,8 +291,30 @@ class TestSolverConfigIO:
         )
         assert parse_solver_config(solver_config_text(cfg)) == cfg
 
-    def test_weights_not_given_keep_the_config_defaults(self):
-        assert parse_solver_config("weight_h=2").weights == replace(SolverConfig().weights, w_h=2.0)
+    def test_numpy_scalars_round_trip(self):
+        # a config built through the API may hold numpy scalars; its config.txt
+        # must still parse back to an equal config
+        cfg = SolverConfig(
+            lambda_tv=np.float64(0.003),
+            lambda_sparse=np.float64(0.05),
+            beta0=np.float64(0.02),
+            beta_growth=np.float64(1.2),
+            epsilon=np.float64(1e-7),
+            p_override=tuple(np.float64([0.6, 0.7, 0.5])),
+        )
+        text = solver_config_text(cfg)
+        assert "np." not in text
+        assert parse_solver_config(text) == cfg
+
+    def test_keys_are_the_config_fields_in_order(self):
+        keys = list(fileio._parse_lines(solver_config_text(SolverConfig())))
+        assert keys == [f.name for f in fields(SolverConfig)]
+
+    def test_weight_keys_rejected_as_unknown(self):
+        # the difference weights are the constant solver.DIFF_WEIGHTS
+        for key in ("weight_h", "weight_w", "weight_p"):
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                parse_solver_config(f"{key}=1.0\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -310,8 +330,6 @@ class TestSolverConfigIO:
         with pytest.raises(ConfigError):
             parse_solver_config("ranks_x=1,2\n")
         for text in (
-            "weight_h=-1\n",
-            "weight_p=nan\n",
             "ranks_x=0,2,2\n",
             "lambda_tv=nan\n",
             "epsilon=nan\n",

@@ -23,7 +23,7 @@ from hsirestore.gradient_fit import (
     nelder_mead,
 )
 from hsirestore.noise import case_spec, simulate_case
-from hsirestore.priors import TvWeights, diff_forward
+from hsirestore.priors import diff_forward
 from hsirestore.synthetic import low_rank_cube
 from hsirestore.tucker import TuckerRanks
 from oracles import convolve_masses_oracle, estimate_p_stack_oracle, sample_hyper_laplacian
@@ -45,12 +45,12 @@ class TestEstimateNoiseSigma:
     def test_recovers_noise_std_from_gradients(self):
         rng = np.random.default_rng(77)
         noise = rng.normal(0.0, 0.10, (64, 64, 16))
-        g = diff_forward(noise, TvWeights(1.0, 1.0, 1.0))
+        g = diff_forward(noise, (1.0, 1.0, 1.0))
         for block in g.blocks():
             assert 0.085 <= estimate_noise_sigma(block) <= 0.115
 
     def test_constant_cube_gradients_give_zero(self):
-        g = diff_forward(np.full((5, 5, 5), 0.3), TvWeights(1.0, 1.0, 1.0))
+        g = diff_forward(np.full((5, 5, 5), 0.3), (1.0, 1.0, 1.0))
         assert estimate_noise_sigma(g.g[0]) == 0.0
 
     def test_empty_input_rejected(self):

@@ -100,7 +100,7 @@ def test_evaluate_does_not_depend_on_the_layout(noisy_pair):
     got_f = evaluate(np.asfortranarray(truth), np.asfortranarray(noisy))
     assert got_c.psnr_per_band.tobytes() == got_f.psnr_per_band.tobytes()
     assert got_c.ssim_per_band.tobytes() == got_f.ssim_per_band.tobytes()
-    assert (got_c.msam, got_c.sam_min, got_c.sam_max) == (got_f.msam, got_f.sam_min, got_f.sam_max)
+    assert got_c.msam == got_f.msam
 
 
 def test_evaluate_scores_each_band_like_its_slice(noisy_pair):

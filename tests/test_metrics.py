@@ -200,7 +200,7 @@ class TestEvaluate:
         b = evaluate(ref * scale, test * scale).msam
         assert a == pytest.approx(b, abs=1e-12)
 
-    def test_sam_summary_is_mean_min_max_of_the_map(self):
+    def test_msam_is_the_mean_of_the_map(self):
         rng = np.random.default_rng(13)
         ref = rng.random((12, 12, 6))
         test = rng.random((12, 12, 6))
@@ -209,9 +209,8 @@ class TestEvaluate:
         angles = sam(ref, test)
         report = evaluate(ref, test)
         assert report.msam == float(np.mean(angles))
-        assert report.sam_min == float(np.min(angles))
-        assert report.sam_max == float(np.max(angles))
-        assert report.sam_max == pytest.approx(np.pi, abs=1e-12)
+        # the antiparallel pixel's angle of pi is part of that mean
+        assert angles[3, 4] == pytest.approx(np.pi, abs=1e-12)
 
     @pytest.mark.parametrize("block_entries", [1, 500, 10**6])
     def test_sam_row_blocks_equal_the_whole_cube_map(self, monkeypatch, block_entries):
@@ -225,8 +224,6 @@ class TestEvaluate:
         angles = sam(ref, test)
         report = evaluate(ref, test)
         assert report.msam == float(np.mean(angles))
-        assert report.sam_min == float(np.min(angles))
-        assert report.sam_max == float(np.max(angles))
 
     @pytest.mark.parametrize("bands", [1, 3, 4, 5])
     def test_band_blocks_equal_direct_band_values(self, monkeypatch, bands):

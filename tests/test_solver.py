@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import hsirestore.solver
 from hsirestore.fileio import normalize_bands
 from hsirestore.metrics import evaluate
 from hsirestore.noise import _stripe_field, case_spec, simulate_case
-from hsirestore.priors import GradientStack, TvWeights, diff_adjoint, diff_forward, soft_threshold
+from hsirestore.priors import GradientStack, diff_adjoint, diff_forward, soft_threshold
 from hsirestore.solver import (
     BETA_MAX,
+    DIFF_WEIGHTS,
     SolverConfig,
     SolverState,
     default_image_ranks,
@@ -54,9 +56,9 @@ def z_step_rhs(state, y, weights):
     ) + diff_adjoint(shifted, weights)
 
 
-def f_step_target(state, cfg):
+def f_step_target(state):
     """``D z + dual_grad / beta`` block by block, the target of the f-step."""
-    dz = diff_forward(state.z, cfg.weights)
+    dz = diff_forward(state.z, DIFF_WEIGHTS)
     return [d + g * (1 / state.beta) for d, g in zip(dz.blocks(), state.dual_grad.blocks())]
 
 
@@ -98,25 +100,24 @@ class TestUpdateX:
 
 
 class TestUpdateZ:
-    def test_zero_weights_scale_rhs(self):
+    def test_zero_weights_scale_rhs(self, monkeypatch):
         shape = (4, 4, 3)
         rng = np.random.default_rng(6)
         y = rng.standard_normal(shape)
         state = make_state(shape, beta=0.8, seed=7)
-        cfg = small_cfg(weights=TvWeights(0.0, 0.0, 0.0))
-        got = update_z(state, cfg, y)
+        monkeypatch.setattr(hsirestore.solver, "DIFF_WEIGHTS", (0.0, 0.0, 0.0))
+        got = update_z(state, small_cfg(), y)
         rhs = y - state.b - state.s + state.dual_x + state.beta * state.x
         np.testing.assert_allclose(got, rhs / (1.0 + state.beta), atol=1e-12)
 
     def test_matches_dense_solve_oracle(self):
         shape = (4, 4, 3)
         beta = 0.37
-        weights = TvWeights(1.0, 1.0, 0.5)
+        weights = DIFF_WEIGHTS
         rng = np.random.default_rng(8)
         y = rng.standard_normal(shape)
         state = make_state(shape, beta=beta, seed=9)
-        cfg = small_cfg(weights=weights)
-        got = update_z(state, cfg, y)
+        got = update_z(state, small_cfg(), y)
 
         d = dense_difference_matrix(shape, weights)
         n = np.prod(shape)
@@ -130,20 +131,21 @@ class TestUpdateZ:
     @pytest.mark.parametrize(
         "shape, weights, beta",
         [
-            ((4, 4, 4), TvWeights(1.0, 1.0, 0.5), 0.61),  # even band count
-            ((3, 4, 2), TvWeights(1.0, 0.8, 0.4), 0.61),
-            ((5, 3, 1), TvWeights(1.0, 1.0, 0.5), 0.61),  # single band
+            ((4, 4, 4), (1.0, 1.0, 0.5), 0.61),  # even band count
+            ((3, 4, 2), (1.0, 0.8, 0.4), 0.61),
+            ((5, 3, 1), (1.0, 1.0, 0.5), 0.61),  # single band
             # at beta=0 the multiplier term -D^T dual_grad stays in the right-hand side
-            ((4, 4, 4), TvWeights(1.0, 1.0, 0.5), 0.0),
-            ((3, 4, 2), TvWeights(1.0, 0.8, 0.4), 0.0),
-            ((5, 3, 1), TvWeights(1.0, 1.0, 0.5), 0.0),
+            ((4, 4, 4), (1.0, 1.0, 0.5), 0.0),
+            ((3, 4, 2), (1.0, 0.8, 0.4), 0.0),
+            ((5, 3, 1), (1.0, 1.0, 0.5), 0.0),
         ],
         ids=["shape0-weights0", "shape1-weights1", "shape2-weights2", "beta0-shape0", "beta0-shape1", "beta0-shape2"],
     )
-    def test_real_fft_solve_matches_dense_solve(self, shape, weights, beta):
+    def test_real_fft_solve_matches_dense_solve(self, monkeypatch, shape, weights, beta):
         y = np.random.default_rng(30).standard_normal(shape)
         state = make_state(shape, beta=beta, seed=31)
-        got = update_z(state, small_cfg(weights=weights), y)
+        monkeypatch.setattr(hsirestore.solver, "DIFF_WEIGHTS", weights)
+        got = update_z(state, small_cfg(), y)
         d = dense_difference_matrix(shape, weights)
         a = (1.0 + beta) * np.eye(int(np.prod(shape))) + beta * (d.T @ d)
         rhs = z_step_rhs(state, y, weights)
@@ -152,15 +154,16 @@ class TestUpdateZ:
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
 
 
-    def test_equals_the_plain_expression_bit_for_bit(self):
+    def test_equals_the_plain_expression_bit_for_bit(self, monkeypatch):
         # the in-place right-hand side keeps the operation order of the plain expression
-        shape, weights, beta = (5, 4, 6), TvWeights(1.0, 0.8, 0.5), 0.61
+        shape, weights, beta = (5, 4, 6), (1.0, 0.8, 0.5), 0.61
         y = np.random.default_rng(32).standard_normal(shape)
         state = make_state(shape, beta=beta, seed=33)
-        got = update_z(state, small_cfg(weights=weights), y)
+        monkeypatch.setattr(hsirestore.solver, "DIFF_WEIGHTS", weights)
+        got = update_z(state, small_cfg(), y)
         mults = [
             w**2 * (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n))
-            for n, w in zip(shape, weights.as_tuple())
+            for n, w in zip(shape, weights)
         ]
         half = shape[2] // 2 + 1
         transfer = mults[0][:, None, None] + mults[1][None, :, None] + mults[2][None, None, :half]
@@ -175,16 +178,16 @@ class TestUpdateF:
         shape = (4, 5, 3)
         state = make_state(shape, beta=0.9, seed=10)
         cfg = small_cfg(lambda_tv=0.0)
-        got = update_f(state, cfg, (0.6, 0.7, 0.5), diff_forward(state.z, cfg.weights))
-        for a, b in zip(got.blocks(), f_step_target(state, cfg)):
+        got = update_f(state, cfg, (0.6, 0.7, 0.5), diff_forward(state.z, DIFF_WEIGHTS))
+        for a, b in zip(got.blocks(), f_step_target(state)):
             np.testing.assert_array_equal(a, b)
 
     def test_p_one_is_blockwise_soft_threshold(self):
         shape = (4, 4, 4)
         state = make_state(shape, beta=0.5, seed=11)
         cfg = small_cfg(lambda_tv=0.01)
-        got = update_f(state, cfg, (1.0, 1.0, 1.0), diff_forward(state.z, cfg.weights))
-        for a, b in zip(got.blocks(), f_step_target(state, cfg)):
+        got = update_f(state, cfg, (1.0, 1.0, 1.0), diff_forward(state.z, DIFF_WEIGHTS))
+        for a, b in zip(got.blocks(), f_step_target(state)):
             np.testing.assert_allclose(a, soft_threshold(b, cfg.lambda_tv / state.beta), atol=1e-14)
 
     def test_elementwise_objective_optimality(self):
@@ -192,9 +195,9 @@ class TestUpdateF:
         state = make_state(shape, beta=0.4, seed=12)
         cfg = small_cfg(lambda_tv=0.02)
         p_values = (0.642, 0.684, 0.485)
-        got = update_f(state, cfg, p_values, diff_forward(state.z, cfg.weights))
+        got = update_f(state, cfg, p_values, diff_forward(state.z, DIFF_WEIGHTS))
         tau = cfg.lambda_tv / state.beta
-        for block, source, p in zip(got.blocks(), f_step_target(state, cfg), p_values):
+        for block, source, p in zip(got.blocks(), f_step_target(state), p_values):
             for v, y in zip(block.ravel(), source.ravel()):
                 best = gst_minimize_oracle(float(y), tau, p)
                 assert gst_objective(float(v), float(y), tau, p) <= (
@@ -228,9 +231,8 @@ class TestUpdateB:
         y = np.random.default_rng(r).standard_normal(shape) + 3.0
         got = update_b(state, small_cfg(ranks_b=TuckerRanks(1, r, r)), y)
         target = y - state.z - state.s
-        assert got.flags.c_contiguous
-        # constant along the height
-        assert all(np.array_equal(row, got[0]) for row in got)
+        # constant along the height: a read-only view of one profile
+        assert got.strides[0] == 0 and not got.flags.writeable
         # zero mean across the width in every band
         assert np.max(np.abs(got[0].mean(axis=0))) <= 1e-12 * np.max(np.abs(target))
         # profile rank at most r
@@ -276,8 +278,8 @@ class TestUpdateMultipliers:
         state = make_state(shape, beta=0.5, seed=21)
         cfg = small_cfg()
         state.z = state.x.copy()
-        state.f = diff_forward(state.z, cfg.weights)
-        dual_x, dual_grad, beta = update_multipliers(state, cfg, diff_forward(state.z, cfg.weights))
+        state.f = diff_forward(state.z, DIFF_WEIGHTS)
+        dual_x, dual_grad, beta = update_multipliers(state, cfg, diff_forward(state.z, DIFF_WEIGHTS))
         np.testing.assert_array_equal(dual_x, state.dual_x)
         for a, b in zip(dual_grad.blocks(), state.dual_grad.blocks()):
             np.testing.assert_allclose(a, b, atol=1e-15)
@@ -287,17 +289,17 @@ class TestUpdateMultipliers:
         shape = (3, 3, 3)
         state = make_state(shape, beta=BETA_MAX, seed=22)
         cfg = small_cfg()
-        _, _, beta = update_multipliers(state, cfg, diff_forward(state.z, cfg.weights))
+        _, _, beta = update_multipliers(state, cfg, diff_forward(state.z, DIFF_WEIGHTS))
         assert beta == BETA_MAX
 
     def test_random_mismatch_arithmetic(self):
         shape = (4, 3, 3)
         state = make_state(shape, beta=0.8, seed=23)
         cfg = small_cfg()
-        dual_x, dual_grad, _ = update_multipliers(state, cfg, diff_forward(state.z, cfg.weights))
+        dual_x, dual_grad, _ = update_multipliers(state, cfg, diff_forward(state.z, DIFF_WEIGHTS))
         # bit for bit: the in-place update keeps the plain expression's operation order
         np.testing.assert_array_equal(dual_x, state.dual_x + 0.8 * (state.x - state.z))
-        dz = diff_forward(state.z, cfg.weights)
+        dz = diff_forward(state.z, DIFF_WEIGHTS)
         gap = [d - f for d, f in zip(dz.blocks(), state.f.blocks())]
         for a, old, g in zip(dual_grad.blocks(), state.dual_grad.blocks(), gap):
             np.testing.assert_array_equal(a, old + 0.8 * g)
@@ -339,7 +341,7 @@ class TestUpdatesLeaveInputsAlone:
         y = np.random.default_rng(44).standard_normal(shape)
         # warm factors, so that the HOOI update also starts from arrays the state holds
         state.x_factors = hosvd_init(state.z, cfg.ranks_x).factors
-        dz = diff_forward(state.z, cfg.weights)
+        dz = diff_forward(state.z, DIFF_WEIGHTS)
         inputs = held_arrays(state, y)
         inputs.update({f"dz.g{axis}": block for axis, block in zip("hwp", dz.blocks())})
         before = {name: a.tobytes() for name, a in inputs.items()}
@@ -398,7 +400,7 @@ class TestSolve:
             target = (beta_prev * z_prev - dual_prev) / beta_prev
             assert fro_norm(state.x - target) <= 1e-10 * max(fro_norm(target), 1.0)
             state.z = update_z(state, cfg, y)
-            dz = diff_forward(state.z, cfg.weights)
+            dz = diff_forward(state.z, DIFF_WEIGHTS)
             state.f = update_f(state, cfg, cfg.p_override, dz)
             state.b = update_b(state, cfg, y)
             state.s = update_s(state, cfg, y)
@@ -443,6 +445,17 @@ class TestSolve:
         np.testing.assert_array_equal(
             dec.residual, noisy - (dec.clean + dec.sparse + dec.stripes)
         )
+
+    @pytest.mark.parametrize("stripe_enabled", [True, False])
+    def test_stripes_are_a_read_only_profile_view(self, stripe_enabled):
+        truth = low_rank_cube((12, 12, 6), TuckerRanks(3, 3, 2), seed=17)
+        noisy, _ = simulate_case(truth, case_spec(2, seed=17))
+        cfg = SolverConfig(max_iter=5, p_override=(0.7, 0.7, 0.7), stripe_enabled=stripe_enabled)
+        dec, _ = solve(noisy, cfg)
+        assert dec.stripes.shape == noisy.shape and dec.stripes.strides[0] == 0
+        with pytest.raises(ValueError, match="read-only"):
+            dec.stripes[0, 0, 0] = 1.0
+        assert dec.stripes.any() == stripe_enabled
 
     def test_convergence_flag_matches_history(self):
         truth = low_rank_cube((16, 16, 8), TuckerRanks(3, 3, 2), seed=19)
@@ -548,8 +561,6 @@ class TestSolve:
 
     def test_one_gradient_of_z_per_iteration(self, monkeypatch):
         # D z is formed once per iteration and shared by the f-step and the dual step
-        import hsirestore.solver
-
         truth = low_rank_cube((12, 12, 6), TuckerRanks(3, 3, 2), seed=47)
         noisy, _ = simulate_case(truth, case_spec(2, seed=47))
         cfg = SolverConfig(ranks_x=TuckerRanks(4, 4, 3), max_iter=8, p_override=(0.7, 0.7, 0.7))
@@ -616,7 +627,7 @@ class TestConfig:
             ("stripe_enabled", 1),
             ("ranks_x", (4, 4, 2)),
             ("ranks_b", (1, 4, 2)),
-            ("weights", (1, 1, 0.5)),
+            ("p_override", (0.5, 0.5, np.nan)),
             ("max_iter", True),
             # stripes are constant along the height
             ("ranks_b", TuckerRanks(2, 4, 4)),
