@@ -7,6 +7,7 @@ stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -34,12 +35,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     noisy, components = simulate_case(truth, spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_cube(out_dir / "noisy.cube", noisy)
-    write_cube(out_dir / "gaussian.cube", components["gaussian"])
-    write_cube(out_dir / "stripe_field.cube", components["stripe_field"])
     # the float32 cast writes the boolean masks as 0.0/1.0
-    write_cube(out_dir / "deadline_mask.cube", components["deadline_mask"])
-    write_cube(out_dir / "impulse_mask.cube", components["impulse_mask"])
+    for key, cube in {"noisy": noisy, **components}.items():
+        write_cube(out_dir / f"{key}.cube", cube)
     write_manifest(out_dir / "manifest.txt", spec)
     print(f"wrote noisy cube and components to {out_dir}")
     return 0
@@ -51,10 +49,8 @@ def _cmd_denoise(args: argparse.Namespace) -> int:
     decomposition, diag = solve(y, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_cube(out_dir / "clean.cube", decomposition.clean)
-    write_cube(out_dir / "sparse.cube", decomposition.sparse)
-    write_cube(out_dir / "stripes.cube", decomposition.stripes)
-    write_cube(out_dir / "residual.cube", decomposition.residual)
+    for field in dataclasses.fields(decomposition):
+        write_cube(out_dir / f"{field.name}.cube", getattr(decomposition, field.name))
     write_diagnostics_csv(out_dir / "diagnostics.csv", diag)
     (out_dir / "config.txt").write_text(
         solver_config_text(cfg.resolve_ranks(y.shape)), encoding="utf-8"

@@ -12,16 +12,22 @@ The payload stays height-fastest on disk, while cubes in memory are C-ordered
 whole bands, about :data:`CUBE_BLOCK_ENTRIES` values each, through one reused
 float32 buffer, so neither holds a second copy of the cube.
 
-Configs and manifests are plain UTF-8 ``key=value`` lines.  In a config ``#``
-starts a comment and unknown keys are rejected so typos fail loudly; a manifest
-is only written, as the complete record of a simulated degradation.
+Configs and manifests are plain UTF-8 ``key=value`` lines, one per dataclass
+field in field order.  Each value is written as its declared type asks:
+floats as their ``repr``, booleans as ``true``/``false``, tuples and
+dataclasses as comma-separated entries, and ``None`` as ``auto``.  In a config
+``#`` starts a comment anywhere on a line and unknown keys are rejected so
+typos fail loudly; a manifest is only written, as the complete record of a
+simulated degradation.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +35,6 @@ import numpy as np
 from .metrics import MetricsReport
 from .noise import NoiseSpec
 from .solver import SolveDiagnostics, SolverConfig
-from .tucker import TuckerRanks
 
 MAGIC = b"HSICUBE1"
 _HEADER = struct.Struct("<8sIII")
@@ -128,72 +133,87 @@ def _normalize_bands(cube: np.ndarray, out: np.ndarray | None) -> np.ndarray:
 def _parse_lines(text: str) -> dict[str, str]:
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        # no value holds a ``#``, so the first one starts a comment
+        stripped = line.partition("#")[0].strip()
+        if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
+        key, _, value = map(str.strip, stripped.partition("="))
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = value.strip()
+        values[key] = value
     return values
 
 
-def _as_float(key: str, raw: str) -> float:
+def _field_types(cls) -> dict[str, type]:
+    """The declared type of each field of a dataclass, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {field.name: hints[field.name] for field in dataclasses.fields(cls)}
+
+
+def _members(kind) -> tuple:
+    """The entry types of a tuple type or a dataclass; ``(X, NoneType)`` for ``X | None``."""
+    return typing.get_args(kind) or tuple(_field_types(kind).values())
+
+
+def _format_value(value, kind) -> str:
+    """A value of declared type ``kind`` as a key=value line holds it."""
+    if value is None:
+        return "auto"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is float:
+        # a numpy scalar's repr, such as ``np.float64(0.003)``, would not parse back
+        return repr(float(value))
+    if kind in (int, str):
+        return str(value)
+    members = _members(kind)
+    if type(None) in members:
+        return _format_value(value, members[0])
+    if dataclasses.is_dataclass(kind):
+        value = dataclasses.astuple(value)
+    return ",".join(map(_format_value, value, members))
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _parse_value(key: str, raw: str, kind):
+    """The value of the field ``key``, of declared type ``kind``, that ``raw`` holds."""
     try:
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from exc
-
-
-def _as_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: expected an integer, got {raw!r}") from exc
-
-
-def _as_bool(key: str, raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {raw!r}")
-
-
-def _as_tuple(key: str, raw: str, cast, count: int) -> tuple:
+        if kind is bool:
+            return _BOOLS[raw.lower()]
+        if kind in (float, int, str):
+            return kind(raw)
+    except (KeyError, ValueError) as exc:
+        expected = {bool: "true/false", float: "a number", int: "an integer"}[kind]
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from exc
+    members = _members(kind)
+    if type(None) in members:
+        return None if raw.lower() == "auto" else _parse_value(key, raw, members[0])
     parts = [part.strip() for part in raw.split(",")]
-    if len(parts) != count:
-        raise ConfigError(f"{key}: expected {count} comma-separated values, got {raw!r}")
-    return tuple(cast(key, part) for part in parts)
+    if len(parts) != len(members):
+        raise ConfigError(f"{key}: expected {len(members)} comma-separated values, got {raw!r}")
+    values = tuple(_parse_value(key, part, member) for part, member in zip(parts, members))
+    return kind(*values) if dataclasses.is_dataclass(kind) else values
+
+
+def _record_text(record) -> str:
+    """A dataclass as key=value lines, one per field in field order."""
+    fields = _field_types(type(record)).items()
+    return "".join(f"{key}={_format_value(getattr(record, key), kind)}\n" for key, kind in fields)
 
 
 def parse_solver_config(text: str) -> SolverConfig:
     """Build a :class:`SolverConfig` from key=value text; unknown keys are rejected."""
-    values = _parse_lines(text)
-    # the serializer writes every accepted key exactly once
-    unknown = set(values) - set(_parse_lines(solver_config_text(SolverConfig())))
+    values, kinds = _parse_lines(text), _field_types(SolverConfig)
+    unknown = values.keys() - kinds
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key in ("lambda_tv", "lambda_sparse", "beta0", "beta_growth", "epsilon"):
-        if key in values:
-            kwargs[key] = _as_float(key, values[key])
-    if "max_iter" in values:
-        kwargs["max_iter"] = _as_int("max_iter", values["max_iter"])
-    if "stripe_enabled" in values:
-        kwargs["stripe_enabled"] = _as_bool("stripe_enabled", values["stripe_enabled"])
-    if "p_override" in values and values["p_override"].lower() != "auto":
-        kwargs["p_override"] = _as_tuple("p_override", values["p_override"], _as_float, 3)
     # the value objects check their own ranges and raise ValueError
     try:
-        for key in ("ranks_x", "ranks_b"):
-            if key in values and values[key].lower() != "auto":
-                kwargs[key] = TuckerRanks(*_as_tuple(key, values[key], _as_int, 3))
-        return SolverConfig(**kwargs)
+        return SolverConfig(**{key: _parse_value(key, raw, kinds[key]) for key, raw in values.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -204,34 +224,12 @@ def load_solver_config(path: str | Path) -> SolverConfig:
 
 def solver_config_text(cfg: SolverConfig) -> str:
     """Serialize a resolved config back to key=value lines, one per field in field order."""
-    # a numpy scalar's repr, such as ``np.float64(0.003)``, would not parse back
-    lines = [
-        f"lambda_tv={float(cfg.lambda_tv)!r}",
-        f"lambda_sparse={float(cfg.lambda_sparse)!r}",
-        f"beta0={float(cfg.beta0)!r}",
-        f"beta_growth={float(cfg.beta_growth)!r}",
-        "ranks_x=" + ("auto" if cfg.ranks_x is None else ",".join(map(str, cfg.ranks_x.as_tuple()))),
-        "ranks_b=" + ("auto" if cfg.ranks_b is None else ",".join(map(str, cfg.ranks_b.as_tuple()))),
-        f"epsilon={float(cfg.epsilon)!r}",
-        f"max_iter={cfg.max_iter}",
-        "p_override=" + ("auto" if cfg.p_override is None else ",".join(repr(float(p)) for p in cfg.p_override)),
-        f"stripe_enabled={'true' if cfg.stripe_enabled else 'false'}",
-    ]
-    return "\n".join(lines) + "\n"
+    return _record_text(cfg)
 
 
 def write_manifest(path: str | Path, spec: NoiseSpec) -> None:
-    """Record a noise spec completely, one key=value line per field."""
-    lines = [
-        f"case={spec.case_id}",
-        f"seed={spec.seed}",
-        f"gaussian_variance={spec.gaussian_variance[0]!r},{spec.gaussian_variance[1]!r}",
-        f"impulse_ratio={spec.impulse_ratio[0]!r},{spec.impulse_ratio[1]!r}",
-        f"stripe_kind={spec.stripe_kind}",
-        f"stripe_coverage={spec.stripe_coverage[0]!r},{spec.stripe_coverage[1]!r}",
-        f"stripe_amplitude={spec.stripe_amplitude!r}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Record a noise spec completely, one key=value line per field in field order."""
+    Path(path).write_text(_record_text(spec), encoding="utf-8")
 
 
 def write_diagnostics_csv(path: str | Path, diag: SolveDiagnostics) -> None:

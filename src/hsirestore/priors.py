@@ -109,11 +109,15 @@ def gst_threshold(tau: float, p: float) -> float:
 def _gst_magnitude(am: np.ndarray, c: float, p: float) -> np.ndarray:
     """Larger root of ``x + c*x**(p-1) = am`` by Newton's method from ``x0 = am``.
 
-    Entries whose iterate ends outside ``(0, am]`` (a NaN from an infinite
-    ``am``) are zero.
+    An infinite ``am`` is its own root and stays out of the Newton steps,
+    where its inf/inf would end the loop for every entry.  Entries whose
+    iterate ends outside ``(0, am]`` (a NaN from an overflow) are zero.
     """
     x = am.copy()
     if not x.size:
+        return x
+    if am.max() == np.inf:
+        x[am < np.inf] = _gst_magnitude(am[am < np.inf], c, p)
         return x
     w = np.empty_like(x)
     den = np.empty_like(x)
@@ -148,7 +152,8 @@ def gst_shrink(y, tau: float, p: float):
     ``x0 = |y|``, so Newton's method from there decreases monotonically to
     that root.  It stops after the first step no larger than ``sqrt(eps)``
     relative to every entry, which quadratic convergence leaves with an
-    error at the rounding level.  Elementwise on arrays.
+    error at the rounding level.  At a finite ``tau`` an infinite ``y``
+    passes through, as in :func:`soft_threshold`.  Elementwise on arrays.
     """
     if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")

@@ -338,13 +338,12 @@ def cube_read_oracle(raw: bytes) -> np.ndarray:
 def manifest_spec_oracle(text: str) -> NoiseSpec:
     """Rebuild the ``NoiseSpec`` a manifest records, which must name every field.
 
-    ``stripe_kind`` is kept as text, ``case`` names ``case_id``, and every
-    other value is read with ``ast.literal_eval`` (``0.1,0.1`` is a tuple).
+    ``stripe_kind`` is kept as text, and every other value is read with
+    ``ast.literal_eval`` (``0.1,0.1`` is a tuple).
     """
     kwargs = {}
     for line in text.splitlines():
         key, _, value = line.partition("=")
-        key = "case_id" if key == "case" else key
         assert key not in kwargs, f"duplicate manifest key {key!r}"
         kwargs[key] = value if key == "stripe_kind" else ast.literal_eval(value)
     fields = {field.name for field in dataclasses.fields(NoiseSpec)}

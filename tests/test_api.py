@@ -1,5 +1,6 @@
-"""The package root's exports and the names the layer tracer patches."""
+"""The package root's exports, the names the layer tracer patches, and the Python floor."""
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -39,6 +40,15 @@ def test_every_traced_name_resolves(monkeypatch):
     for module_name, attr, _ in tracing.WRAPPED:
         module = importlib.import_module(f"hsirestore.{module_name}")
         assert callable(getattr(module, attr, None)), f"hsirestore.{module_name}.{attr}"
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10; CI runs a newer interpreter
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src").rglob("*.py")) + sorted((root / "scripts").rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 def test_readme_library_example_runs_as_written(capsys):

@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ class TestDenoise:
             rows = list(csv.reader(fh))
         assert rows[0] == ["iter", "rel_change", "beta"]
         assert len(rows) >= 2
+
+    def test_readme_config_block_runs_as_written(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        cfg = tmp_path / "readme.txt"
+        cfg.write_text(readme.split("### Config file", 1)[1].split("```\n", 2)[1], encoding="utf-8")
+        noisy = tmp_path / "noisy.cube"
+        write_cube(noisy, np.random.default_rng(8).random((6, 5, 4)))
+        assert main(["denoise", "--in", str(noisy), "--config", str(cfg),
+                     "--out-dir", str(tmp_path / "den")]) == 0
 
     @pytest.mark.parametrize(
         "shape, ranks_x",

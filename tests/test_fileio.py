@@ -18,10 +18,16 @@ from hsirestore.fileio import (
     write_cube,
     write_manifest,
 )
-from hsirestore.noise import case_spec
+from hsirestore.noise import NoiseSpec, case_spec
 from hsirestore.solver import SolverConfig
 from hsirestore.tucker import TuckerRanks
 from oracles import cube_file_oracle, cube_read_oracle, manifest_spec_oracle
+
+
+def readme_config_block() -> str:
+    """The README's "all keys and defaults" config block, comments included."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("### Config file", 1)[1].split("```\n", 2)[1]
 
 
 def f32_cube(seed=0, shape=(5, 6, 3)):
@@ -340,10 +346,67 @@ class TestSolverConfigIO:
                 parse_solver_config(text)
 
     def test_readme_config_block_lists_every_key_and_default(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("### Config file", 1)[1].split("```\n", 2)[1]
-        lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
-        assert lines == solver_config_text(SolverConfig()).splitlines()
+        written = fileio._parse_lines(solver_config_text(SolverConfig()))
+        assert list(fileio._parse_lines(readme_config_block()).items()) == list(written.items())
+
+    def test_readme_config_block_parses_to_the_defaults(self):
+        assert parse_solver_config(readme_config_block()) == SolverConfig()
+
+    def test_inline_comment_dropped(self):
+        text = "lambda_tv=0.004   # gradient-prior weight\n  # indented comment\nmax_iter=7#no space\n"
+        assert parse_solver_config(text) == SolverConfig(lambda_tv=0.004, max_iter=7)
+
+    def test_default_text_exact(self):
+        assert solver_config_text(SolverConfig()) == (
+            "lambda_tv=0.002\nlambda_sparse=0.02\nbeta0=0.01\nbeta_growth=1.1\n"
+            "ranks_x=auto\nranks_b=auto\nepsilon=1e-06\nmax_iter=100\n"
+            "p_override=auto\nstripe_enabled=true\n"
+        )
+
+    def test_mixed_value_types_text_exact(self):
+        # an int where a float is declared, numpy scalars and explicit ranks
+        cfg = SolverConfig(
+            lambda_tv=1,
+            max_iter=np.int64(50),
+            p_override=tuple(np.float64([0.6, 0.7, 0.5])),
+            ranks_x=TuckerRanks(8, 8, 5),
+            ranks_b=TuckerRanks(1, np.int64(4), 4),
+            stripe_enabled=False,
+        )
+        assert solver_config_text(cfg) == (
+            "lambda_tv=1.0\nlambda_sparse=0.02\nbeta0=0.01\nbeta_growth=1.1\n"
+            "ranks_x=8,8,5\nranks_b=1,4,4\nepsilon=1e-06\nmax_iter=50\n"
+            "p_override=0.6,0.7,0.5\nstripe_enabled=false\n"
+        )
+        assert parse_solver_config(solver_config_text(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("lambda_tv=abc\n", "lambda_tv: expected a number, got 'abc'"),
+            ("max_iter=1.5\n", "max_iter: expected an integer, got '1.5'"),
+            ("stripe_enabled=maybe\n", "stripe_enabled: expected true/false, got 'maybe'"),
+            ("p_override=0.5,0.5\n", "p_override: expected 3 comma-separated values, got '0.5,0.5'"),
+            ("ranks_x=4,x,4\n", "ranks_x: expected an integer, got 'x'"),
+            ("ranks_b=auto,1,1\n", "ranks_b: expected an integer, got 'auto'"),
+            ("epsilon=auto\n", "epsilon: expected a number, got 'auto'"),
+            ("bogus=1\nweight_h=1\n", "unknown config keys: ['bogus', 'weight_h']"),
+            ("beta0=0.1\nbeta0=0.2\n", "line 2: duplicate key 'beta0'"),
+            ("lambda_tv\n", "line 1: expected key=value, got 'lambda_tv'"),
+            ("ranks_x=0,2,2\n", "ranks must be positive integers, got (0, 2, 2)"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ConfigError) as info:
+            parse_solver_config(text)
+        assert str(info.value) == message
+
+    def test_auto_and_booleans_in_any_case(self):
+        cfg = parse_solver_config("ranks_x=AUTO\np_override=Auto\nstripe_enabled=No\n")
+        assert cfg == SolverConfig(stripe_enabled=False)
+        assert parse_solver_config("stripe_enabled=YES\nranks_b=1, 3, 3\n") == SolverConfig(
+            ranks_b=TuckerRanks(1, 3, 3)
+        )
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -351,6 +414,20 @@ class TestSolverConfigIO:
 
 
 class TestManifest:
+    def test_case2_seed7_text_exact(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        write_manifest(path, case_spec(2, seed=7))
+        assert path.read_bytes() == (
+            b"case_id=2\ngaussian_variance=0.1,0.1\nimpulse_ratio=0.2,0.2\n"
+            b"stripe_kind=random\nstripe_coverage=0.4,0.5\nstripe_amplitude=0.25\nseed=7\n"
+        )
+
+    def test_keys_are_the_spec_fields_in_order(self, tmp_path):
+        path = tmp_path / "manifest.txt"
+        write_manifest(path, case_spec(4, seed=1))
+        keys = [line.partition("=")[0] for line in path.read_text(encoding="utf-8").splitlines()]
+        assert keys == [f.name for f in fields(NoiseSpec)]
+
     def test_round_trips_noise_spec(self, tmp_path):
         spec = case_spec(2, seed=99, stripe_amplitude=0.5)
         path = tmp_path / "manifest.txt"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +194,20 @@ class TestGstShrink:
             np.testing.assert_array_equal(gst_shrink(np.array([1e300, -2.0, 0.0]), tau, p), np.zeros(3))
             assert gst_shrink(-2.0, tau, p) == 0.0
             assert gst_threshold(tau, p) == np.inf
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    def test_infinite_entry_passes_through_and_leaves_its_neighbours(self, p, tau):
+        # an infinite entry must not cut short the Newton steps of its finite neighbours
+        y = np.array([0.9, 1.7, 3.0, -0.05])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = gst_shrink(y, tau, p)
+            got = gst_shrink(np.concatenate([y, [np.inf, -np.inf]]), tau, p)
+            assert gst_shrink(-np.inf, tau, p) == -np.inf
+        assert got[:4].tobytes() == alone.tobytes()
+        assert got[4:].tolist() == [np.inf, -np.inf]
+        np.testing.assert_array_equal(soft_threshold(got[4:], tau), got[4:])
 
     @pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
     def test_invalid_p_rejected(self, p):
