@@ -14,12 +14,11 @@ from pathlib import Path
 from .fileio import (
     ConfigError,
     CubeFileError,
-    load_solver_config,
+    parse_solver_config,
     read_cube,
-    solver_config_text,
+    record_text,
     write_cube,
     write_diagnostics_csv,
-    write_manifest,
     write_metrics_csv,
 )
 from .gradient_fit import estimate_p
@@ -38,23 +37,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # the float32 cast writes the boolean masks as 0.0/1.0
     for key, cube in {"noisy": noisy, **components}.items():
         write_cube(out_dir / f"{key}.cube", cube)
-    write_manifest(out_dir / "manifest.txt", spec)
+    (out_dir / "manifest.txt").write_text(record_text(spec), encoding="utf-8")
     print(f"wrote noisy cube and components to {out_dir}")
     return 0
 
 
 def _cmd_denoise(args: argparse.Namespace) -> int:
     y = read_cube(args.input, normalize=args.normalize)
-    cfg = load_solver_config(args.config) if args.config else SolverConfig()
+    cfg = (parse_solver_config(Path(args.config).read_text(encoding="utf-8"))
+           if args.config else SolverConfig())
     decomposition, diag = solve(y, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for field in dataclasses.fields(decomposition):
         write_cube(out_dir / f"{field.name}.cube", getattr(decomposition, field.name))
     write_diagnostics_csv(out_dir / "diagnostics.csv", diag)
-    (out_dir / "config.txt").write_text(
-        solver_config_text(cfg.resolve_ranks(y.shape)), encoding="utf-8"
-    )
+    (out_dir / "config.txt").write_text(record_text(cfg.resolve_ranks(y.shape)), encoding="utf-8")
     status = "converged" if diag.converged else "hit max_iter"
     print(
         f"{status} after {diag.iterations} iterations in {diag.wall_time_s:.1f}s; "

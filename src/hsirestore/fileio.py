@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import MetricsReport
-from .noise import NoiseSpec
 from .solver import SolveDiagnostics, SolverConfig
 
 MAGIC = b"HSICUBE1"
@@ -199,7 +198,7 @@ def _parse_value(key: str, raw: str, kind):
     return kind(*values) if dataclasses.is_dataclass(kind) else values
 
 
-def _record_text(record) -> str:
+def record_text(record) -> str:
     """A dataclass as key=value lines, one per field in field order."""
     fields = _field_types(type(record)).items()
     return "".join(f"{key}={_format_value(getattr(record, key), kind)}\n" for key, kind in fields)
@@ -216,20 +215,6 @@ def parse_solver_config(text: str) -> SolverConfig:
         return SolverConfig(**{key: _parse_value(key, raw, kinds[key]) for key, raw in values.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def load_solver_config(path: str | Path) -> SolverConfig:
-    return parse_solver_config(Path(path).read_text(encoding="utf-8"))
-
-
-def solver_config_text(cfg: SolverConfig) -> str:
-    """Serialize a resolved config back to key=value lines, one per field in field order."""
-    return _record_text(cfg)
-
-
-def write_manifest(path: str | Path, spec: NoiseSpec) -> None:
-    """Record a noise spec completely, one key=value line per field in field order."""
-    Path(path).write_text(_record_text(spec), encoding="utf-8")
 
 
 def write_diagnostics_csv(path: str | Path, diag: SolveDiagnostics) -> None:

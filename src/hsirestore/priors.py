@@ -17,6 +17,8 @@ import numpy as np
 
 # largest relative Newton step of gst_shrink that ends its loop
 _NEWTON_STEP_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+# largest magnitude whose Newton product, at most its square, cannot overflow
+_NEWTON_MAX = float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass
@@ -90,10 +92,14 @@ def soft_threshold(x, delta: float):
     if not delta >= 0:
         raise ValueError(f"threshold must be nonnegative, got {delta}")
     x = np.asarray(x, dtype=np.float64)
-    # x minus its clip is sign(x) * max(|x| - delta, 0) exactly, except that
-    # every zero it gives is +0
-    out = np.clip(np.atleast_1d(x), -delta, delta)
-    np.subtract(x, out, out=out)
+    if delta == np.inf:
+        # an infinite x minus its clip would be inf - inf
+        out = np.zeros(np.atleast_1d(x).shape)
+    else:
+        # x minus its clip is sign(x) * max(|x| - delta, 0) exactly, except
+        # that every zero it gives is +0
+        out = np.clip(np.atleast_1d(x), -delta, delta)
+        np.subtract(x, out, out=out)
     return out if x.ndim else float(out[0])
 
 
@@ -109,15 +115,18 @@ def gst_threshold(tau: float, p: float) -> float:
 def _gst_magnitude(am: np.ndarray, c: float, p: float) -> np.ndarray:
     """Larger root of ``x + c*x**(p-1) = am`` by Newton's method from ``x0 = am``.
 
-    An infinite ``am`` is its own root and stays out of the Newton steps,
-    where its inf/inf would end the loop for every entry.  Entries whose
-    iterate ends outside ``(0, am]`` (a NaN from an overflow) are zero.
+    An ``am`` above :data:`_NEWTON_MAX`, infinite ones included, stays out of
+    the Newton steps, where its overflow would end the loop for every entry.
+    It is its own root to rounding: ``c*am**(p-1)`` lies below half its
+    rounding unit for every ``c`` under about 1e138.  Entries whose iterate
+    ends outside ``(0, am]`` (a NaN from an overflow) are zero.
     """
     x = am.copy()
     if not x.size:
         return x
-    if am.max() == np.inf:
-        x[am < np.inf] = _gst_magnitude(am[am < np.inf], c, p)
+    if am.max() > _NEWTON_MAX:
+        inner = am <= _NEWTON_MAX
+        x[inner] = _gst_magnitude(am[inner], c, p)
         return x
     w = np.empty_like(x)
     den = np.empty_like(x)
@@ -153,7 +162,8 @@ def gst_shrink(y, tau: float, p: float):
     that root.  It stops after the first step no larger than ``sqrt(eps)``
     relative to every entry, which quadratic convergence leaves with an
     error at the rounding level.  At a finite ``tau`` an infinite ``y``
-    passes through, as in :func:`soft_threshold`.  Elementwise on arrays.
+    passes through, as in :func:`soft_threshold`, and at an infinite ``tau``
+    every output is zero.  Elementwise on arrays.
     """
     if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")

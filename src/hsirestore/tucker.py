@@ -51,14 +51,10 @@ def feasible_ranks(ranks: TuckerRanks, shape: tuple[int, int, int]) -> TuckerRan
     are identical.
     """
     r = [min(rk, d) for rk, d in zip(ranks.as_tuple(), shape)]
-    changed = True
-    while changed:
-        changed = False
-        for n in range(3):
-            cap = r[(n + 1) % 3] * r[(n + 2) % 3]
-            if r[n] > cap:
-                r[n] = cap
-                changed = True
+    # lowering a rank to the product of the other two leaves both of their
+    # caps met, so one pass over the modes is enough
+    for n in range(3):
+        r[n] = min(r[n], r[(n + 1) % 3] * r[(n + 2) % 3])
     return TuckerRanks(*r)
 
 

@@ -145,6 +145,22 @@ def hooi_single_sweep_oracle(
     return approx
 
 
+def feasible_ranks_oracle(
+    ranks: tuple[int, int, int], shape: tuple[int, int, int]
+) -> tuple[int, int, int]:
+    """Clamp each rank to its dimension, then to the product of the other two until none moves."""
+    r = [min(rk, d) for rk, d in zip(ranks, shape)]
+    changed = True
+    while changed:
+        changed = False
+        for n in range(3):
+            cap = r[(n + 1) % 3] * r[(n + 2) % 3]
+            if r[n] > cap:
+                r[n] = cap
+                changed = True
+    return tuple(r)
+
+
 def stripe_fit_error_oracle(t: np.ndarray, r: int) -> float:
     """Least squared error of ``t`` against ``1_h (x) M``, ``M`` zero-mean down each column, rank <= r.
 

@@ -169,6 +169,15 @@ class TestDenoise:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_config_file_exits_1(self, tmp_path, truth_file, capsys):
+        missing = tmp_path / "missing.txt"
+        code = main(["denoise", "--in", str(truth_file), "--config", str(missing),
+                     "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "error:" in err and "missing.txt" in err
+
     def test_stripe_ranks_above_one_along_the_height_exit_1(self, tmp_path, truth_file, capsys):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("ranks_b=2,4,4\n")

@@ -14,9 +14,8 @@ from hsirestore.fileio import (
     normalize_bands,
     parse_solver_config,
     read_cube,
-    solver_config_text,
+    record_text,
     write_cube,
-    write_manifest,
 )
 from hsirestore.noise import NoiseSpec, case_spec
 from hsirestore.solver import SolverConfig
@@ -295,7 +294,7 @@ class TestSolverConfigIO:
             p_override=(0.6, 0.7, 0.5),
             stripe_enabled=False,
         )
-        assert parse_solver_config(solver_config_text(cfg)) == cfg
+        assert parse_solver_config(record_text(cfg)) == cfg
 
     def test_numpy_scalars_round_trip(self):
         # a config built through the API may hold numpy scalars; its config.txt
@@ -308,12 +307,12 @@ class TestSolverConfigIO:
             epsilon=np.float64(1e-7),
             p_override=tuple(np.float64([0.6, 0.7, 0.5])),
         )
-        text = solver_config_text(cfg)
+        text = record_text(cfg)
         assert "np." not in text
         assert parse_solver_config(text) == cfg
 
     def test_keys_are_the_config_fields_in_order(self):
-        keys = list(fileio._parse_lines(solver_config_text(SolverConfig())))
+        keys = list(fileio._parse_lines(record_text(SolverConfig())))
         assert keys == [f.name for f in fields(SolverConfig)]
 
     def test_weight_keys_rejected_as_unknown(self):
@@ -346,7 +345,7 @@ class TestSolverConfigIO:
                 parse_solver_config(text)
 
     def test_readme_config_block_lists_every_key_and_default(self):
-        written = fileio._parse_lines(solver_config_text(SolverConfig()))
+        written = fileio._parse_lines(record_text(SolverConfig()))
         assert list(fileio._parse_lines(readme_config_block()).items()) == list(written.items())
 
     def test_readme_config_block_parses_to_the_defaults(self):
@@ -357,7 +356,7 @@ class TestSolverConfigIO:
         assert parse_solver_config(text) == SolverConfig(lambda_tv=0.004, max_iter=7)
 
     def test_default_text_exact(self):
-        assert solver_config_text(SolverConfig()) == (
+        assert record_text(SolverConfig()) == (
             "lambda_tv=0.002\nlambda_sparse=0.02\nbeta0=0.01\nbeta_growth=1.1\n"
             "ranks_x=auto\nranks_b=auto\nepsilon=1e-06\nmax_iter=100\n"
             "p_override=auto\nstripe_enabled=true\n"
@@ -373,12 +372,12 @@ class TestSolverConfigIO:
             ranks_b=TuckerRanks(1, np.int64(4), 4),
             stripe_enabled=False,
         )
-        assert solver_config_text(cfg) == (
+        assert record_text(cfg) == (
             "lambda_tv=1.0\nlambda_sparse=0.02\nbeta0=0.01\nbeta_growth=1.1\n"
             "ranks_x=8,8,5\nranks_b=1,4,4\nepsilon=1e-06\nmax_iter=50\n"
             "p_override=0.6,0.7,0.5\nstripe_enabled=false\n"
         )
-        assert parse_solver_config(solver_config_text(cfg)) == cfg
+        assert parse_solver_config(record_text(cfg)) == cfg
 
     @pytest.mark.parametrize(
         "text, message",
@@ -414,34 +413,26 @@ class TestSolverConfigIO:
 
 
 class TestManifest:
-    def test_case2_seed7_text_exact(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        write_manifest(path, case_spec(2, seed=7))
-        assert path.read_bytes() == (
+    def test_case2_seed7_text_exact(self):
+        assert record_text(case_spec(2, seed=7)).encode("utf-8") == (
             b"case_id=2\ngaussian_variance=0.1,0.1\nimpulse_ratio=0.2,0.2\n"
             b"stripe_kind=random\nstripe_coverage=0.4,0.5\nstripe_amplitude=0.25\nseed=7\n"
         )
 
-    def test_keys_are_the_spec_fields_in_order(self, tmp_path):
-        path = tmp_path / "manifest.txt"
-        write_manifest(path, case_spec(4, seed=1))
-        keys = [line.partition("=")[0] for line in path.read_text(encoding="utf-8").splitlines()]
+    def test_keys_are_the_spec_fields_in_order(self):
+        keys = [line.partition("=")[0] for line in record_text(case_spec(4, seed=1)).splitlines()]
         assert keys == [f.name for f in fields(NoiseSpec)]
 
-    def test_round_trips_noise_spec(self, tmp_path):
+    def test_round_trips_noise_spec(self):
         spec = case_spec(2, seed=99, stripe_amplitude=0.5)
-        path = tmp_path / "manifest.txt"
-        write_manifest(path, spec)
-        assert manifest_spec_oracle(path.read_text(encoding="utf-8")) == spec
+        assert manifest_spec_oracle(record_text(spec)) == spec
 
     @pytest.mark.parametrize("case_id", [1, 2, 3, 4, 5, 6])
-    def test_records_every_field_of_each_case(self, tmp_path, case_id):
+    def test_records_every_field_of_each_case(self, case_id):
         # off-default values in every field, so a dropped or swapped key shows
         spec = case_spec(
             case_id, seed=2**40 + case_id, gaussian_variance=(0.1 / 3, 0.2 / 3),
             impulse_ratio=(0.1 / 7, 0.3 / 7), stripe_coverage=(0.2 / 3, 0.4 / 3),
             stripe_amplitude=1 / 7,
         )
-        path = tmp_path / "manifest.txt"
-        write_manifest(path, spec)
-        assert manifest_spec_oracle(path.read_text(encoding="utf-8")) == spec
+        assert manifest_spec_oracle(record_text(spec)) == spec

@@ -129,7 +129,12 @@ class TestSoftThreshold:
             soft_threshold(x, np.nan)
 
     def test_infinite_threshold_gives_zeros(self):
-        np.testing.assert_array_equal(soft_threshold(np.array([1e300, -2.0, 0.0]), np.inf), np.zeros(3))
+        # infinite entries included, where x minus its clip would be inf - inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = soft_threshold(np.array([1e300, -2.0, 0.0, np.inf, -np.inf]), np.inf)
+            assert soft_threshold(-np.inf, np.inf) == 0.0
+        np.testing.assert_array_equal(got, np.zeros(5))
 
 
 class TestGstShrink:
@@ -190,10 +195,27 @@ class TestGstShrink:
     @pytest.mark.parametrize("p", [0.5, 1.0])
     def test_infinite_tau_gives_zeros(self, p):
         # a numpy infinity warns where a Python float one does not, at inf * 0
+        y = np.array([1e300, -2.0, 0.0, np.inf, -np.inf])
         for tau in (np.float64(np.inf), float("inf")):
-            np.testing.assert_array_equal(gst_shrink(np.array([1e300, -2.0, 0.0]), tau, p), np.zeros(3))
-            assert gst_shrink(-2.0, tau, p) == 0.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                np.testing.assert_array_equal(gst_shrink(y, tau, p), np.zeros(5))
+                assert gst_shrink(-2.0, tau, p) == 0.0
             assert gst_threshold(tau, p) == np.inf
+
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
+    def test_huge_finite_entry_is_its_own_minimizer_and_leaves_its_neighbours(self, p):
+        # beyond sqrt(float max) the Newton product would overflow
+        big = np.finfo(np.float64).max
+        y = np.array([1e150, 1.0, -3.0, 0.9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = gst_shrink(y, 0.3, p)
+            got = gst_shrink(np.concatenate([y, [1e200, -1e300, big]]), 0.3, p)
+            assert gst_shrink(np.array([1e200, 1e150, 1.0]), 0.3, 0.5)[0] == 1e200
+        assert got[:4].tobytes() == alone.tobytes()
+        assert got[0] == pytest.approx(1e150, rel=1e-15)
+        assert got[4:].tolist() == [1e200, -1e300, big]
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.9, 1.0])
     @pytest.mark.parametrize("tau", [0.0, 0.3])

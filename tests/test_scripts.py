@@ -29,12 +29,8 @@ def run_script(script, args):
         (
             "run_simulated_cases.py",
             ["--size", "12", "12", "6", "--truth-ranks", "2", "2", "2", "--cases", "2"],
-            "case | noisy MPSNR  MSSIM | clean MPSNR  MSSIM   MSAM | iters",
-        ),
-        (
-            "stripe_ablation.py",
-            ["--size", "12", "12", "6", "--cases", "2"],
-            "case |      with stripes |           without |  gap dB |  b err",
+            "case | noisy MPSNR  MSSIM | clean MPSNR  MSSIM   MSAM |"
+            " no-stripe MPSNR  MSSIM  gap dB |  b err  C err  floor | iters",
         ),
     ],
 )

@@ -1,9 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from hsirestore.tensor_ops import fro_norm, mode_product
-from hsirestore.tucker import TuckerFactors, TuckerRanks, hooi, hosvd_init, reconstruct
-from oracles import hooi_single_sweep_oracle, truncated_hosvd_error_oracle
+from hsirestore.tucker import (
+    TuckerFactors,
+    TuckerRanks,
+    feasible_ranks,
+    hooi,
+    hosvd_init,
+    reconstruct,
+)
+from oracles import feasible_ranks_oracle, hooi_single_sweep_oracle, truncated_hosvd_error_oracle
 
 
 def random_orthonormal(n, r, rng):
@@ -227,6 +236,12 @@ class TestTuckerRanks:
         TuckerRanks(2, 3, 4).validate_for((2, 3, 4))
         with pytest.raises(ValueError):
             TuckerRanks(3, 3, 4).validate_for((2, 3, 4))
+
+    def test_feasible_ranks_equal_the_clamp_to_a_fixed_point(self):
+        # every (ranks, shape) pair with entries 1-6
+        for *ranks, h, w, p in itertools.product(range(1, 7), repeat=6):
+            got = feasible_ranks(TuckerRanks(*ranks), (h, w, p)).as_tuple()
+            assert got == feasible_ranks_oracle(tuple(ranks), (h, w, p)), (ranks, (h, w, p))
 
     def test_two_dimensional_input_rejected(self):
         with pytest.raises(ValueError, match="3-D"):
