@@ -165,30 +165,36 @@ def gst_shrink(y, tau: float, p: float):
     passes through, as in :func:`soft_threshold`, and at an infinite ``tau``
     every output is zero.  Elementwise on arrays.
     """
+    _check_shrink_args(tau, p)
+    if p == 1.0:
+        return soft_threshold(y, tau)
+    y = np.asarray(y, dtype=np.float64)
+    out = np.array(np.atleast_1d(y), order="C")
+    _gst_shrink_in_place(out, tau, p)
+    return float(out[0]) if y.ndim == 0 else out
+
+
+def _check_shrink_args(tau: float, p: float) -> None:
+    """Reject a threshold or exponent that :func:`gst_shrink` does not accept."""
     if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    y = np.asarray(y, dtype=np.float64)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y)
+
+
+def _gst_shrink_in_place(g: np.ndarray, tau: float, p: float) -> None:
+    """:func:`gst_shrink` of a C-contiguous float64 array, written over it."""
     if p == 1.0:
-        out = soft_threshold(y, tau)
-    elif tau == 0.0:
-        out = y.copy()
-    else:
-        # the flat index addresses C order: ``flat`` is a view of a C-contiguous
-        # ``y`` and a C-ordered copy of any other layout, and ``out`` is
-        # C-contiguous so that its ravel is a view the scatter lands in (that of
-        # a zeros_like of a Fortran-ordered ``y`` would be a copy); ``out`` is
-        # made after the Newton temporaries are freed, to keep the peak low
-        flat = y.ravel()
+        g[...] = soft_threshold(g, tau)
+    elif tau != 0.0:
+        # the flat index addresses C order, in which ``flat`` is a view of ``g``
+        flat = g.reshape(-1)
         idx = np.flatnonzero(np.abs(flat) > gst_threshold(tau, p))
         x = _gst_magnitude(np.abs(flat[idx]), tau * p, p)
-        x *= np.sign(flat[idx])
-        out = np.zeros(y.shape)
-        out.ravel()[idx] = x
-    return float(out[0]) if scalar else out
+        signs = flat[idx]
+        x *= np.sign(signs, out=signs)
+        g.fill(0.0)
+        flat[idx] = x
 
 
 def shrink_gradient_stack(

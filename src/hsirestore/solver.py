@@ -24,25 +24,43 @@ iteration performs, in order:
 2. ``z``:  exact solve of ``((1 + beta) I + beta D^T D) z = rhs`` by real 3-D
    FFT division (circular differences make ``D^T D`` diagonal in Fourier
    space).
-3. ``f``:  per-direction generalized shrinkage of ``D(z) + dual_grad / beta``
-   with threshold ``lambda_tv / beta`` and the fitted exponents.  ``D(z)`` is
-   formed once per iteration, right after the z-step, and shared by this
-   step and the dual step.
+3. ``f``:  per direction ``d``, generalized shrinkage of
+   ``D_d z + dual_grad_d / beta`` with threshold ``lambda_tv / beta`` and
+   the fitted exponent, then the dual ascent
+   ``dual_grad_d += beta * (D_d z - f_d)``.  ``D_d z`` is formed once per
+   iteration and shared by the two.
 4. ``b``:  exact fit of the stripe model to ``y - z - s``: the mean over the
    height, minus each band's mean across the width, cut to the profile rank
    by an SVD (Eckart-Young) when that rank is below ``min(w, p)``.  ``b``
    stays that ``w x p`` profile, broadcast along the height as a read-only
-   view.
+   view.  The height mean of ``y`` is taken once per solve.
 5. ``s``:  soft threshold of ``y - z - b`` at ``lambda_sparse``.
-6. dual ascent on both multipliers, then geometric growth of ``beta``, which
+6. dual ascent on ``dual_x``, then geometric growth of ``beta``, which
    stops at :data:`BETA_MAX`.
 
-Each update builds its result in arrays it allocates itself, in place and in
-the operation order of the plain expression it stands for (a regrouped sum
-would change the last bits).  It never writes into ``y`` or into the state's
-cubes; the one write to the state is that ``update_x`` stores its new Tucker
-factors in ``state.x_factors``, where the next iteration's sweep starts from
-them.
+Every update keeps the operation order of the plain expression it stands
+for (a regrouped sum would change the last bits).  It never writes into
+``y``, ``x``, ``z``, ``s``, ``b`` or ``dual_x``: the new ones are arrays it
+allocates.  Three things are updated in place.  ``update_x`` stores its new
+Tucker factors in ``state.x_factors``, where the next sweep starts from
+them.  ``update_f`` overwrites ``state.f`` and ``state.dual_grad``, buffers
+the solve owns, so no gradient stack is allocated after the first.  The z-
+and f-steps form their intermediate terms in ``state.scratch``, one cube for
+each thread.
+
+The z- and f-steps split their work between the calling thread and one
+helper thread (:func:`_fan_out`).  The helper forms the height and width
+terms of the z-step's adjoint and the Fourier denominator, half of every
+FFT stage, and the height direction of the f-step.  Each task is a whole
+unit of the one-thread computation: the same numpy calls on the same
+operands in the same order, writing only arrays that no task of the other
+thread reads or writes.  numpy's FFTs transform each line on its own, so a
+transform over half of the lines gives their bits; and a direction's Newton
+loop stays whole on one thread, as its stopping test spans the direction.
+So the output is bit-identical whichever thread runs a task, and a process
+allowed one CPU runs every task on the calling thread.  The helper runs only
+private kernels, never a function that ``restorebench/tracing.py`` wraps,
+since that tracer keeps one span stack for all threads.
 
 Iterations stop when the squared relative change of ``x`` drops below
 ``epsilon`` or after ``max_iter`` iterations; hitting the cap is reported in
@@ -52,20 +70,25 @@ the diagnostics, not raised.
 from __future__ import annotations
 
 import numbers
+import os
+import threading
 import time
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .gradient_fit import HyperLaplacianFit, estimate_p
 from .priors import (
     GradientStack,
-    diff_adjoint,
-    diff_forward,
-    shrink_gradient_stack,
+    _check_shrink_args,
+    _circular_diff,
+    _gst_shrink_in_place,
     soft_threshold,
 )
+# The solve forms each difference direction on its own, so it no longer calls
+# these three; restorebench/tracing.py still wraps them in this namespace.
+from .priors import diff_adjoint, diff_forward, shrink_gradient_stack  # noqa: F401
 from .tensor_ops import fro_norm, validate_cube
 from .tucker import TuckerRanks, feasible_ranks, hooi, reconstruct
 
@@ -155,8 +178,11 @@ class SolverConfig:
 class SolverState:
     """Mutable iterate of the alternating loop.
 
-    ``x_factors`` holds the Tucker factors of the last ``x`` fit, the warm
-    start of the next one; ``None`` means start cold.
+    ``f`` and ``dual_grad`` are buffers that :func:`update_f` overwrites in
+    place.  ``scratch`` is a ``(2, h, w, p)`` work array: one cube for each
+    of the two threads an update runs on.  ``x_factors`` holds
+    the Tucker factors of the last ``x`` fit, the warm start of the next one;
+    ``None`` means start cold.
     """
 
     x: np.ndarray
@@ -166,6 +192,7 @@ class SolverState:
     f: GradientStack
     dual_x: np.ndarray
     dual_grad: GradientStack
+    scratch: np.ndarray
     beta: float
     x_factors: tuple[np.ndarray, ...] | None = None
 
@@ -179,6 +206,7 @@ class SolverState:
             f=GradientStack(np.zeros((3,) + shape)),
             dual_x=np.zeros(shape),
             dual_grad=GradientStack(np.zeros((3,) + shape)),
+            scratch=np.empty((2,) + shape),
             beta=beta,
         )
 
@@ -245,46 +273,147 @@ def update_x(state: SolverState, cfg: SolverConfig) -> np.ndarray:
 
 
 def update_z(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
-    """Exact real-FFT solve of the coupled least-squares subproblem."""
-    rhs = y - state.b
-    rhs -= state.s
-    rhs += state.dual_x
-    rhs += state.beta * state.x
-    shifted = state.beta * state.f.g
-    shifted -= state.dual_grad.g
-    rhs += diff_adjoint(GradientStack(shifted), DIFF_WEIGHTS)
-    del shifted
+    """Exact real-FFT solve of the coupled least-squares subproblem.
+
+    The helper thread forms the height and width terms of
+    ``D^T (beta f - dual_grad)`` and the reciprocal denominator while this
+    thread forms the rest of the right-hand side and the band term; the
+    terms are summed as :func:`diff_adjoint` sums them, then added to the
+    right-hand side.
+    """
+    beta = state.beta
+    helper_scratch, own_scratch = state.scratch
+    rhs, adjoint, band_term = np.empty(y.shape), np.empty(y.shape), np.empty(y.shape)
     # the reciprocal of the real denominator, once per call: numpy divides a
     # complex number by a real one as a multiply by its reciprocal, so only
     # the sign of a zero can differ from the plain division
-    inv_denom = state.beta * _diff_transfer(y.shape, DIFF_WEIGHTS)
-    inv_denom += 1.0 + state.beta
-    np.divide(1.0, inv_denom, out=inv_denom)
-    axes = (0, 1, 2)
-    spectrum = np.fft.rfftn(rhs, axes=axes)
-    del rhs
-    spectrum *= inv_denom
-    return np.fft.irfftn(spectrum, s=y.shape, axes=axes)
+    transfer = _diff_transfer(y.shape, DIFF_WEIGHTS)
+    inv_denom = np.empty(transfer.shape)
+
+    def height_and_width_terms() -> None:
+        _shifted_gradient(state, 0, helper_scratch)
+        _circular_diff(helper_scratch, 0, -1, DIFF_WEIGHTS[0], adjoint)
+        _shifted_gradient(state, 1, helper_scratch)
+        np.add(adjoint, _circular_diff(helper_scratch, 1, -1, DIFF_WEIGHTS[1]), out=adjoint)
+        np.multiply(beta, transfer, out=inv_denom)
+        np.add(inv_denom, 1.0 + beta, out=inv_denom)
+        np.divide(1.0, inv_denom, out=inv_denom)
+
+    def rest_of_rhs() -> None:
+        np.subtract(y, state.b, out=rhs)
+        np.subtract(rhs, state.s, out=rhs)
+        np.add(rhs, state.dual_x, out=rhs)
+        np.add(rhs, np.multiply(beta, state.x, out=own_scratch), out=rhs)
+        _shifted_gradient(state, 2, own_scratch)
+        _circular_diff(own_scratch, 2, -1, DIFF_WEIGHTS[2], band_term)
+
+    def finish_rows(rows: slice) -> None:
+        adjoint[rows] += band_term[rows]
+        rhs[rows] += adjoint[rows]
+
+    _fan_out([height_and_width_terms], [rest_of_rhs])
+    return _fft_solve(rhs, inv_denom, finish_rows)
+
+
+def _shifted_gradient(state: SolverState, axis: int, out: np.ndarray) -> None:
+    """``beta * f - dual_grad`` along one direction, into ``out``."""
+    np.multiply(state.beta, state.f.g[axis], out=out)
+    out -= state.dual_grad.g[axis]
+
+
+def _fft_solve(rhs: np.ndarray, inv_denom: np.ndarray, finish_rows) -> np.ndarray:
+    """``irfftn(rfftn(rhs) * inv_denom)`` over all three axes, in slabs; overwrites ``rhs``.
+
+    numpy 2's ``np.fft.rfftn`` takes an ``rfft`` along the band axis, then an
+    ``fft`` along the width and one along the height, and ``irfftn`` runs the
+    inverses in the reverse order (numpy 1 took the height before the width,
+    and its FFTs had no ``out=``).  Each 1-D transform acts on every line
+    along its axis alone, so the band and width transforms run on halves of
+    the height, and the height transforms, with the division, on halves of
+    the width, one half on each thread, with the same bits.
+    ``finish_rows(rows)`` first completes ``rhs[rows]`` on the thread that
+    then transforms those rows.
+    """
+    h, w, p = rhs.shape
+    spectrum = np.empty((h, w, p // 2 + 1), dtype=np.complex128)
+
+    def forward_rows(rows: slice) -> None:
+        finish_rows(rows)
+        block = spectrum[rows]
+        np.fft.rfft(rhs[rows], axis=2, out=block)
+        np.fft.fft(block, axis=1, out=block)
+
+    def divide_columns(columns: slice) -> None:
+        block = spectrum[:, columns]
+        np.fft.fft(block, axis=0, out=block)
+        block *= inv_denom[:, columns]
+        np.fft.ifft(block, axis=0, out=block)
+
+    def inverse_rows(rows: slice) -> None:
+        block = spectrum[rows]
+        np.fft.ifft(block, axis=1, out=block)
+        np.fft.irfft(block, n=p, axis=2, out=rhs[rows])
+
+    _on_halves(forward_rows, h)
+    _on_halves(divide_columns, w)
+    _on_halves(inverse_rows, h)
+    return rhs
 
 
 def update_f(
-    state: SolverState,
-    cfg: SolverConfig,
-    p_values: tuple[float, float, float],
-    dz: GradientStack,
+    state: SolverState, cfg: SolverConfig, p_values: tuple[float, float, float]
 ) -> GradientStack:
-    """Generalized shrinkage of the multiplier-shifted gradients ``dz`` of ``z``."""
-    target = state.dual_grad.g * (1.0 / state.beta)
-    target += dz.g
-    return shrink_gradient_stack(GradientStack(target), cfg.lambda_tv / state.beta, p_values)
+    """Generalized shrinkage of ``D z + dual_grad / beta``, then the ascent of ``dual_grad``.
+
+    Both run in place, one direction at a time: ``D_d z`` goes into a
+    scratch cube and the target into ``f_d``, which the shrinkage with
+    threshold ``lambda_tv / beta`` then overwrites; then
+    ``dual_grad_d += beta * (D_d z - f_d)``.  The helper thread takes the
+    height direction, this thread the other two.  Returns ``state.f``.
+
+    Both stacks must be C-contiguous: the shrinkage scatters its result
+    through a flat view, which any other layout would only copy.
+    """
+    tau = cfg.lambda_tv / state.beta
+    for p in p_values:
+        _check_shrink_args(tau, p)
+    for name in ("f", "dual_grad"):
+        if not getattr(state, name).g.flags.c_contiguous:
+            raise ValueError(f"state.{name} must be a C-contiguous gradient stack")
+    helper_scratch, own_scratch = state.scratch
+    steps = [
+        partial(_f_direction, state, axis, tau, p, dz)
+        for axis, p, dz in zip(range(3), p_values, (helper_scratch, own_scratch, own_scratch))
+    ]
+    _fan_out(steps[:1], steps[1:])
+    return state.f
 
 
-def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
-    """Exact least-squares fit of the stripe model (step 4 above) to ``y - z - s``."""
+def _f_direction(
+    state: SolverState, axis: int, tau: float, p: float, dz: np.ndarray
+) -> None:
+    """The f-step and the multiplier ascent of one direction (see :func:`update_f`)."""
+    f, dual = state.f.g[axis], state.dual_grad.g[axis]
+    _circular_diff(state.z, axis, 1, DIFF_WEIGHTS[axis], dz)
+    np.multiply(dual, 1.0 / state.beta, out=f)
+    f += dz
+    _gst_shrink_in_place(f, tau, p)
+    # ((dz - f) * beta) + dual is the plain expression's sum, added either way round
+    dz -= f
+    dz *= state.beta
+    dual += dz
+
+
+def update_b(state: SolverState, cfg: SolverConfig, y_mean: np.ndarray) -> np.ndarray:
+    """Exact least-squares fit of the stripe model (step 4 above) to ``y - z - s``.
+
+    ``y_mean`` is ``y.mean(axis=0)``, which the solve takes once.
+    """
+    shape = state.z.shape
     if not cfg.stripe_enabled:
-        return np.broadcast_to(np.zeros(y.shape[1:]), y.shape)
+        return np.broadcast_to(np.zeros(shape[1:]), shape)
     # the mean is linear, so no cube-sized residual is formed
-    profile = y.mean(axis=0)
+    profile = y_mean.copy()
     profile -= state.z.mean(axis=0)
     profile -= state.s.mean(axis=0)
     profile -= profile.mean(axis=0)
@@ -292,7 +421,7 @@ def update_b(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
     if r < min(profile.shape):
         u, sv, vt = np.linalg.svd(profile, full_matrices=False)
         profile = (u[:, :r] * sv[:r]) @ vt[:r]
-    return np.broadcast_to(profile, y.shape)
+    return np.broadcast_to(profile, shape)
 
 
 def update_s(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
@@ -302,21 +431,81 @@ def update_s(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
     return soft_threshold(residual, cfg.lambda_sparse)
 
 
-def update_multipliers(
-    state: SolverState, cfg: SolverConfig, dz: GradientStack
-) -> tuple[np.ndarray, GradientStack, float]:
-    """Dual ascent on both constraints, with ``dz`` the gradients of ``z``.
+def update_multipliers(state: SolverState, cfg: SolverConfig) -> tuple[np.ndarray, float]:
+    """Dual ascent on ``x = z`` and the growth of ``beta``; returns both.
 
-    Returns the new multipliers and penalty.
+    The gradient multiplier ascends in :func:`update_f`.
     """
     dual_x = state.x - state.z
     dual_x *= state.beta
     dual_x += state.dual_x
-    dual_grad = dz.g - state.f.g
-    dual_grad *= state.beta
-    dual_grad += state.dual_grad.g
     beta = min(state.beta * cfg.beta_growth, BETA_MAX)
-    return dual_x, GradientStack(dual_grad), beta
+    return dual_x, beta
+
+
+# the one helper thread, made on first use by _fan_out under the lock, so
+# that solves started at once on two threads make one
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _helper_wanted() -> bool:
+    """Whether tasks go to the helper thread: not when the process may run on one CPU only."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _forget_helper() -> None:
+    global _helper, _helper_lock
+    _helper = None
+    _helper_lock = threading.Lock()
+
+
+def _fan_out(helper_tasks: list, inline_tasks: list) -> None:
+    """Run ``helper_tasks`` in order on the helper thread and ``inline_tasks`` here.
+
+    Returns once both halves have ended, so no task is still writing when it
+    returns or raises; an error of this thread's half takes precedence.  The
+    tasks of one half must not touch what the other half writes, so the
+    result is the same in any interleaving.  Where :func:`_helper_wanted`
+    declines, both halves run here, the helper's first.  Tasks are private
+    kernels: none is a name the benchmark tracer wraps, as it keeps one span
+    stack for all threads, and none fans out again, as the one helper would
+    wait for itself.
+    """
+    global _helper
+    if not _helper_wanted():
+        _run_all(helper_tasks)
+        _run_all(inline_tasks)
+        return
+    with _helper_lock:
+        if _helper is None:
+            # imported here, not at module import, which every CLI call pays for
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hsirestore-helper")
+            if hasattr(os, "register_at_fork"):
+                # a forked child has no helper thread, only this object
+                os.register_at_fork(after_in_child=_forget_helper)
+        pending = _helper.submit(_run_all, helper_tasks)
+    try:
+        _run_all(inline_tasks)
+    finally:
+        error = pending.exception()
+    if error is not None:
+        raise error
+
+
+def _run_all(tasks: list) -> None:
+    for task in tasks:
+        task()
+
+
+def _on_halves(kernel, n: int) -> None:
+    """``kernel(slice)`` on the two halves of ``range(n)``, the first on the helper thread."""
+    half = n // 2
+    _fan_out([partial(kernel, slice(0, half))], [partial(kernel, slice(half, n))])
 
 
 def solve(
@@ -341,6 +530,8 @@ def solve(
         sigmas = fit.sigmas
 
     state = SolverState.zeros(y.shape, cfg.beta0)
+    # y is fixed for the solve, and so is its height mean, the b-step's first term
+    y_mean = y.mean(axis=0)
     rel_change: list[float] = []
     beta_history: list[float] = []
     converged = False
@@ -354,13 +545,10 @@ def solve(
         x02 = fro_norm(x_old) ** 2
         del x_old
         state.z = update_z(state, cfg, y)
-        dz = diff_forward(state.z, DIFF_WEIGHTS)
-        state.f = update_f(state, cfg, p_values, dz)
-        state.b = update_b(state, cfg, y)
+        update_f(state, cfg, p_values)
+        state.b = update_b(state, cfg, y_mean)
         state.s = update_s(state, cfg, y)
-        state.dual_x, state.dual_grad, state.beta = update_multipliers(state, cfg, dz)
-        # not held through the next iteration's x- and z-steps
-        del dz
+        state.dual_x, state.beta = update_multipliers(state, cfg)
 
         rel = dx2 / x02 if x02 > 0.0 else 1.0
         rel_change.append(rel)
