@@ -271,7 +271,10 @@ def estimate_p(y: np.ndarray) -> HyperLaplacianFit:
     """
     y = validate_cube(y, "y")
     if min(y.shape) < 2:
-        raise ValueError(f"every mode must have size >= 2, got shape {y.shape}")
+        raise ValueError(
+            f"the exponent fit needs every mode to have size >= 2, got shape {y.shape}; "
+            "denoise skips the fit when its --config sets p_override"
+        )
     field = np.empty(y.shape)
     flat = field.reshape(-1)
     fits = []

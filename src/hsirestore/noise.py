@@ -41,7 +41,7 @@ class NoiseSpec:
     range ``(v, v)`` pins the value.  ``gaussian_variance`` is the variance of
     the per-band Gaussian noise; ``stripe_coverage`` is the fraction of
     columns striped per band.  Dead lines are the same in every case (see
-    :func:`deadline_mask`).
+    the ``DEADLINE_*`` constants).
     """
 
     case_id: int
@@ -93,19 +93,7 @@ def case_spec(case_id: int, seed: int, **overrides) -> NoiseSpec:
     return replace(spec, **overrides) if overrides else spec
 
 
-def gaussian_field(
-    shape: tuple[int, int, int], sigma_per_band: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Zero-mean Gaussian noise cube with the given per-band standard deviations."""
-    sigma_per_band = np.asarray(sigma_per_band, dtype=np.float64)
-    if np.any(sigma_per_band < 0):
-        raise ValueError("sigma must be nonnegative")
-    field = rng.standard_normal(shape)
-    field *= sigma_per_band[None, None, :]
-    return field
-
-
-def impulse_perturbation(
+def _impulse_perturbation(
     noisy: np.ndarray, ratio_per_band: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Overwrite a seeded share of each band of ``noisy`` with 0 or 1; returns the mask.
@@ -114,11 +102,9 @@ def impulse_perturbation(
     probability), each over the whole cube in C order.  Both are taken in
     blocks of whole rows holding about :data:`IMPULSE_BLOCK_ENTRIES` entries
     into one reused buffer; every float64 draw takes one word of the stream in
-    order, so the blocks draw what one whole-cube ``rng.random`` would.
+    order, so the blocks draw what one whole-cube ``rng.random`` would.  The
+    ratios are draws from the ``impulse_ratio`` range that NoiseSpec checks.
     """
-    ratio_per_band = np.asarray(ratio_per_band, dtype=np.float64)
-    if np.any((ratio_per_band < 0) | (ratio_per_band > 1)):
-        raise ValueError("impulse ratio must lie in [0, 1]")
     h, w, p = noisy.shape
     rows = max(1, IMPULSE_BLOCK_ENTRIES // (w * p))
     buf = np.empty((min(rows, h), w, p))
@@ -132,16 +118,14 @@ def impulse_perturbation(
     return mask
 
 
-def deadline_mask(shape: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
-    """Boolean cube marking dead column runs in a seeded subset of bands.
+def _deadline_profile(w: int, p: int, rng: np.random.Generator) -> np.ndarray:
+    """Boolean per-(column, band) profile of dead column runs in a seeded subset of bands.
 
     Draws ``round(DEADLINE_BAND_FRACTION * p)`` bands, then per band a run
     count in :data:`DEADLINE_COUNT` and per run a width in
     :data:`DEADLINE_WIDTH` and a start column.  Dead columns run the whole
-    height, so the cube is a read-only view of its ``(w, p)`` profile
-    broadcast along the rows.
+    height, so the mask is this profile replicated along the rows.
     """
-    h, w, p = shape
     dead = np.zeros((w, p), dtype=bool)
     n_bands = int(round(DEADLINE_BAND_FRACTION * p))
     bands = rng.choice(p, size=n_bands, replace=False) if n_bands else ()
@@ -154,7 +138,7 @@ def deadline_mask(shape: tuple[int, int, int], rng: np.random.Generator) -> np.n
             width = min(width, w)
             start = int(rng.integers(0, w - width + 1))
             dead[start : start + width, band] = True
-    return np.broadcast_to(dead, shape)
+    return dead
 
 
 def _stripe_profile(
@@ -190,33 +174,22 @@ def _stripe_profile(
         a = _stripe_profile(w, p, "periodic", halved, amplitude, rng)
         b = _stripe_profile(w, p, "random", halved, amplitude, rng)
         return a + b
-    if kind == "wide_vertical":
-        lo_w, hi_w = WIDE_STRIPE_WIDTH
-        for band in range(p):
-            cov = rng.uniform(lo, hi)
-            target = int(round(cov * w))
-            striped = np.zeros(w, dtype=bool)
-            for _ in range(10_000):  # draw cap; coverage is met long before
-                if striped.sum() >= target:
-                    break
-                width = min(int(rng.integers(lo_w, hi_w + 1)), w)
-                start = int(rng.integers(0, w - width + 1))
-                sign = 1.0 if rng.random() < 0.5 else -1.0
-                amp = sign * rng.uniform(0.5 * amplitude, amplitude)
-                profile[start : start + width, band] = amp
-                striped[start : start + width] = True
-        return profile
-    raise ValueError(f"unknown stripe kind {kind!r}")
-
-
-def _stripe_field(
-    shape: tuple[int, int, int], kind: str, coverage: tuple[float, float], amplitude: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """The stripe cube: a read-only view of one drawn per-(column, band) profile
-    broadcast along the rows."""
-    h, w, p = shape
-    return np.broadcast_to(_stripe_profile(w, p, kind, coverage, amplitude, rng), shape)
+    # wide_vertical, the last of the STRIPE_KINDS that NoiseSpec admits
+    lo_w, hi_w = WIDE_STRIPE_WIDTH
+    for band in range(p):
+        cov = rng.uniform(lo, hi)
+        target = int(round(cov * w))
+        striped = np.zeros(w, dtype=bool)
+        for _ in range(10_000):  # draw cap; coverage is met long before
+            if striped.sum() >= target:
+                break
+            width = min(int(rng.integers(lo_w, hi_w + 1)), w)
+            start = int(rng.integers(0, w - width + 1))
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            amp = sign * rng.uniform(0.5 * amplitude, amplitude)
+            profile[start : start + width, band] = amp
+            striped[start : start + width] = True
+    return profile
 
 
 def simulate_case(
@@ -239,20 +212,22 @@ def simulate_case(
 
     lo_v, hi_v = spec.gaussian_variance
     sigma_per_band = np.sqrt(rng.uniform(lo_v, hi_v, size=p))
-    gauss = gaussian_field(truth.shape, sigma_per_band, rng)
+    gauss = rng.standard_normal(truth.shape)
+    gauss *= sigma_per_band
     # noisy is this function's own cube, so every later layer goes in in place
     noisy = truth + gauss
-    stripe_field = _stripe_field(
-        truth.shape, spec.stripe_kind, spec.stripe_coverage, spec.stripe_amplitude, rng
+    stripe_field = np.broadcast_to(
+        _stripe_profile(w, p, spec.stripe_kind, spec.stripe_coverage, spec.stripe_amplitude, rng),
+        truth.shape,
     )
     noisy += stripe_field
 
-    dead = deadline_mask(truth.shape, rng)
+    dead = np.broadcast_to(_deadline_profile(w, p, rng), truth.shape)
     np.copyto(noisy, 0.0, where=dead)
 
     lo_r, hi_r = spec.impulse_ratio
     ratio_per_band = rng.uniform(lo_r, hi_r, size=p)
-    imp_mask = impulse_perturbation(noisy, ratio_per_band, rng)
+    imp_mask = _impulse_perturbation(noisy, ratio_per_band, rng)
 
     components = {
         "gaussian": gauss,

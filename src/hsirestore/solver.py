@@ -86,8 +86,9 @@ from .priors import (
     _gst_shrink_in_place,
     soft_threshold,
 )
-# The solve forms each difference direction on its own, so it no longer calls
-# these three; restorebench/tracing.py still wraps them in this namespace.
+# The solve forms each difference direction on its own and calls none of these
+# three; they are imported because restorebench/tracing.py wraps them in this
+# namespace.
 from .priors import diff_adjoint, diff_forward, shrink_gradient_stack  # noqa: F401
 from .tensor_ops import fro_norm, validate_cube
 from .tucker import TuckerRanks, feasible_ranks, hooi, reconstruct
@@ -326,11 +327,12 @@ def _fft_solve(rhs: np.ndarray, inv_denom: np.ndarray, finish_rows) -> np.ndarra
 
     numpy 2's ``np.fft.rfftn`` takes an ``rfft`` along the band axis, then an
     ``fft`` along the width and one along the height, and ``irfftn`` runs the
-    inverses in the reverse order (numpy 1 took the height before the width,
-    and its FFTs had no ``out=``).  Each 1-D transform acts on every line
-    along its axis alone, so the band and width transforms run on halves of
-    the height, and the height transforms, with the division, on halves of
-    the width, one half on each thread, with the same bits.
+    inverses in the reverse order; ``pyproject.toml`` requires numpy 2.0 or
+    later, for that order and for the ``out=`` of its FFTs.  Each 1-D
+    transform acts on every line along its axis alone, so the band and width
+    transforms run on halves of the height, and the height transforms, with
+    the division, on halves of the width, one half on each thread, with the
+    same bits.
     ``finish_rows(rows)`` first completes ``rhs[rows]`` on the thread that
     then transforms those rows.
     """

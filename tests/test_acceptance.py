@@ -16,7 +16,7 @@ from hsirestore.cli import main as cli_main
 from hsirestore.fileio import read_cube, write_cube
 from hsirestore.gradient_fit import _fit_masses, histogram, convolve_hist
 from hsirestore.metrics import evaluate, psnr, sam, ssim
-from hsirestore.noise import _stripe_field, case_spec, simulate_case
+from hsirestore.noise import _stripe_profile, case_spec, simulate_case
 from hsirestore.priors import GradientStack, diff_adjoint, diff_forward, gst_shrink
 from hsirestore.solver import DIFF_WEIGHTS, SolverConfig, SolverState, solve, update_z
 from hsirestore.synthetic import low_rank_cube
@@ -74,7 +74,8 @@ def case2_fixture():
 @pytest.fixture(scope="module")
 def stripes_only_fixture():
     truth = low_rank_cube((48, 48, 16), TuckerRanks(5, 5, 3), seed=11)
-    stripe_field = _stripe_field(truth.shape, "random", (0.4, 0.5), 0.25, np.random.default_rng(13))
+    profile = _stripe_profile(48, 16, "random", (0.4, 0.5), 0.25, np.random.default_rng(13))
+    stripe_field = np.broadcast_to(profile, truth.shape)
     noisy = truth + stripe_field
     cfg = SolverConfig(
         ranks_x=TuckerRanks(8, 8, 5),

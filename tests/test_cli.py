@@ -188,6 +188,19 @@ class TestDenoise:
         assert len(err.splitlines()) == 1
         assert "error:" in err and "ranks_b" in err
 
+    @pytest.mark.parametrize("shape", [(16, 16, 1), (1, 8, 4), (8, 1, 4)])
+    def test_mode_of_size_one_without_p_override_exits_1(self, tmp_path, capsys, shape):
+        # the exponent fit differences every mode; p_override skips it, as
+        # test_config_records_the_ranks_solved_at runs
+        noisy = tmp_path / "noisy.cube"
+        write_cube(noisy, np.random.default_rng(4).random(shape))
+        code = main(["denoise", "--in", str(noisy), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the exponent fit") and str(shape) in err
+        assert "p_override" in err
+
 
 class TestEvaluate:
     def test_self_comparison_reports_perfect_scores(self, tmp_path, truth_file, capsys):

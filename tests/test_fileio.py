@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -20,6 +19,7 @@ from hsirestore.fileio import (
 from hsirestore.noise import NoiseSpec, case_spec
 from hsirestore.solver import SolverConfig
 from hsirestore.tucker import TuckerRanks
+from memory import traced_peak
 from oracles import cube_file_oracle, cube_read_oracle, manifest_spec_oracle
 
 
@@ -218,21 +218,11 @@ class TestStreamedMemory:
 
     SHAPE = (128, 128, 256)  # 64 bands per block of CUBE_BLOCK_ENTRIES
 
-    @staticmethod
-    def traced_peak(call, *args, **kwargs):
-        tracemalloc.start()
-        try:
-            call(*args, **kwargs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak
-
     def test_write_holds_one_float32_block(self, tmp_path):
         # a whole-cube cast would hold half a cube of float32 payload
         cube = np.random.default_rng(6).random(self.SHAPE)
         assert cube.size == 4 * fileio.CUBE_BLOCK_ENTRIES
-        peak = self.traced_peak(write_cube, tmp_path / "w.cube", cube)
+        _, peak = traced_peak(write_cube, tmp_path / "w.cube", cube)
         assert peak <= 0.2 * cube.nbytes
 
     def test_normalized_read_holds_the_cube_and_one_block(self, tmp_path):
@@ -240,7 +230,7 @@ class TestStreamedMemory:
         cube = np.random.default_rng(7).random(self.SHAPE)
         path = tmp_path / "r.cube"
         write_cube(path, cube)
-        peak = self.traced_peak(read_cube, path, normalize=True)
+        _, peak = traced_peak(read_cube, path, normalize=True)
         assert peak <= 1.2 * cube.nbytes
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.special
@@ -26,6 +24,7 @@ from hsirestore.noise import case_spec, simulate_case
 from hsirestore.priors import diff_forward
 from hsirestore.synthetic import low_rank_cube
 from hsirestore.tucker import TuckerRanks
+from memory import traced_peak
 from oracles import convolve_masses_oracle, estimate_p_stack_oracle, sample_hyper_laplacian
 
 # np.histogram sorts and counts its samples in blocks of this many entries
@@ -377,12 +376,7 @@ class TestEstimateP:
         # stack and a copy for the noise scale would hold three cubes more
         rng = np.random.default_rng(13)
         y = self.piecewise_cube(seed=14, shape=(128, 128, 32)) + rng.normal(0, 0.05, (128, 128, 32))
-        tracemalloc.start()
-        try:
-            estimate_p(y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(estimate_p, y)
         assert peak <= y.nbytes + 3 * NUMPY_HIST_BLOCK * y.itemsize
 
     # the case2-48 benchmark input: the seed-7 rank-(5, 5, 3) truth under case-2

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +6,7 @@ from scipy.ndimage import correlate1d
 
 import hsirestore.metrics
 from hsirestore.metrics import evaluate, psnr, sam, ssim
+from memory import traced_peak
 from oracles import psnr_oracle, sam_oracle, ssim_oracle
 
 
@@ -249,12 +248,7 @@ class TestEvaluate:
         test = np.clip(ref + rng.normal(0, 0.1, ref.shape), 0, 1)
         block_bands = hsirestore.metrics.PLANE_BLOCK_ENTRIES // (128 * 128)
         assert block_bands < 64
-        tracemalloc.start()
-        try:
-            evaluate(ref, test)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(evaluate, ref, test)
         assert peak <= 2 * block_bands * 128 * 128 * ref.itemsize + 2**21
 
     def test_shape_mismatch_rejected(self):

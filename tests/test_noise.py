@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -9,14 +7,14 @@ from hsirestore.noise import (
     DEADLINE_WIDTH,
     IMPULSE_BLOCK_ENTRIES,
     NoiseSpec,
-    _stripe_field,
+    _deadline_profile,
+    _impulse_perturbation,
+    _stripe_profile,
     case_spec,
-    deadline_mask,
-    gaussian_field,
-    impulse_perturbation,
     simulate_case,
 )
 from hsirestore.tensor_ops import validate_cube
+from memory import traced_peak
 
 
 def np_where_composition(truth, spec, comps):
@@ -28,13 +26,14 @@ def np_where_composition(truth, spec, comps):
     returned ones.
     """
     rng = np.random.default_rng(spec.seed)
-    p = truth.shape[2]
+    h, w, p = truth.shape
     sigma_per_band = np.sqrt(rng.uniform(*spec.gaussian_variance, size=p))
     gauss = rng.standard_normal(truth.shape) * sigma_per_band
-    stripe_field = _stripe_field(
-        truth.shape, spec.stripe_kind, spec.stripe_coverage, spec.stripe_amplitude, rng
+    stripe_field = np.broadcast_to(
+        _stripe_profile(w, p, spec.stripe_kind, spec.stripe_coverage, spec.stripe_amplitude, rng),
+        truth.shape,
     )
-    dead = deadline_mask(truth.shape, rng)
+    dead = np.broadcast_to(_deadline_profile(w, p, rng), truth.shape)
     ratio_per_band = rng.uniform(*spec.impulse_ratio, size=p)
     imp_mask = rng.random(truth.shape) < ratio_per_band
     imp_values = (rng.random(truth.shape) < 0.5).astype(np.float64)
@@ -51,22 +50,26 @@ def np_where_composition(truth, spec, comps):
 
 
 class TestGaussianField:
+    """The ``gaussian`` component of ``simulate_case`` under a pinned variance."""
+
+    @staticmethod
+    def gaussian(t, variance, seed):
+        spec = case_spec(1, seed=seed, gaussian_variance=(variance, variance))
+        return simulate_case(t, spec)[1]["gaussian"]
+
     def test_zero_sigma_is_identity(self):
         t = np.random.default_rng(0).random((8, 8, 3))
-        rng = np.random.default_rng(1)
-        np.testing.assert_array_equal(t + gaussian_field(t.shape, np.zeros(3), rng), t)
+        np.testing.assert_array_equal(t + self.gaussian(t, 0.0, seed=1), t)
 
     def test_per_band_sample_std(self):
-        rng = np.random.default_rng(2)
-        field = gaussian_field((128, 128, 4), np.full(4, 0.1), rng)
+        field = self.gaussian(np.zeros((128, 128, 4)), 0.01, seed=2)
         stds = field.std(axis=(0, 1))
         assert np.all((stds >= 0.095) & (stds <= 0.105))
 
     def test_band_means_stay_near_input_means(self):
-        rng = np.random.default_rng(3)
         t = np.full((128, 128, 4), 0.5)
         sigma = 0.1
-        noisy = t + gaussian_field(t.shape, np.full(4, sigma), rng)
+        noisy = t + self.gaussian(t, sigma**2, seed=3)
         tol = 3 * sigma / np.sqrt(128 * 128)
         assert np.all(np.abs(noisy.mean(axis=(0, 1)) - 0.5) <= tol)
 
@@ -74,23 +77,19 @@ class TestGaussianField:
 class TestImpulsePerturbation:
     def test_zero_ratio_marks_nothing(self):
         cube = np.full((16, 16, 2), 0.5)
-        mask = impulse_perturbation(cube, np.zeros(2), np.random.default_rng(5))
+        mask = _impulse_perturbation(cube, np.zeros(2), np.random.default_rng(5))
         assert not mask.any()
         assert np.all(cube == 0.5)
 
     def test_altered_fraction_near_ratio(self):
-        mask = impulse_perturbation(np.zeros((256, 256, 1)), np.full(1, 0.2), np.random.default_rng(6))
+        mask = _impulse_perturbation(np.zeros((256, 256, 1)), np.full(1, 0.2), np.random.default_rng(6))
         assert abs(mask.mean() - 0.2) <= 0.01
 
     def test_full_ratio_makes_every_voxel_binary(self):
         cube = np.full((32, 32, 2), 0.5)
-        mask = impulse_perturbation(cube, np.ones(2), np.random.default_rng(8))
+        mask = _impulse_perturbation(cube, np.ones(2), np.random.default_rng(8))
         assert mask.all()
         assert np.all((cube == 0.0) | (cube == 1.0))
-
-    def test_out_of_range_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            impulse_perturbation(np.zeros((4, 4, 1)), np.full(1, 1.5), np.random.default_rng(9))
 
     @pytest.mark.parametrize("block_entries", [1, 60, 10**6])
     def test_row_blocks_draw_the_whole_cube_stream(self, monkeypatch, block_entries):
@@ -102,18 +101,20 @@ class TestImpulsePerturbation:
         rng = np.random.default_rng(11)
         mask = rng.random(cube.shape) < ratio
         expected = np.where(mask, rng.random(cube.shape) < 0.5, cube)
-        assert impulse_perturbation(cube, ratio, np.random.default_rng(11)).tobytes() == mask.tobytes()
+        assert _impulse_perturbation(cube, ratio, np.random.default_rng(11)).tobytes() == mask.tobytes()
         assert cube.tobytes() == expected.tobytes()
 
 
 class TestDeadlineMask:
     def test_zero_band_fraction_marks_nothing(self):
         # a third of one band rounds to zero dead bands
-        assert not deadline_mask((8, 8, 1), np.random.default_rng(11)).any()
+        assert not _deadline_profile(8, 1, np.random.default_rng(11)).any()
 
     def test_single_deadline_marks_full_columns(self):
-        # a third of four bands rounds to one dead band
-        mask = deadline_mask((10, 12, 4), np.random.default_rng(12))
+        # a third of four bands rounds to one dead band, whose dead columns
+        # simulate_case marks in every row
+        truth = np.full((10, 12, 4), 0.5)
+        mask = simulate_case(truth, case_spec(1, seed=12))[1]["deadline_mask"]
         dead_bands = [b for b in range(4) if mask[:, :, b].any()]
         assert len(dead_bands) == 1
         dead_cols = mask[:, :, dead_bands[0]].any(axis=0)
@@ -127,9 +128,8 @@ class TestDeadlineMask:
         assert (DEADLINE_COUNT, DEADLINE_WIDTH) == ((1, 3), (1, 3))
         dead_counts = []
         for seed in range(40):
-            mask = deadline_mask((5, 40, p), np.random.default_rng(seed))
-            cols = mask.any(axis=0)
-            assert np.array_equal(mask, np.broadcast_to(cols, mask.shape))
+            cols = _deadline_profile(40, p, np.random.default_rng(seed))
+            assert cols.shape == (40, p)
             dead_bands = np.flatnonzero(cols.any(axis=0))
             assert dead_bands.size == round(p / 3)
             for band in dead_bands:
@@ -142,7 +142,7 @@ class TestDeadlineMask:
             assert min(dead_counts) == 1 and max(dead_counts) >= 6
 
     def test_dead_columns_identical_across_rows(self):
-        mask = deadline_mask((16, 16, 6), np.random.default_rng(14))
+        mask = simulate_case(np.full((16, 16, 6), 0.5), case_spec(1, seed=14))[1]["deadline_mask"]
         for b in range(6):
             cols = mask[:, :, b].any(axis=0)
             for j in np.where(cols)[0]:
@@ -151,31 +151,28 @@ class TestDeadlineMask:
 
 class TestAddStripes:
     def test_zero_coverage_random_gives_zero_field(self):
-        field = _stripe_field((8, 8, 3), "random", (0.0, 0.0), 0.25, np.random.default_rng(15))
-        assert field.shape == (8, 8, 3)
-        assert not field.any()
+        profile = _stripe_profile(8, 3, "random", (0.0, 0.0), 0.25, np.random.default_rng(15))
+        assert profile.shape == (8, 3)
+        assert not profile.any()
 
     def test_periodic_coverage_quarter_hits_every_fourth_column(self):
-        field = _stripe_field((8, 16, 3), "periodic", (0.25, 0.25), 0.25, np.random.default_rng(16))
-        nonzero_cols = {tuple(np.where(field[0, :, b] != 0)[0]) for b in range(3)}
+        profile = _stripe_profile(16, 3, "periodic", (0.25, 0.25), 0.25, np.random.default_rng(16))
+        nonzero_cols = {tuple(np.where(profile[:, b] != 0)[0]) for b in range(3)}
         assert nonzero_cols == {(0, 4, 8, 12)}
 
     def test_stripe_field_is_rank_one_along_rows(self):
-        field = _stripe_field((12, 20, 4), "random", (0.4, 0.5), 0.25, np.random.default_rng(17))
+        truth = np.full((12, 20, 4), 0.5)
+        field = simulate_case(truth, case_spec(2, seed=17))[1]["stripe_field"]
+        assert field.any()
         for b in range(4):
             sv = np.linalg.svd(field[:, :, b], compute_uv=False)
             assert sv[1] <= 1e-10 * max(sv[0], 1e-300)
 
     def test_mixed_and_wide_kinds_produce_stripes(self):
         for kind in ("mixed", "wide_vertical"):
-            field = _stripe_field((8, 40, 2), kind, (0.4, 0.4), 0.25, np.random.default_rng(18))
-            assert field.any()
-            # constant along rows
-            np.testing.assert_array_equal(field, np.broadcast_to(field[:1], field.shape))
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            _stripe_field((4, 4, 1), "diagonal", (0.4, 0.4), 0.25, np.random.default_rng(19))
+            profile = _stripe_profile(40, 2, kind, (0.4, 0.4), 0.25, np.random.default_rng(18))
+            assert profile.shape == (40, 2)
+            assert profile.any()
 
 
 class TestSimulateCase:
@@ -231,12 +228,7 @@ class TestSimulateCase:
         # Beside the block, numpy's iterator takes a fixed buffer of about
         # 64 KiB to broadcast the per-band ratios.
         truth = self.truth(seed=42, shape=(128, 128, 16))
-        tracemalloc.start()
-        try:
-            noisy, comps = simulate_case(truth, case_spec(2, seed=43))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (noisy, comps), peak = traced_peak(simulate_case, truth, case_spec(2, seed=43))
         # the stripe field and dead-line mask are views of (w, p) profiles,
         # which fit in the slack beside the iterator buffer
         returned = noisy.nbytes + sum(c.nbytes for c in comps.values() if c.flags.owndata)
@@ -248,12 +240,7 @@ class TestSimulateCase:
         # and a dead-line mask copied out of their (w, p) profiles would hold
         # one cube and one eighth more, case 1's stripe cube all zero
         truth = self.truth(seed=44, shape=(128, 128, 128))
-        tracemalloc.start()
-        try:
-            noisy, comps = simulate_case(truth, case_spec(case_id, seed=45))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (noisy, comps), peak = traced_peak(simulate_case, truth, case_spec(case_id, seed=45))
         assert peak <= 2.2 * truth.nbytes
         assert comps["stripe_field"].any() == (case_id != 1)
 
@@ -323,6 +310,10 @@ class TestNoiseSpecValidation:
         field = next(iter(overrides))
         with pytest.raises(ValueError, match=field):
             case_spec(2, seed=0, **overrides)
+
+    def test_unknown_stripe_kind_rejected(self):
+        with pytest.raises(ValueError, match="diagonal"):
+            case_spec(2, seed=0, stripe_kind="diagonal")
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_bad_seed_rejected(self, seed):

@@ -5,7 +5,7 @@ from dataclasses import replace
 import hsirestore.solver
 from hsirestore.fileio import normalize_bands
 from hsirestore.metrics import evaluate
-from hsirestore.noise import _stripe_field, case_spec, simulate_case
+from hsirestore.noise import _stripe_profile, case_spec, simulate_case
 from hsirestore.priors import GradientStack, diff_adjoint, diff_forward, soft_threshold
 from hsirestore.solver import (
     BETA_MAX,
@@ -454,7 +454,7 @@ class TestSolve:
     def test_stripes_only_input_separates_stripe_field(self):
         truth = low_rank_cube((48, 48, 16), TuckerRanks(5, 5, 3), seed=11)
         rng = np.random.default_rng(13)
-        stripe_field = _stripe_field(truth.shape, "random", (0.4, 0.5), 0.25, rng)
+        stripe_field = np.broadcast_to(_stripe_profile(48, 16, "random", (0.4, 0.5), 0.25, rng), truth.shape)
         noisy = truth + stripe_field
         cfg = SolverConfig(ranks_x=TuckerRanks(8, 8, 5), ranks_b=TuckerRanks(1, 24, 16))
         dec, diag = solve(noisy, cfg)

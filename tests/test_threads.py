@@ -10,7 +10,6 @@ import importlib
 import importlib.util
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ from hsirestore.priors import GradientStack
 from hsirestore.solver import SolverConfig, SolverState, solve, update_f, update_z
 from hsirestore.synthetic import low_rank_cube
 from hsirestore.tucker import TuckerRanks
+from memory import traced_peak
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -264,10 +264,5 @@ def test_solve_peak_memory_at_64x64x32(monkeypatch):
     noisy, _ = simulate_case(truth, case_spec(2, seed=7))
     # once per process: the Fourier multipliers' cache, the helper thread and its import
     solve(noisy, SolverConfig(max_iter=1))
-    tracemalloc.start()
-    try:
-        solve(noisy, SolverConfig(max_iter=5))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(solve, noisy, SolverConfig(max_iter=5))
     assert peak <= 19.0 * noisy.nbytes
