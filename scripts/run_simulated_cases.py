@@ -47,7 +47,6 @@ def parse_args():
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--cases", type=int, nargs="+", default=[1, 2, 3, 4, 5, 6])
     parser.add_argument("--ranks-x", type=int, nargs=3, default=None)
-    parser.add_argument("--ranks-b", type=int, nargs=3, default=None)
     parser.add_argument("--stripe-amplitude", type=float, default=0.25)
     return parser.parse_args()
 
@@ -69,7 +68,6 @@ def main() -> int:
         ranks_x=TuckerRanks(*args.ranks_x) if args.ranks_x else TuckerRanks(
             max(1, args.truth_ranks[0] + 3), max(1, args.truth_ranks[1] + 3),
             min(p, args.truth_ranks[2] + 2)),
-        ranks_b=TuckerRanks(*args.ranks_b) if args.ranks_b else None,
     )
     resolved = cfg.resolve_ranks(truth.shape)
     print(f"truth {truth.shape}, solver ranks_x={resolved.ranks_x.as_tuple()}, "

@@ -4,9 +4,7 @@ All three difference directions use circular (periodic) boundaries: the
 splitting step of the solver inverts ``I + c * D^T D`` by 3-D FFT division,
 which is exact only for periodic stencils.  The three difference fields of a
 cube (height, width, band) are one ``(3, h, w, p)`` array, the direction on
-its leading axis.  The direction weights live inside the difference operator;
-the shrinkage step applies a single threshold per gradient block with its own
-exponent.
+its leading axis.  The direction weights live inside the difference operator.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# largest relative Newton step of gst_shrink that ends its loop
+# largest relative Newton step of the lp shrinkage that ends its loop
 _NEWTON_STEP_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 # largest magnitude whose Newton product, at most its square, cannot overflow
 _NEWTON_MAX = float(np.sqrt(np.finfo(np.float64).max))
@@ -131,10 +129,9 @@ def _gst_magnitude(am: np.ndarray, c: float, p: float) -> np.ndarray:
     w = np.empty_like(x)
     den = np.empty_like(x)
     while True:
-        # Newton step x <- x - g(x)/g'(x) for g(x) = x + c*x**(p-1) - am,
-        # multiplied through by x: x * (am - (2-p)*w) / (x - (1-p)*w)
-        # with w = c*x**(p-1); in place, as the cube-sized
-        # temporaries would cost more than the arithmetic
+        # Newton step x <- x - g(x)/g'(x) for g(x) = x + c*x**(p-1) - am, times x:
+        # x * (am - (2-p)*w) / (x - (1-p)*w) with w = c*x**(p-1); in place, as
+        # the cube-sized temporaries would cost more than the arithmetic
         np.power(x, p - 1.0, out=w)
         w *= c
         np.multiply(w, 1.0 - p, out=den)
@@ -151,39 +148,26 @@ def _gst_magnitude(am: np.ndarray, c: float, p: float) -> np.ndarray:
     return x
 
 
-def gst_shrink(y, tau: float, p: float):
-    """Generalized shrinkage: global minimizer of ``tau*|x|**p + (x-y)**2 / 2``.
-
-    For ``p=1`` this is exactly :func:`soft_threshold`.  For ``p<1`` the
-    output is zero whenever |y| is below the closed-form dead zone, and
-    otherwise the larger root of ``x + tau*p*x**(p-1) = |y|``, signed by
-    ``y``.  The left side is convex in ``x > 0`` and increasing at
-    ``x0 = |y|``, so Newton's method from there decreases monotonically to
-    that root.  It stops after the first step no larger than ``sqrt(eps)``
-    relative to every entry, which quadratic convergence leaves with an
-    error at the rounding level.  At a finite ``tau`` an infinite ``y``
-    passes through, as in :func:`soft_threshold`, and at an infinite ``tau``
-    every output is zero.  Elementwise on arrays.
-    """
-    _check_shrink_args(tau, p)
-    if p == 1.0:
-        return soft_threshold(y, tau)
-    y = np.asarray(y, dtype=np.float64)
-    out = np.array(np.atleast_1d(y), order="C")
-    _gst_shrink_in_place(out, tau, p)
-    return float(out[0]) if y.ndim == 0 else out
-
-
 def _check_shrink_args(tau: float, p: float) -> None:
-    """Reject a threshold or exponent that :func:`gst_shrink` does not accept."""
+    """Reject a threshold or exponent that :func:`_gst_shrink_in_place` does not accept."""
     if not tau >= 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
 
 
-def _gst_shrink_in_place(g: np.ndarray, tau: float, p: float) -> None:
-    """:func:`gst_shrink` of a C-contiguous float64 array, written over it."""
+def _gst_shrink_in_place(g: np.ndarray, tau: float, p: float) -> np.ndarray:
+    """Generalized shrinkage of a C-contiguous float64 array, written over it; returns ``g``.
+
+    Each entry ``y`` becomes the global minimizer of ``tau*|x|**p + (x-y)**2 / 2``:
+    :func:`soft_threshold` for ``p=1``; for ``p<1`` zero in the dead zone ``|y| <=``
+    :func:`gst_threshold`, and beyond it the larger root of ``x + tau*p*x**(p-1) = |y|``
+    signed by ``y``.  That left side is convex in ``x > 0`` and increasing at
+    ``|y|``, so Newton's method from ``|y|`` decreases monotonically to the root.
+    It stops after the first step no larger than ``sqrt(eps)`` relative to every
+    entry, which quadratic convergence leaves at the rounding level.  An infinite
+    ``y`` passes through at a finite ``tau``; an infinite ``tau`` zeroes every entry.
+    """
     if p == 1.0:
         g[...] = soft_threshold(g, tau)
     elif tau != 0.0:
@@ -195,15 +179,16 @@ def _gst_shrink_in_place(g: np.ndarray, tau: float, p: float) -> None:
         x *= np.sign(signs, out=signs)
         g.fill(0.0)
         flat[idx] = x
+    return g
 
 
-def shrink_gradient_stack(
-    g: GradientStack, tau: float, p: tuple[float, float, float]
-) -> GradientStack:
+def shrink_gradient_stack(g: GradientStack, tau: float, p: tuple[float, float, float]) -> GradientStack:
     """Blockwise generalized shrinkage of a gradient stack, in place; returns ``g``.
 
-    One shared threshold ``tau``, one exponent per direction.
+    One shared threshold ``tau``, one exponent per direction.  Each direction
+    is shrunk in a C-ordered copy, so any layout of the stack will do.
     """
     for block, p_dir in zip(g.g, p):
-        block[...] = gst_shrink(block, tau, p_dir)
+        _check_shrink_args(tau, p_dir)
+        block[...] = _gst_shrink_in_place(np.array(block, order="C"), tau, p_dir)
     return g

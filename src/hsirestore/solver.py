@@ -43,10 +43,10 @@ for (a regrouped sum would change the last bits).  It never writes into
 ``y``, ``x``, ``z``, ``s``, ``b`` or ``dual_x``: the new ones are arrays it
 allocates.  Three things are updated in place.  ``update_x`` stores its new
 Tucker factors in ``state.x_factors``, where the next sweep starts from
-them.  ``update_f`` overwrites ``state.f`` and ``state.dual_grad``, buffers
-the solve owns, so no gradient stack is allocated after the first.  The z-
-and f-steps form their intermediate terms in ``state.scratch``, one cube for
-each thread.
+them.  ``update_f`` overwrites ``state.f`` and ``state.dual_grad``, plain
+``(3, h, w, p)`` arrays the solve owns, so no gradient stack is allocated
+after the first.  The z- and f-steps form their intermediate terms in
+``state.scratch``, one cube for each thread.
 
 The z- and f-steps split their work between the calling thread and one
 helper thread (:func:`_fan_out`).  The helper forms the height and width
@@ -63,8 +63,9 @@ private kernels, never a function that ``restorebench/tracing.py`` wraps,
 since that tracer keeps one span stack for all threads.
 
 Iterations stop when the squared relative change of ``x`` drops below
-``epsilon`` or after ``max_iter`` iterations; hitting the cap is reported in
-the diagnostics, not raised.
+``epsilon``, or when ``x`` is zero and stays zero after the first iteration
+(only an all-zero input gives that), or after ``max_iter`` iterations;
+hitting the cap is reported in the diagnostics, not raised.
 """
 
 from __future__ import annotations
@@ -179,8 +180,9 @@ class SolverConfig:
 class SolverState:
     """Mutable iterate of the alternating loop.
 
-    ``f`` and ``dual_grad`` are buffers that :func:`update_f` overwrites in
-    place.  ``scratch`` is a ``(2, h, w, p)`` work array: one cube for each
+    ``f`` and ``dual_grad`` are C-ordered ``(3, h, w, p)`` arrays, one
+    direction per leading index, that :func:`update_f` overwrites in place.
+    ``scratch`` is a ``(2, h, w, p)`` work array: one cube for each
     of the two threads an update runs on.  ``x_factors`` holds
     the Tucker factors of the last ``x`` fit, the warm start of the next one;
     ``None`` means start cold.
@@ -190,9 +192,9 @@ class SolverState:
     z: np.ndarray
     s: np.ndarray
     b: np.ndarray
-    f: GradientStack
+    f: np.ndarray
     dual_x: np.ndarray
-    dual_grad: GradientStack
+    dual_grad: np.ndarray
     scratch: np.ndarray
     beta: float
     x_factors: tuple[np.ndarray, ...] | None = None
@@ -204,9 +206,9 @@ class SolverState:
             z=np.zeros(shape),
             s=np.zeros(shape),
             b=np.broadcast_to(np.zeros(shape[1:]), shape),
-            f=GradientStack(np.zeros((3,) + shape)),
+            f=np.zeros((3,) + shape),
             dual_x=np.zeros(shape),
-            dual_grad=GradientStack(np.zeros((3,) + shape)),
+            dual_grad=np.zeros((3,) + shape),
             scratch=np.empty((2,) + shape),
             beta=beta,
         )
@@ -318,8 +320,8 @@ def update_z(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
 
 def _shifted_gradient(state: SolverState, axis: int, out: np.ndarray) -> None:
     """``beta * f - dual_grad`` along one direction, into ``out``."""
-    np.multiply(state.beta, state.f.g[axis], out=out)
-    out -= state.dual_grad.g[axis]
+    np.multiply(state.beta, state.f[axis], out=out)
+    out -= state.dual_grad[axis]
 
 
 def _fft_solve(rhs: np.ndarray, inv_denom: np.ndarray, finish_rows) -> np.ndarray:
@@ -371,7 +373,9 @@ def update_f(
     scratch cube and the target into ``f_d``, which the shrinkage with
     threshold ``lambda_tv / beta`` then overwrites; then
     ``dual_grad_d += beta * (D_d z - f_d)``.  The helper thread takes the
-    height direction, this thread the other two.  Returns ``state.f``.
+    height direction, this thread the other two.  Returns ``state.f`` as a
+    :class:`GradientStack`, which copies nothing: the benchmark tracer's
+    ``solver.update_f`` note reads its ``blocks()``.
 
     Both stacks must be C-contiguous: the shrinkage scatters its result
     through a flat view, which any other layout would only copy.
@@ -380,7 +384,7 @@ def update_f(
     for p in p_values:
         _check_shrink_args(tau, p)
     for name in ("f", "dual_grad"):
-        if not getattr(state, name).g.flags.c_contiguous:
+        if not getattr(state, name).flags.c_contiguous:
             raise ValueError(f"state.{name} must be a C-contiguous gradient stack")
     helper_scratch, own_scratch = state.scratch
     steps = [
@@ -388,14 +392,14 @@ def update_f(
         for axis, p, dz in zip(range(3), p_values, (helper_scratch, own_scratch, own_scratch))
     ]
     _fan_out(steps[:1], steps[1:])
-    return state.f
+    return GradientStack(state.f)
 
 
 def _f_direction(
     state: SolverState, axis: int, tau: float, p: float, dz: np.ndarray
 ) -> None:
     """The f-step and the multiplier ascent of one direction (see :func:`update_f`)."""
-    f, dual = state.f.g[axis], state.dual_grad.g[axis]
+    f, dual = state.f[axis], state.dual_grad[axis]
     _circular_diff(state.z, axis, 1, DIFF_WEIGHTS[axis], dz)
     np.multiply(dual, 1.0 / state.beta, out=f)
     f += dz
@@ -537,7 +541,7 @@ def solve(
     rel_change: list[float] = []
     beta_history: list[float] = []
     converged = False
-    for _ in range(cfg.max_iter):
+    for it in range(cfg.max_iter):
         beta_history.append(state.beta)
         x_old = state.x
         state.x = update_x(state, cfg)
@@ -552,10 +556,16 @@ def solve(
         state.s = update_s(state, cfg, y)
         state.dual_x, state.beta = update_multipliers(state, cfg)
 
-        rel = dx2 / x02 if x02 > 0.0 else 1.0
+        if x02 > 0.0:
+            rel = dx2 / x02
+            converged = rel <= cfg.epsilon
+        else:
+            # x starts at zero, and the first x-step, from z = 0, gives zero
+            # too; after it, an x that stays exactly zero has converged
+            converged = it > 0 and dx2 == 0.0
+            rel = 0.0 if converged else 1.0
         rel_change.append(rel)
-        if x02 > 0.0 and rel <= cfg.epsilon:
-            converged = True
+        if converged:
             break
 
     residual = y - (state.x + state.s + state.b)

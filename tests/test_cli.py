@@ -201,6 +201,14 @@ class TestDenoise:
         assert err.startswith("error: the exponent fit") and str(shape) in err
         assert "p_override" in err
 
+    def test_constant_cube_converges_after_two_iterations(self, tmp_path, capsys):
+        # --normalize maps a constant band to zero, where every iterate stays zero
+        noisy = tmp_path / "constant.cube"
+        write_cube(noisy, np.full((16, 16, 8), 0.3))
+        code = main(["denoise", "--in", str(noisy), "--out-dir", str(tmp_path / "o"), "--normalize"])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("converged after 2 iterations")
+
 
 class TestEvaluate:
     def test_self_comparison_reports_perfect_scores(self, tmp_path, truth_file, capsys):

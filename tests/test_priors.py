@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from hsirestore.priors import (
     GradientStack,
+    _check_shrink_args,
+    _gst_shrink_in_place,
     diff_adjoint,
     diff_forward,
-    gst_shrink,
     gst_threshold,
     shrink_gradient_stack,
     soft_threshold,
@@ -19,6 +20,11 @@ from oracles import gst_minimize_oracle, gst_objective
 # exponents used throughout are representative fitted values for the three
 # gradient directions of a real scene
 P_TRIPLE = (0.642, 0.684, 0.485)
+
+
+def shrunk(y, tau, p):
+    """The generalized shrinkage of a C-ordered float64 copy of ``y``, which stays as it is."""
+    return _gst_shrink_in_place(np.array(y, dtype=np.float64, order="C"), tau, p)
 
 
 def impulse_cube():
@@ -144,10 +150,10 @@ class TestGstShrink:
     )
     @settings(max_examples=100, deadline=None)
     def test_p_one_reduces_to_soft_threshold(self, y, tau):
-        assert gst_shrink(y, tau, 1.0) == pytest.approx(soft_threshold(y, tau), abs=1e-14)
+        assert shrunk([y], tau, 1.0)[0] == pytest.approx(soft_threshold(y, tau), abs=1e-14)
 
     def test_zero_input_maps_to_zero(self):
-        assert gst_shrink(0.0, 0.3, 0.6) == 0.0
+        assert shrunk([0.0], 0.3, 0.6).tolist() == [0.0]
 
     def test_objective_matches_grid_oracle_on_200_triples(self):
         rng = np.random.default_rng(42)
@@ -155,7 +161,7 @@ class TestGstShrink:
             y = rng.uniform(-3, 3)
             tau = rng.uniform(0.01, 1)
             p = rng.uniform(0.2, 0.99)
-            got = gst_shrink(y, tau, p)
+            got = shrunk([y], tau, p)[0]
             best = gst_minimize_oracle(y, tau, p)
             assert gst_objective(got, y, tau, p) <= gst_objective(best, y, tau, p) + 1e-6
 
@@ -166,7 +172,7 @@ class TestGstShrink:
         # small; near the dead zone and for p near 1 the root is hardest to reach
         threshold = gst_threshold(tau, p)
         y = np.linspace(threshold * (1 + 1e-9), 1.5 * threshold, 501)
-        x = gst_shrink(y, tau, p)
+        x = shrunk(y, tau, p)
         assert np.all(x > 0.0)
         residual = np.abs(x + tau * p * x ** (p - 1.0) - y)
         assert np.all(residual <= 1e-12 * y)
@@ -175,22 +181,27 @@ class TestGstShrink:
     @settings(max_examples=60, deadline=None)
     def test_odd_in_y(self, y):
         tau, p = 0.2, 0.55
-        assert gst_shrink(-y, tau, p) == pytest.approx(-gst_shrink(y, tau, p), abs=1e-12)
+        assert shrunk([-y], tau, p)[0] == pytest.approx(-shrunk([y], tau, p)[0], abs=1e-12)
 
     @given(st.floats(min_value=-4, max_value=4))
     @settings(max_examples=60, deadline=None)
     def test_nonexpansive_toward_zero(self, y):
-        assert abs(gst_shrink(y, 0.3, 0.7)) <= abs(y) + 1e-12
+        assert abs(shrunk([y], 0.3, 0.7)[0]) <= abs(y) + 1e-12
 
     def test_monotone_in_magnitude(self):
         ys = np.linspace(0, 4, 200)
-        outs = gst_shrink(ys, 0.25, 0.45)
+        outs = shrunk(ys, 0.25, 0.45)
         assert np.all(np.diff(outs) >= -1e-10)
 
     @pytest.mark.parametrize("p", [0.5, 1.0])
     def test_nan_tau_rejected(self, p):
         with pytest.raises(ValueError, match="tau must be nonnegative"):
-            gst_shrink(np.array([1.2, -0.3]), np.nan, p)
+            _check_shrink_args(np.nan, p)
+        g = GradientStack(np.full((3, 2, 2, 2), 1.2))
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            shrink_gradient_stack(g, np.nan, (p, p, p))
+        # rejected before any direction is written
+        assert (g.g == 1.2).all()
 
     @pytest.mark.parametrize("p", [0.5, 1.0])
     def test_infinite_tau_gives_zeros(self, p):
@@ -199,8 +210,7 @@ class TestGstShrink:
         for tau in (np.float64(np.inf), float("inf")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                np.testing.assert_array_equal(gst_shrink(y, tau, p), np.zeros(5))
-                assert gst_shrink(-2.0, tau, p) == 0.0
+                np.testing.assert_array_equal(shrunk(y, tau, p), np.zeros(5))
             assert gst_threshold(tau, p) == np.inf
 
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.9])
@@ -210,9 +220,9 @@ class TestGstShrink:
         y = np.array([1e150, 1.0, -3.0, 0.9])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            alone = gst_shrink(y, 0.3, p)
-            got = gst_shrink(np.concatenate([y, [1e200, -1e300, big]]), 0.3, p)
-            assert gst_shrink(np.array([1e200, 1e150, 1.0]), 0.3, 0.5)[0] == 1e200
+            alone = shrunk(y, 0.3, p)
+            got = shrunk(np.concatenate([y, [1e200, -1e300, big]]), 0.3, p)
+            assert shrunk([1e200, 1e150, 1.0], 0.3, 0.5)[0] == 1e200
         assert got[:4].tobytes() == alone.tobytes()
         assert got[0] == pytest.approx(1e150, rel=1e-15)
         assert got[4:].tolist() == [1e200, -1e300, big]
@@ -224,17 +234,16 @@ class TestGstShrink:
         y = np.array([0.9, 1.7, 3.0, -0.05])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            alone = gst_shrink(y, tau, p)
-            got = gst_shrink(np.concatenate([y, [np.inf, -np.inf]]), tau, p)
-            assert gst_shrink(-np.inf, tau, p) == -np.inf
+            alone = shrunk(y, tau, p)
+            got = shrunk(np.concatenate([y, [np.inf, -np.inf]]), tau, p)
         assert got[:4].tobytes() == alone.tobytes()
         assert got[4:].tolist() == [np.inf, -np.inf]
         np.testing.assert_array_equal(soft_threshold(got[4:], tau), got[4:])
 
     @pytest.mark.parametrize("p", [0.0, -0.5, 1.5])
     def test_invalid_p_rejected(self, p):
-        with pytest.raises(ValueError):
-            gst_shrink(1.0, 0.1, p)
+        with pytest.raises(ValueError, match="p must lie in"):
+            _check_shrink_args(0.1, p)
 
 
 class TestAhsstvProx:
@@ -254,7 +263,7 @@ class TestAhsstvProx:
         out = shrink_gradient_stack(g, 0.3, P_TRIPLE)
         assert out is g
         for got, orig, p in zip(g.blocks(), before, P_TRIPLE):
-            assert got.tobytes() == gst_shrink(orig, 0.3, p).tobytes()
+            assert got.tobytes() == shrunk(orig, 0.3, p).tobytes()
 
     def test_p_all_one_is_blockwise_soft_threshold(self):
         g = self.random_stack(1)
@@ -347,12 +356,14 @@ class TestLayoutsAndEdges:
     @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("p", [0.485, 1.0])
     def test_gst_shrink_independent_of_layout(self, layout, p):
-        # a zeros_like output of a Fortran-ordered input is Fortran-ordered too,
-        # and its ravel a copy: a flat scatter into that copy would be lost
-        c = signed_zero_cube((4, 5, 6), seed=54)
-        expected = gst_shrink(c, 0.2, p)
+        # the kernel scatters through a flat view, which a direction in any
+        # other layout than C order would only copy: the stack's shrinkage
+        # must still land in the stack, in place
+        c = np.stack([signed_zero_cube((4, 5, 6), seed=54 + i) for i in range(3)])
+        expected = shrink_gradient_stack(GradientStack(c.copy()), 0.2, (p, p, p)).g
         assert np.count_nonzero(expected) > 0
-        assert gst_shrink(LAYOUTS[layout](c), 0.2, p).tobytes() == expected.tobytes()
+        g = GradientStack(STACK_LAYOUTS[layout](c))
+        assert shrink_gradient_stack(g, 0.2, (p, p, p)).g.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_soft_threshold_independent_of_layout(self, layout):

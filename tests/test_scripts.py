@@ -37,6 +37,8 @@ def run_script(script, args):
 def test_script_runs_and_prints_its_table(script, args, header):
     lines = run_script(script, args)
     assert header in lines
+    # the line above the table names the ranks solved at, the stripe rank being the full profile's
+    assert lines[0].endswith("ranks_x=(5, 5, 4), ranks_b=(1, 6, 6)")
     # one table row for the one case asked for
     assert any(line.split("|")[0].strip() == "2" for line in lines)
 

@@ -40,17 +40,15 @@ def make_state(shape, beta, seed=0, zero=False):
         state.z = rng.standard_normal(shape)
         state.s = rng.standard_normal(shape)
         state.b = rng.standard_normal(shape)
-        state.f = GradientStack(np.stack([rng.standard_normal(shape) for _ in range(3)]))
+        state.f = np.stack([rng.standard_normal(shape) for _ in range(3)])
         state.dual_x = rng.standard_normal(shape)
-        state.dual_grad = GradientStack(np.stack([rng.standard_normal(shape) for _ in range(3)]))
+        state.dual_grad = np.stack([rng.standard_normal(shape) for _ in range(3)])
     return state
 
 
 def z_step_rhs(state, y, weights):
     """Right-hand side of the z-step, written out as one plain expression per term."""
-    shifted = GradientStack(
-        np.stack([state.beta * f - g for f, g in zip(state.f.blocks(), state.dual_grad.blocks())])
-    )
+    shifted = GradientStack(state.beta * state.f - state.dual_grad)
     return (
         y - state.b - state.s + state.dual_x + state.beta * state.x
     ) + diff_adjoint(shifted, weights)
@@ -59,7 +57,7 @@ def z_step_rhs(state, y, weights):
 def f_step_target(state):
     """``D z + dual_grad / beta`` block by block, the target of the f-step."""
     dz = diff_forward(state.z, DIFF_WEIGHTS)
-    return [d + g * (1 / state.beta) for d, g in zip(dz.blocks(), state.dual_grad.blocks())]
+    return [d + g * (1 / state.beta) for d, g in zip(dz.blocks(), state.dual_grad)]
 
 
 def small_cfg(**overrides):
@@ -219,13 +217,14 @@ class TestUpdateF:
     def test_writes_f_and_dual_grad_in_place(self):
         shape = (4, 3, 5)
         state = make_state(shape, beta=0.8, seed=24)
-        f, dual = state.f, state.dual_grad.g
+        f, dual = state.f, state.dual_grad
         old_dual = dual.copy()
         got = update_f(state, small_cfg(lambda_tv=0.05), (0.6, 1.0, 0.5))
-        assert got is f and state.dual_grad.g is dual
+        # the returned stack wraps the state's own array
+        assert got.g is f and state.f is f and state.dual_grad is dual
         # bit for bit: the multiplier ascends as the plain expression does
         dz = diff_forward(state.z, DIFF_WEIGHTS)
-        for a, old, d, fd in zip(dual, old_dual, dz.blocks(), f.blocks()):
+        for a, old, d, fd in zip(dual, old_dual, dz.blocks(), f):
             np.testing.assert_array_equal(a, old + 0.8 * (d - fd))
 
     def test_invalid_exponent_rejected(self):
@@ -237,7 +236,7 @@ class TestUpdateF:
     def test_non_c_contiguous_stack_rejected(self, name):
         # a flat scatter into a Fortran-ordered f would land in a copy and leave f zero
         state = make_state((4, 3, 5), beta=0.5, seed=26)
-        setattr(state, name, GradientStack(np.asfortranarray(getattr(state, name).g)))
+        setattr(state, name, np.asfortranarray(getattr(state, name)))
         with pytest.raises(ValueError, match=f"state.{name} must be a C-contiguous"):
             update_f(state, small_cfg(lambda_tv=0.05), (0.6, 0.7, 0.5))
 
@@ -320,9 +319,9 @@ class TestUpdateMultipliers:
         assert beta == pytest.approx(0.5 * cfg.beta_growth)
         # the gradient multiplier ascends in the f-step, by beta * (D z - f):
         # with no threshold and no multiplier f is D z, and it stays zero
-        state.dual_grad.g[...] = 0.0
+        state.dual_grad[...] = 0.0
         update_f(state, small_cfg(lambda_tv=0.0), (0.7, 0.7, 0.7))
-        assert not state.dual_grad.g.any()
+        assert not state.dual_grad.any()
 
     def test_beta_capped_at_max(self):
         shape = (3, 3, 3)
@@ -346,7 +345,7 @@ def held_arrays(state, y):
     for name in ("x", "z", "s", "b", "dual_x"):
         named[name] = getattr(state, name)
     for name in ("f", "dual_grad"):
-        for axis, block in zip("hwp", getattr(state, name).blocks()):
+        for axis, block in zip("hwp", getattr(state, name)):
             named[f"{name}.g{axis}"] = block
     for i, factor in enumerate(state.x_factors or ()):
         named[f"x_factors[{i}]"] = factor
@@ -395,8 +394,8 @@ class TestUpdatesLeaveInputsAlone:
         }
         out = calls[update]()
         if update == "update_f":
-            # its result is the buffer it owns
-            assert out is state.f
+            # its result wraps the buffer it owns
+            assert out.g is state.f
             outputs = []
         else:
             outputs = returned_arrays(out)
@@ -511,6 +510,14 @@ class TestSolve:
         assert diag.rel_change[-1] <= cfg.epsilon
         assert len(diag.rel_change) == diag.iterations
         assert all(np.isfinite(r) for r in diag.rel_change)
+
+    def test_zero_cube_stops_on_its_first_unchanged_iteration(self):
+        # the first x-step is zero for any input, so it cannot count; the
+        # second is zero only for a zero input
+        dec, diag = solve(np.zeros((16, 16, 8)))
+        assert (diag.converged, diag.iterations, diag.rel_change) == (True, 2, [1.0, 0.0])
+        for name in ("clean", "sparse", "stripes", "residual"):
+            assert not getattr(dec, name).any(), name
 
     def test_nonconvergence_is_flagged_not_raised(self):
         truth = low_rank_cube((10, 10, 5), TuckerRanks(2, 2, 2), seed=23)

@@ -19,7 +19,6 @@ import hsirestore.cli
 import hsirestore.solver
 from hsirestore.fileio import write_cube
 from hsirestore.noise import case_spec, simulate_case
-from hsirestore.priors import GradientStack
 from hsirestore.solver import SolverConfig, SolverState, solve, update_f, update_z
 from hsirestore.synthetic import low_rank_cube
 from hsirestore.tucker import TuckerRanks
@@ -89,8 +88,8 @@ def random_state(shape, beta, seed):
     state = SolverState.zeros(shape, beta)
     for name in ("x", "z", "s", "b", "dual_x"):
         setattr(state, name, rng.standard_normal(shape))
-    state.f = GradientStack(rng.standard_normal((3,) + shape))
-    state.dual_grad = GradientStack(rng.standard_normal((3,) + shape))
+    state.f = rng.standard_normal((3,) + shape)
+    state.dual_grad = rng.standard_normal((3,) + shape)
     return state
 
 
@@ -119,7 +118,7 @@ def test_f_step_does_not_depend_on_the_helper(monkeypatch, fast_switching, shape
     for wanted in (True, False):
         state = random_state(shape, 0.8, 5)
         with_helper(monkeypatch, wanted, lambda: update_f(state, cfg, p_values))
-        got[wanted] = (state.f.g.tobytes(), state.dual_grad.g.tobytes())
+        got[wanted] = (state.f.tobytes(), state.dual_grad.tobytes())
     assert got[True] == got[False]
 
 
@@ -253,6 +252,30 @@ def test_traced_names_run_on_the_main_thread_in_cli_denoise(monkeypatch, tmp_pat
     assert {"cli.main", "solver.solve", "solver.update_f", "fileio.write_cube"} <= {span for span, _ in calls}
     assert {thread for _, thread in calls} == {threading.main_thread()}
     assert any(t is not threading.main_thread() for t in helper_threads)
+
+
+@pytest.mark.parametrize("entry", ["solve", "cli-denoise"])
+def test_tracer_notes_read_real_results(tmp_path, entry):
+    # every span note, the update_f one on the stack update_f returns included,
+    # runs on what a tiny traced job really returns
+    tracing = load_tracing()
+    noisy = noisy_cube((16, 16, 6), TuckerRanks(3, 3, 2))
+    path, config = tmp_path / "noisy.cube", tmp_path / "config.txt"
+    write_cube(path, noisy)
+    config.write_text("max_iter=3\n")
+    tracer = tracing.Tracer()
+    with tracer.job(0):
+        if entry == "solve":
+            hsirestore.solver.solve(noisy, SolverConfig(max_iter=3))
+        else:
+            argv = ["denoise", "--in", str(path), "--out-dir", str(tmp_path / "out"), "--config", str(config)]
+            assert hsirestore.cli.main(argv) == 0
+    spans = tracer.job_spans(0)
+    assert tracing.nesting_problems(spans) == []
+    metrics = tracing.job_layer_metrics(spans, job_s=1.0)
+    assert set(metrics) == set(tracing.PER_LAYER) - {"trace.overhead_s"}
+    assert metrics["solver.iterations"] == 3
+    assert 0.0 <= metrics["solver.f_nonzero_fraction"] <= 1.0
 
 
 def test_solve_peak_memory_at_64x64x32(monkeypatch):
