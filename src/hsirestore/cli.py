@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 runtime/I-O failure (one-line diagnostic on
 stderr), 2 usage error.
+
+``fit-p``, and ``denoise`` when it fits the exponents, end with the line
+``p_on_bound=<directions>``: the directions (``h``, ``w``, ``p``) whose
+fitted exponent sits on a bound of ``FIT_P_BOUNDS``, comma-separated, or
+``none``.  A fit on its bound is a clamp, not a measurement: a cube with no
+gradients gives p = 0.1 with a perfect residual in every direction.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .fileio import (
     write_diagnostics_csv,
     write_metrics_csv,
 )
-from .gradient_fit import estimate_p
+from .gradient_fit import FIT_P_BOUNDS, estimate_p
 from .metrics import evaluate
 from .noise import case_spec, simulate_case
 from .solver import SolverConfig, solve
@@ -58,6 +64,9 @@ def _cmd_denoise(args: argparse.Namespace) -> int:
         f"{status} after {diag.iterations} iterations in {diag.wall_time_s:.1f}s; "
         f"p=({diag.p_values[0]:.3f}, {diag.p_values[1]:.3f}, {diag.p_values[2]:.3f})"
     )
+    # p_override sets the exponents; only a fitted one can sit on a bound of the fit
+    if diag.sigmas is not None:
+        print(_p_on_bound_line(diag.p_values))
     return 0
 
 
@@ -77,7 +86,13 @@ def _cmd_fit_p(args: argparse.Namespace) -> int:
                         ("residual", fit.residuals)):
         for direction, value in zip("hwp", values):
             print(f"{key}_{direction}={value!r}")
+    print(_p_on_bound_line(fit.p_values))
     return 0
+
+
+def _p_on_bound_line(p_values) -> str:
+    on_bound = [direction for direction, p in zip("hwp", p_values) if p in FIT_P_BOUNDS]
+    return f"p_on_bound={','.join(on_bound) or 'none'}"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,7 +11,7 @@ term, an lp penalty on the weighted gradients of the image, an l1 penalty on
 
 Splitting variables ``z`` (a copy of the image constrained by the data term)
 and ``f`` (the gradient stack of ``z``) decouple the subproblems.  One outer
-iteration performs, in order:
+iteration performs, as ADMM orders them:
 
 1. ``x``:  one HOOI sweep towards the Tucker fit of ``z - dual_x / beta`` at
    the image ranks, warm-started from the previous iteration's factors (the
@@ -45,27 +45,35 @@ allocates.  Three things are updated in place.  ``update_x`` stores its new
 Tucker factors in ``state.x_factors``, where the next sweep starts from
 them.  ``update_f`` overwrites ``state.f`` and ``state.dual_grad``, plain
 ``(3, h, w, p)`` arrays the solve owns, so no gradient stack is allocated
-after the first.  The z- and f-steps form their intermediate terms in
-``state.scratch``, one cube for each thread.
+after the first.  Intermediate terms go into ``state.scratch``, one cube
+for each thread.
 
-The z- and f-steps split their work between the calling thread and one
-helper thread (:func:`_fan_out`).  The helper forms the height and width
-terms of the z-step's adjoint and the Fourier denominator, half of every
-FFT stage, and the height direction of the f-step.  Each task is a whole
-unit of the one-thread computation: the same numpy calls on the same
-operands in the same order, writing only arrays that no task of the other
-thread reads or writes.  numpy's FFTs transform each line on its own, so a
-transform over half of the lines gives their bits; and a direction's Newton
-loop stays whole on one thread, as its stopping test spans the direction.
-So the output is bit-identical whichever thread runs a task, and a process
-allowed one CPU runs every task on the calling thread.  The helper runs only
-private kernels, never a function that ``restorebench/tracing.py`` wraps,
-since that tracer keeps one span stack for all threads.
+:func:`solve` runs each iteration after its z-step as two lanes on two
+threads (:func:`_fan_out`).  The helper thread runs the f-step, whose three
+directions read only ``z``, ``f`` and ``dual_grad``, and then forms the
+next z-step's gradient terms ``D^T (beta' f - dual_grad)`` and its Fourier
+denominator at the grown ``beta'``.  The calling thread runs the multiplier
+step, the next iteration's x-step (which reads only ``z``, ``dual_x`` and
+``beta``), the b- and s-steps and the rest of the next z-step's right-hand
+side.  So the next z-step only adds the two parts and runs the FFTs, whose
+stages it splits into halves, one on each thread.  No lane reads what the
+other writes, and every update sees the operands the order above gives it,
+so the lanes reorder no arithmetic: each value is the same numpy call on the
+same operands in the same order as in the one-thread loop.  numpy's FFTs
+transform each line on its own, so a transform over half of the lines gives
+their bits; and a direction's Newton loop stays whole on one thread, as its
+stopping test spans the direction.  So the output is bit-identical whichever
+thread runs a task, and a process allowed one CPU runs both lanes on the
+calling thread, the helper's first.  The helper runs only private kernels,
+never a function that ``restorebench/tracing.py`` wraps, since that tracer
+keeps one span stack for all threads.
 
 Iterations stop when the squared relative change of ``x`` drops below
 ``epsilon``, or when ``x`` is zero and stays zero after the first iteration
 (only an all-zero input gives that), or after ``max_iter`` iterations;
-hitting the cap is reported in the diagnostics, not raised.
+hitting the cap is reported in the diagnostics, not raised.  The test reads
+the change of the iteration's ``x``, known before its z-step, so the last
+iteration forms no next x and no next right-hand side.
 """
 
 from __future__ import annotations
@@ -182,10 +190,12 @@ class SolverState:
 
     ``f`` and ``dual_grad`` are C-ordered ``(3, h, w, p)`` arrays, one
     direction per leading index, that :func:`update_f` overwrites in place.
-    ``scratch`` is a ``(2, h, w, p)`` work array: one cube for each
-    of the two threads an update runs on.  ``x_factors`` holds
+    ``scratch`` is a ``(2, h, w, p)`` work array: the first cube for the
+    helper thread, the second for the calling thread.  ``x_factors`` holds
     the Tucker factors of the last ``x`` fit, the warm start of the next one;
-    ``None`` means start cold.
+    ``None`` means start cold.  ``z_rhs``, ``z_adjoint`` and ``z_inv_denom``
+    are the parts of the next z-step that the lanes of :func:`solve` form
+    ahead of it (see :func:`update_z`); ``None`` until then.
     """
 
     x: np.ndarray
@@ -198,6 +208,9 @@ class SolverState:
     scratch: np.ndarray
     beta: float
     x_factors: tuple[np.ndarray, ...] | None = None
+    z_rhs: np.ndarray | None = None
+    z_adjoint: np.ndarray | None = None
+    z_inv_denom: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, shape: tuple[int, int, int], beta: float) -> "SolverState":
@@ -278,50 +291,60 @@ def update_x(state: SolverState, cfg: SolverConfig) -> np.ndarray:
 def update_z(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
     """Exact real-FFT solve of the coupled least-squares subproblem.
 
-    The helper thread forms the height and width terms of
-    ``D^T (beta f - dual_grad)`` and the reciprocal denominator while this
-    thread forms the rest of the right-hand side and the band term; the
-    terms are summed as :func:`diff_adjoint` sums them, then added to the
-    right-hand side.
+    The right-hand side is ``y - b - s + dual_x + beta * x`` (:func:`_z_rhs`)
+    plus the gradient terms ``D^T (beta f - dual_grad)``
+    (:func:`_z_gradient_terms`), which also give the reciprocal denominator.
+    Inside :func:`solve` the lanes of the previous iteration have formed
+    both parts, and this step only adds them, half of the rows on each
+    thread, and runs the FFTs.  Where they are missing (the first iteration,
+    or a call on a state of one's own) the helper thread forms the gradient
+    terms while this thread forms the rest.  Either way the parts are used
+    once: the state's references to them are dropped.
     """
-    beta = state.beta
-    helper_scratch, own_scratch = state.scratch
-    rhs, adjoint, band_term = np.empty(y.shape), np.empty(y.shape), np.empty(y.shape)
-    # the reciprocal of the real denominator, once per call: numpy divides a
-    # complex number by a real one as a multiply by its reciprocal, so only
-    # the sign of a zero can differ from the plain division
-    transfer = _diff_transfer(y.shape, DIFF_WEIGHTS)
-    inv_denom = np.empty(transfer.shape)
-
-    def height_and_width_terms() -> None:
-        _shifted_gradient(state, 0, helper_scratch)
-        _circular_diff(helper_scratch, 0, -1, DIFF_WEIGHTS[0], adjoint)
-        _shifted_gradient(state, 1, helper_scratch)
-        np.add(adjoint, _circular_diff(helper_scratch, 1, -1, DIFF_WEIGHTS[1]), out=adjoint)
-        np.multiply(beta, transfer, out=inv_denom)
-        np.add(inv_denom, 1.0 + beta, out=inv_denom)
-        np.divide(1.0, inv_denom, out=inv_denom)
-
-    def rest_of_rhs() -> None:
-        np.subtract(y, state.b, out=rhs)
-        np.subtract(rhs, state.s, out=rhs)
-        np.add(rhs, state.dual_x, out=rhs)
-        np.add(rhs, np.multiply(beta, state.x, out=own_scratch), out=rhs)
-        _shifted_gradient(state, 2, own_scratch)
-        _circular_diff(own_scratch, 2, -1, DIFF_WEIGHTS[2], band_term)
+    if state.z_rhs is None:
+        helper_scratch, own_scratch = state.scratch
+        _fan_out([partial(_z_gradient_terms, state, state.beta, helper_scratch)],
+                 [partial(_z_rhs, state, y, own_scratch)])
+    rhs, adjoint = state.z_rhs, state.z_adjoint
+    inv_denom = state.z_inv_denom
+    state.z_rhs = state.z_adjoint = state.z_inv_denom = None
 
     def finish_rows(rows: slice) -> None:
-        adjoint[rows] += band_term[rows]
         rhs[rows] += adjoint[rows]
 
-    _fan_out([height_and_width_terms], [rest_of_rhs])
     return _fft_solve(rhs, inv_denom, finish_rows)
 
 
-def _shifted_gradient(state: SolverState, axis: int, out: np.ndarray) -> None:
-    """``beta * f - dual_grad`` along one direction, into ``out``."""
-    np.multiply(state.beta, state.f[axis], out=out)
-    out -= state.dual_grad[axis]
+def _z_rhs(state: SolverState, y: np.ndarray, scratch: np.ndarray) -> None:
+    """``y - b - s + dual_x + beta * x``, summed left to right, into ``state.z_rhs``."""
+    rhs = np.subtract(y, state.b)
+    rhs -= state.s
+    rhs += state.dual_x
+    rhs += np.multiply(state.beta, state.x, out=scratch)
+    state.z_rhs = rhs
+
+
+def _z_gradient_terms(state: SolverState, beta: float, scratch: np.ndarray) -> None:
+    """The z-step's gradient terms and reciprocal denominator at ``beta``, into the state.
+
+    ``D^T (beta f - dual_grad)`` is summed height, then width, then band, as
+    :func:`diff_adjoint` sums it.  numpy divides a complex number by a real
+    one as a multiply by its reciprocal, so dividing the spectrum by the
+    denominator and multiplying it by the reciprocal differ only in the sign
+    of a zero.  Reads only ``f``, ``dual_grad`` and ``scratch``.
+    """
+    adjoint, term = np.empty(scratch.shape), np.empty(scratch.shape)
+    for axis in range(3):
+        np.multiply(beta, state.f[axis], out=scratch)
+        scratch -= state.dual_grad[axis]
+        _circular_diff(scratch, axis, -1, DIFF_WEIGHTS[axis], term if axis else adjoint)
+        if axis:
+            adjoint += term
+    del term
+    inv_denom = np.multiply(beta, _diff_transfer(scratch.shape, DIFF_WEIGHTS))
+    inv_denom += 1.0 + beta
+    np.divide(1.0, inv_denom, out=inv_denom)
+    state.z_adjoint, state.z_inv_denom = adjoint, inv_denom
 
 
 def _fft_solve(rhs: np.ndarray, inv_denom: np.ndarray, finish_rows) -> np.ndarray:
@@ -365,48 +388,57 @@ def _fft_solve(rhs: np.ndarray, inv_denom: np.ndarray, finish_rows) -> np.ndarra
 
 
 def update_f(
-    state: SolverState, cfg: SolverConfig, p_values: tuple[float, float, float]
+    state: SolverState,
+    cfg: SolverConfig,
+    p_values: tuple[float, float, float],
+    alongside=(),
+    prepare_z: bool = False,
 ) -> GradientStack:
     """Generalized shrinkage of ``D z + dual_grad / beta``, then the ascent of ``dual_grad``.
 
-    Both run in place, one direction at a time: ``D_d z`` goes into a
-    scratch cube and the target into ``f_d``, which the shrinkage with
-    threshold ``lambda_tv / beta`` then overwrites; then
-    ``dual_grad_d += beta * (D_d z - f_d)``.  The helper thread takes the
-    height direction, this thread the other two.  Returns ``state.f`` as a
-    :class:`GradientStack`, which copies nothing: the benchmark tracer's
-    ``solver.update_f`` note reads its ``blocks()``.
+    Both run in place, one direction at a time, on the helper thread: ``D_d
+    z`` goes into a scratch cube and the target into ``f_d``, which the
+    shrinkage with threshold ``lambda_tv / beta`` then overwrites; then
+    ``dual_grad_d += beta * (D_d z - f_d)``.  With ``prepare_z`` the helper
+    then forms the next z-step's gradient terms and denominator at the
+    ``beta`` that :func:`update_multipliers` grows this one to.  Meanwhile
+    this thread runs the ``alongside`` callables, which may write neither
+    ``z``, ``f``, ``dual_grad`` nor the first scratch cube, the helper's;
+    :func:`solve` passes the rest of its iteration.  Returns once both
+    threads are done, with ``state.f`` as a :class:`GradientStack`, which
+    copies nothing: the benchmark tracer's ``solver.update_f`` note reads
+    its ``blocks()``.
 
     Both stacks must be C-contiguous: the shrinkage scatters its result
     through a flat view, which any other layout would only copy.
     """
-    tau = cfg.lambda_tv / state.beta
+    beta = state.beta
+    tau = cfg.lambda_tv / beta
     for p in p_values:
         _check_shrink_args(tau, p)
     for name in ("f", "dual_grad"):
         if not getattr(state, name).flags.c_contiguous:
             raise ValueError(f"state.{name} must be a C-contiguous gradient stack")
-    helper_scratch, own_scratch = state.scratch
-    steps = [
-        partial(_f_direction, state, axis, tau, p, dz)
-        for axis, p, dz in zip(range(3), p_values, (helper_scratch, own_scratch, own_scratch))
-    ]
-    _fan_out(steps[:1], steps[1:])
+    dz = state.scratch[0]
+    lane = [partial(_f_direction, state, axis, beta, tau, p, dz) for axis, p in enumerate(p_values)]
+    if prepare_z:
+        lane.append(partial(_z_gradient_terms, state, _next_beta(beta, cfg), dz))
+    _fan_out(lane, list(alongside))
     return GradientStack(state.f)
 
 
 def _f_direction(
-    state: SolverState, axis: int, tau: float, p: float, dz: np.ndarray
+    state: SolverState, axis: int, beta: float, tau: float, p: float, dz: np.ndarray
 ) -> None:
     """The f-step and the multiplier ascent of one direction (see :func:`update_f`)."""
     f, dual = state.f[axis], state.dual_grad[axis]
     _circular_diff(state.z, axis, 1, DIFF_WEIGHTS[axis], dz)
-    np.multiply(dual, 1.0 / state.beta, out=f)
+    np.multiply(dual, 1.0 / beta, out=f)
     f += dz
     _gst_shrink_in_place(f, tau, p)
     # ((dz - f) * beta) + dual is the plain expression's sum, added either way round
     dz -= f
-    dz *= state.beta
+    dz *= beta
     dual += dz
 
 
@@ -445,8 +477,12 @@ def update_multipliers(state: SolverState, cfg: SolverConfig) -> tuple[np.ndarra
     dual_x = state.x - state.z
     dual_x *= state.beta
     dual_x += state.dual_x
-    beta = min(state.beta * cfg.beta_growth, BETA_MAX)
-    return dual_x, beta
+    return dual_x, _next_beta(state.beta, cfg)
+
+
+def _next_beta(beta: float, cfg: SolverConfig) -> float:
+    """``beta`` after one geometric growth step, capped at :data:`BETA_MAX`."""
+    return min(beta * cfg.beta_growth, BETA_MAX)
 
 
 # the one helper thread, made on first use by _fan_out under the lock, so
@@ -514,6 +550,18 @@ def _on_halves(kernel, n: int) -> None:
     _fan_out([partial(kernel, slice(0, half))], [partial(kernel, slice(half, n))])
 
 
+def _x_step(state: SolverState, cfg: SolverConfig) -> tuple[float, float]:
+    """Run :func:`update_x`; returns the squared norms of the change of ``x`` and of the old ``x``.
+
+    The change is formed in this thread's scratch cube, and the old ``x`` is
+    freed on return.
+    """
+    x_old = state.x
+    state.x = update_x(state, cfg)
+    change = np.subtract(state.x, x_old, out=state.scratch[1])
+    return fro_norm(change) ** 2, fro_norm(x_old) ** 2
+
+
 def solve(
     y: np.ndarray, cfg: SolverConfig | None = None
 ) -> tuple[ObservationDecomposition, SolveDiagnostics]:
@@ -540,22 +588,9 @@ def solve(
     y_mean = y.mean(axis=0)
     rel_change: list[float] = []
     beta_history: list[float] = []
-    converged = False
+    dx2, x02 = _x_step(state, cfg)
     for it in range(cfg.max_iter):
         beta_history.append(state.beta)
-        x_old = state.x
-        state.x = update_x(state, cfg)
-        # the change of x is final here; measuring it now frees x_old before
-        # the cube-sized temporaries of the other updates
-        dx2 = fro_norm(state.x - x_old) ** 2
-        x02 = fro_norm(x_old) ** 2
-        del x_old
-        state.z = update_z(state, cfg, y)
-        update_f(state, cfg, p_values)
-        state.b = update_b(state, cfg, y_mean)
-        state.s = update_s(state, cfg, y)
-        state.dual_x, state.beta = update_multipliers(state, cfg)
-
         if x02 > 0.0:
             rel = dx2 / x02
             converged = rel <= cfg.epsilon
@@ -564,6 +599,23 @@ def solve(
             # too; after it, an x that stays exactly zero has converged
             converged = it > 0 and dx2 == 0.0
             rel = 0.0 if converged else 1.0
+        # the change of this iteration's x is known before its z-step, so
+        # the last iteration forms no next x and no next right-hand side
+        last = converged or it == cfg.max_iter - 1
+        state.z = update_z(state, cfg, y)
+
+        def rest_of_iteration() -> None:
+            # this thread's lane; the helper's runs the f-step (see update_f)
+            nonlocal dx2, x02
+            state.dual_x, state.beta = update_multipliers(state, cfg)
+            if not last:
+                dx2, x02 = _x_step(state, cfg)
+            state.b = update_b(state, cfg, y_mean)
+            state.s = update_s(state, cfg, y)
+            if not last:
+                _z_rhs(state, y, state.scratch[1])
+
+        update_f(state, cfg, p_values, alongside=[rest_of_iteration], prepare_z=not last)
         rel_change.append(rel)
         if converged:
             break

@@ -365,3 +365,81 @@ def manifest_spec_oracle(text: str) -> NoiseSpec:
     fields = {field.name for field in dataclasses.fields(NoiseSpec)}
     assert kwargs.keys() == fields, sorted(kwargs.keys() ^ fields)
     return NoiseSpec(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the solver's loop
+
+
+def admm_loop_oracle(y: np.ndarray, cfg, p_values):
+    """The solve's iterations one after another on one thread, in plain expressions.
+
+    Each iteration runs x, z, f, b, s and the multipliers in that order, then
+    the stop test.  The z-step is ``rfftn``/``irfftn`` of the whole
+    right-hand side, the differences are ``np.roll`` expressions, and every
+    sum keeps the solver's operand order.  Only the HOOI sweep, the lp
+    shrinkage and the soft threshold are the package's own.  ``cfg`` must
+    have resolved ranks; ``p_values`` are the exponents the solve uses.
+    Returns the clean, sparse, stripe and residual cubes, then the
+    ``rel_change`` and ``beta`` histories and the ``converged`` flag.
+    """
+    from hsirestore.priors import _gst_shrink_in_place, soft_threshold
+    from hsirestore.solver import BETA_MAX, DIFF_WEIGHTS
+    from hsirestore.tucker import hooi, reconstruct
+
+    shape = y.shape
+
+    def diff(t, axis, step):
+        weight = DIFF_WEIGHTS[axis]
+        d = np.roll(t, -step, axis) - t
+        return d if weight == 1.0 else weight * d
+
+    mults = [w**2 * (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) for n, w in zip(shape, DIFF_WEIGHTS)]
+    transfer = mults[0][:, None, None] + mults[1][None, :, None] + mults[2][None, None, : shape[2] // 2 + 1]
+    x, z, s, dual_x = (np.zeros(shape) for _ in range(4))
+    b = np.zeros(shape)
+    f, dual_grad = [np.zeros(shape) for _ in range(3)], [np.zeros(shape) for _ in range(3)]
+    beta, factors = cfg.beta0, None
+    rel_change, beta_history = [], []
+    for it in range(cfg.max_iter):
+        beta_history.append(beta)
+        fit = hooi((beta * z - dual_x) / beta, cfg.ranks_x, init=factors)
+        factors = fit.factors
+        x_old, x = x, reconstruct(fit)
+        dx2 = float(np.linalg.norm((x - x_old).ravel())) ** 2
+        x02 = float(np.linalg.norm(x_old.ravel())) ** 2
+
+        adjoint = diff(beta * f[0] - dual_grad[0], 0, -1)
+        adjoint = adjoint + diff(beta * f[1] - dual_grad[1], 1, -1)
+        adjoint = adjoint + diff(beta * f[2] - dual_grad[2], 2, -1)
+        rhs = y - b - s + dual_x + beta * x + adjoint
+        spectrum = np.fft.rfftn(rhs, axes=(0, 1, 2))
+        z = np.fft.irfftn(spectrum / (1.0 + beta + beta * transfer), s=shape, axes=(0, 1, 2))
+
+        for axis in range(3):
+            dz = diff(z, axis, 1)
+            f[axis] = _gst_shrink_in_place(dual_grad[axis] * (1.0 / beta) + dz, cfg.lambda_tv / beta, p_values[axis])
+            dual_grad[axis] = dual_grad[axis] + (dz - f[axis]) * beta
+
+        if cfg.stripe_enabled:
+            profile = y.mean(axis=0) - z.mean(axis=0) - s.mean(axis=0)
+            profile = profile - profile.mean(axis=0)
+            r = cfg.ranks_b.r2
+            if r < min(profile.shape):
+                u, sv, vt = np.linalg.svd(profile, full_matrices=False)
+                profile = (u[:, :r] * sv[:r]) @ vt[:r]
+            b = np.broadcast_to(profile, shape)
+        s = soft_threshold(y - z - b, cfg.lambda_sparse)
+        dual_x = dual_x + (x - z) * beta
+        beta = min(beta * cfg.beta_growth, BETA_MAX)
+
+        if x02 > 0.0:
+            rel = dx2 / x02
+            converged = rel <= cfg.epsilon
+        else:
+            converged = it > 0 and dx2 == 0.0
+            rel = 0.0 if converged else 1.0
+        rel_change.append(rel)
+        if converged:
+            break
+    return (x, s, b, y - (x + s + b)), rel_change, beta_history, converged

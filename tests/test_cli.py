@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hsirestore.cli
 from hsirestore.cli import main
 from hsirestore.fileio import parse_solver_config, read_cube, write_cube
-from hsirestore.gradient_fit import estimate_p
+from hsirestore.gradient_fit import HyperLaplacianFit, estimate_p
 from hsirestore.noise import case_spec, simulate_case
 from hsirestore.synthetic import low_rank_cube
 from hsirestore.tucker import TuckerRanks
@@ -209,6 +210,24 @@ class TestDenoise:
         assert code == 0
         assert capsys.readouterr().out.startswith("converged after 2 iterations")
 
+    def test_exponents_fitted_on_their_bound_are_reported(self, tmp_path, capsys):
+        # a constant cube has no gradients to fit; the fit clamps p to its lower bound
+        noisy = tmp_path / "constant.cube"
+        write_cube(noisy, np.full((16, 16, 8), 0.3))
+        config = tmp_path / "config.txt"
+        config.write_text("max_iter=3\n")
+        code = main(["denoise", "--in", str(noisy), "--out-dir", str(tmp_path / "o"), "--config", str(config)])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("p=(0.100, 0.100, 0.100)")
+        assert lines[1:] == ["p_on_bound=h,w,p"]
+
+    def test_overridden_exponents_are_not_checked_against_the_fit_bounds(self, tmp_path, truth_file, capsys):
+        config = fast_config(tmp_path)
+        code = main(["denoise", "--in", str(truth_file), "--out-dir", str(tmp_path / "o"), "--config", str(config)])
+        assert code == 0
+        assert "p_on_bound" not in capsys.readouterr().out
+
 
 class TestEvaluate:
     def test_self_comparison_reports_perfect_scores(self, tmp_path, truth_file, capsys):
@@ -250,7 +269,37 @@ class TestFitP:
         fit = estimate_p(read_cube(sim / "noisy.cube"))
         values = fit.p_values + fit.sigmas + fit.ks + fit.residuals
         keys = [f"{name}_{d}" for name in ("p", "sigma", "k", "residual") for d in "hwp"]
-        assert lines == [f"{key}={value!r}" for key, value in zip(keys, values)]
+        # this fit clamps the height and width exponents to the lower bound
+        assert fit.p_values[:2] == (0.1, 0.1) and 0.1 < fit.p_values[2] < 1.0
+        assert lines == [f"{key}={value!r}" for key, value in zip(keys, values)] + ["p_on_bound=h,w"]
+
+    def test_fit_inside_the_bounds_reports_none(self, tmp_path, capsys):
+        truth, sim = tmp_path / "truth.cube", tmp_path / "sim"
+        write_cube(truth, low_rank_cube((24, 24, 8), TuckerRanks(3, 3, 2), seed=2))
+        main(["simulate", "--truth", str(truth), "--case", "1", "--seed", "1", "--out-dir", str(sim)])
+        capsys.readouterr()
+        assert main(["fit-p", "--in", str(sim / "noisy.cube"), "--normalize"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(0.1 < float(line.split("=")[1]) < 1.0 for line in lines[:3])
+        assert lines[-1] == "p_on_bound=none"
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    def test_constant_cube_reports_every_exponent_on_its_bound(self, tmp_path, capsys, normalize):
+        path = tmp_path / "constant.cube"
+        write_cube(path, np.full((16, 16, 8), 0.3))
+        assert main(["fit-p", "--in", str(path)] + ["--normalize"] * normalize) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == ["p_h=0.1", "p_w=0.1", "p_p=0.1"]
+        assert lines[-1] == "p_on_bound=h,w,p"
+
+    def test_exponent_on_one_bound_names_its_direction(self, tmp_path, monkeypatch, capsys):
+        # only the width exponent sits on a bound, the upper one
+        fit = HyperLaplacianFit((0.5, 1.0, 0.3), (0.1, 0.1, 0.1), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        monkeypatch.setattr(hsirestore.cli, "estimate_p", lambda y: fit)
+        path = tmp_path / "cube.cube"
+        write_cube(path, np.zeros((4, 4, 4)))
+        assert main(["fit-p", "--in", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "p_on_bound=w"
 
 
 class TestPipelineDeterminism:
