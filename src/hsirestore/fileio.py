@@ -10,7 +10,10 @@ The payload stays height-fastest on disk, while cubes in memory are C-ordered
 (band index fastest): :func:`read_cube` returns a C-ordered float64 cube and
 :func:`write_cube` accepts any layout.  Both stream the payload in blocks of
 whole bands, about :data:`CUBE_BLOCK_ENTRIES` values each, through one reused
-float32 buffer, so neither holds a second copy of the cube.
+float32 buffer, so neither holds a second copy of the cube.  The transposing
+copies between the two orders run in cache-sized tiles
+(``tensor_ops._copy_in_tiles``) on the calling thread; a copy and a cast keep
+the bits.
 
 Configs and manifests are plain UTF-8 ``key=value`` lines, one per dataclass
 field in field order.  Each value is written as its declared type asks:
@@ -34,6 +37,7 @@ import numpy as np
 
 from .metrics import MetricsReport
 from .solver import SolveDiagnostics, SolverConfig
+from .tensor_ops import _copy_in_tiles
 
 MAGIC = b"HSICUBE1"
 _HEADER = struct.Struct("<8sIII")
@@ -74,7 +78,7 @@ def write_cube(path: str | Path, cube: np.ndarray) -> None:
         for b in range(0, p, len(buf)):
             block = buf[: p - b]
             # the C order of the reversed axes is the height-fastest order of the file
-            block[...] = cube[:, :, b : b + len(block)].transpose(2, 1, 0)
+            _copy_in_tiles(block.transpose(2, 1, 0), cube[:, :, b : b + len(block)])
             fh.write(block.data)
 
 
@@ -108,7 +112,7 @@ def read_cube(path: str | Path, normalize: bool = False) -> np.ndarray:
                 )
             if not np.all(np.isfinite(block)):
                 raise CubeFileError(f"{path}: payload contains non-finite values")
-            cube[:, :, b : b + len(block)] = block.transpose(2, 1, 0)
+            _copy_in_tiles(cube[:, :, b : b + len(block)], block.transpose(2, 1, 0))
     # the cube is this function's own, so it is normalized where it lies
     return _normalize_bands(cube, out=cube) if normalize else cube
 

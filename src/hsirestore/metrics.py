@@ -3,15 +3,25 @@
 SSIM uses the 11x11 Gaussian window with sigma 1.5 of Wang, Bovik, Sheikh and
 Simoncelli (IEEE TIP 2004), taken as two separable passes in plain numpy whose
 sums equal those of ``scipy.ndimage.correlate1d`` bit for bit.
+
+Bands of at least :data:`SPLIT_BAND_ENTRIES` entries use the process's
+helper thread (``tensor_ops._fan_out``): :func:`ssim` computes the top half of
+its map rows there and the bottom half here, and :func:`evaluate` splits its
+spectral-angle row blocks the same way.  Each map entry is the same numpy
+calls on the same operands on either thread, and the means run here on the
+whole map, so every score is bit-identical to the one-thread one.  The helper
+runs private kernels only, never :func:`ssim` or :func:`evaluate`, which the
+benchmark tracer wraps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .tensor_ops import validate_cube
+from .tensor_ops import _copy_in_tiles, _on_halves, validate_cube
 
 PSNR_CAP_DB = 100.0
 
@@ -26,6 +36,12 @@ SAM_BLOCK_ENTRIES = 32768
 # PSNR and SSIM read bands from band-major copies of blocks of whole bands
 # holding about this many entries, not from band-major copies of both cubes
 PLANE_BLOCK_ENTRIES = 2**19
+# bands of fewer entries are scored on this thread alone.  Split in two, one
+# band's SSIM broke even at about 192x192 (36864 entries) on a 2-core Xeon,
+# ran 1.7x slower at 128x128 and 3.5-4x slower at 64x64: the two threads'
+# turns at the interpreter lock, one per numpy call, then cost more than the
+# helper's half saves.  The floor sits a little above the break-even size.
+SPLIT_BAND_ENTRIES = 49152
 
 
 @dataclass(frozen=True)
@@ -107,28 +123,61 @@ def ssim(ref_band: np.ndarray, test_band: np.ndarray) -> float:
 
     Local means, variances and the covariance are Gaussian-weighted, each
     computed as two separable 1-D Gaussian passes (axis 0, then axis 1); only
-    windows fully inside the image contribute to the mean.
+    windows fully inside the image contribute to the mean.  A band of at
+    least :data:`SPLIT_BAND_ENTRIES` entries has the top half of its map rows
+    computed on the helper thread.
     """
     ref, test = _check_band(ref_band, test_band)
     if ref.ndim != 2:
         raise ValueError(f"expected 2-D bands, got ndim={ref.ndim}")
     if min(ref.shape) < SSIM_WINDOW:
         raise ValueError(f"bands must be at least {SSIM_WINDOW}x{SSIM_WINDOW}, got {ref.shape}")
+    edge = SSIM_WINDOW - 1
+    ssim_map = np.empty((ref.shape[0] - edge, ref.shape[1] - edge))
+    rows = partial(_ssim_rows, ref, test, ssim_map)
+    if ref.size < SPLIT_BAND_ENTRIES:
+        rows(slice(0, len(ssim_map)))
+    else:
+        _on_halves(rows, len(ssim_map))
+    return float(np.mean(ssim_map))
+
+
+def _ssim_rows(ref: np.ndarray, test: np.ndarray, ssim_map: np.ndarray, rows: slice) -> None:
+    """Write the SSIM map's ``rows`` into ``ssim_map``, from the band rows their windows cover.
+
+    Each window pass forms an entry from its own window alone, so these rows
+    have the bits of the same rows of a whole-band map.  The formula's terms
+    are formed in place, each by the same operation on the same operands as
+    in ``((2 mu_r mu_t + c1)(2 cov + c2)) / ((mu_r^2 + mu_t^2 + c1)(var_r +
+    var_t + c2))``, so that the formula holds one map-sized field beyond the
+    five window fields.
+    """
+    window = slice(rows.start, rows.stop + SSIM_WINDOW - 1)
+    ref, test = ref[window], test[window]
     mu_r = _window_means(ref)
     mu_t = _window_means(test)
-    e_rr = _window_means(ref * ref)
-    e_tt = _window_means(test * test)
-    e_rt = _window_means(ref * test)
-    var_r = e_rr - mu_r**2
-    var_t = e_tt - mu_t**2
-    cov = e_rt - mu_r * mu_t
+    var_r = _window_means(ref * ref)
+    var_r -= np.square(mu_r)
+    var_t = _window_means(test * test)
+    var_t -= np.square(mu_t)
+    cov = _window_means(ref * test)
+    cov -= mu_r * mu_t
 
     c1 = SSIM_K1**2
     c2 = SSIM_K2**2
-    ssim_map = ((2.0 * mu_r * mu_t + c1) * (2.0 * cov + c2)) / (
-        (mu_r**2 + mu_t**2 + c1) * (var_r + var_t + c2)
-    )
-    return float(np.mean(ssim_map))
+    num = np.multiply(2.0, mu_r)
+    num *= mu_t
+    num += c1
+    cov *= 2.0
+    cov += c2
+    num *= cov
+    den = np.square(mu_r, out=mu_r)
+    den += np.square(mu_t, out=mu_t)
+    den += c1
+    var_r += var_t
+    var_r += c2
+    den *= var_r
+    np.divide(num, den, out=ssim_map[rows])
 
 
 def sam(ref: np.ndarray, test: np.ndarray) -> float | np.ndarray:
@@ -160,10 +209,12 @@ def evaluate(ref: np.ndarray, test: np.ndarray) -> MetricsReport:
 
     PSNR and SSIM are taken at a peak of 1, band by band, on contiguous
     band-major copies of blocks of whole bands holding about
-    :data:`PLANE_BLOCK_ENTRIES` entries, made into two reused buffers.  The
-    spectral angles are taken over blocks of whole rows of about
+    :data:`PLANE_BLOCK_ENTRIES` entries, made tile by tile into two reused
+    buffers.  The spectral angles are taken over blocks of whole rows of about
     :data:`SAM_BLOCK_ENTRIES` entries, which gives the same map as one
-    :func:`sam` call on the whole cube.
+    :func:`sam` call on the whole cube; for bands of at least
+    :data:`SPLIT_BAND_ENTRIES` entries the helper thread takes the first half
+    of the blocks.
     """
     ref = validate_cube(ref, "ref")
     test = validate_cube(test, "test")
@@ -178,8 +229,8 @@ def evaluate(ref: np.ndarray, test: np.ndarray) -> MetricsReport:
         n = min(block, bands - b)
         # each plane of a block is C-contiguous, as a band of a whole-cube
         # band-major copy is, so every band sums in the same order
-        np.copyto(ref_planes[:n], ref[:, :, b : b + n].transpose(2, 0, 1))
-        np.copyto(test_planes[:n], test[:, :, b : b + n].transpose(2, 0, 1))
+        _copy_in_tiles(ref_planes[:n].transpose(1, 2, 0), ref[:, :, b : b + n])
+        _copy_in_tiles(test_planes[:n].transpose(1, 2, 0), test[:, :, b : b + n])
         psnr_pb += [psnr(r, t) for r, t in zip(ref_planes[:n], test_planes[:n])]
         ssim_pb += [ssim(r, t) for r, t in zip(ref_planes[:n], test_planes[:n])]
     del ref_planes, test_planes
@@ -187,9 +238,17 @@ def evaluate(ref: np.ndarray, test: np.ndarray) -> MetricsReport:
     # each pixel's angle reduces along the contiguous last axis only, so the
     # row blocks give the map of one whole-cube call bit for bit
     rows = max(1, SAM_BLOCK_ENTRIES // (w * bands))
-    sam_map = np.concatenate(
-        [sam(ref[i : i + rows], test[i : i + rows]) for i in range(0, h, rows)]
-    )
+    sam_map = np.empty((h, w))
+
+    def sam_blocks(blocks: slice) -> None:
+        for i in range(blocks.start * rows, min(blocks.stop * rows, h), rows):
+            sam_map[i : i + rows] = sam(ref[i : i + rows], test[i : i + rows])
+
+    count = -(-h // rows)
+    if h * w < SPLIT_BAND_ENTRIES:
+        sam_blocks(slice(0, count))
+    else:
+        _on_halves(sam_blocks, count)
     return MetricsReport(
         psnr_per_band=psnr_pb,
         ssim_per_band=ssim_pb,

@@ -49,7 +49,8 @@ after the first.  Intermediate terms go into ``state.scratch``, one cube
 for each thread.
 
 :func:`solve` runs each iteration after its z-step as two lanes on two
-threads (:func:`_fan_out`).  The helper thread runs the f-step, whose three
+threads (``tensor_ops._fan_out``, which owns the process's one helper
+thread).  The helper thread runs the f-step, whose three
 directions read only ``z``, ``f`` and ``dual_grad``, and then forms the
 next z-step's gradient terms ``D^T (beta' f - dual_grad)`` and its Fourier
 denominator at the grown ``beta'``.  The calling thread runs the multiplier
@@ -79,8 +80,6 @@ iteration forms no next x and no next right-hand side.
 from __future__ import annotations
 
 import numbers
-import os
-import threading
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -99,7 +98,7 @@ from .priors import (
 # three; they are imported because restorebench/tracing.py wraps them in this
 # namespace.
 from .priors import diff_adjoint, diff_forward, shrink_gradient_stack  # noqa: F401
-from .tensor_ops import fro_norm, validate_cube
+from .tensor_ops import _fan_out, _on_halves, fro_norm, validate_cube
 from .tucker import TuckerRanks, feasible_ranks, hooi, reconstruct
 
 # cap on the penalty; from the defaults (beta0=0.01, growth 1.1, max_iter=100)
@@ -483,71 +482,6 @@ def update_multipliers(state: SolverState, cfg: SolverConfig) -> tuple[np.ndarra
 def _next_beta(beta: float, cfg: SolverConfig) -> float:
     """``beta`` after one geometric growth step, capped at :data:`BETA_MAX`."""
     return min(beta * cfg.beta_growth, BETA_MAX)
-
-
-# the one helper thread, made on first use by _fan_out under the lock, so
-# that solves started at once on two threads make one
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _helper_wanted() -> bool:
-    """Whether tasks go to the helper thread: not when the process may run on one CPU only."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
-def _forget_helper() -> None:
-    global _helper, _helper_lock
-    _helper = None
-    _helper_lock = threading.Lock()
-
-
-def _fan_out(helper_tasks: list, inline_tasks: list) -> None:
-    """Run ``helper_tasks`` in order on the helper thread and ``inline_tasks`` here.
-
-    Returns once both halves have ended, so no task is still writing when it
-    returns or raises; an error of this thread's half takes precedence.  The
-    tasks of one half must not touch what the other half writes, so the
-    result is the same in any interleaving.  Where :func:`_helper_wanted`
-    declines, both halves run here, the helper's first.  Tasks are private
-    kernels: none is a name the benchmark tracer wraps, as it keeps one span
-    stack for all threads, and none fans out again, as the one helper would
-    wait for itself.
-    """
-    global _helper
-    if not _helper_wanted():
-        _run_all(helper_tasks)
-        _run_all(inline_tasks)
-        return
-    with _helper_lock:
-        if _helper is None:
-            # imported here, not at module import, which every CLI call pays for
-            from concurrent.futures import ThreadPoolExecutor
-
-            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="hsirestore-helper")
-            if hasattr(os, "register_at_fork"):
-                # a forked child has no helper thread, only this object
-                os.register_at_fork(after_in_child=_forget_helper)
-        pending = _helper.submit(_run_all, helper_tasks)
-    try:
-        _run_all(inline_tasks)
-    finally:
-        error = pending.exception()
-    if error is not None:
-        raise error
-
-
-def _run_all(tasks: list) -> None:
-    for task in tasks:
-        task()
-
-
-def _on_halves(kernel, n: int) -> None:
-    """``kernel(slice)`` on the two halves of ``range(n)``, the first on the helper thread."""
-    half = n // 2
-    _fan_out([partial(kernel, slice(0, half))], [partial(kernel, slice(half, n))])
 
 
 def _x_step(state: SolverState, cfg: SolverConfig) -> tuple[float, float]:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hsirestore import fileio
+from hsirestore import fileio, tensor_ops
 from hsirestore.fileio import (
     ConfigError,
     CubeFileError,
@@ -232,6 +232,13 @@ class TestStreamedMemory:
         write_cube(path, cube)
         _, peak = traced_peak(read_cube, path, normalize=True)
         assert peak <= 1.2 * cube.nbytes
+
+    def test_both_bounds_hold_with_the_helper_forced_on(self, monkeypatch, tmp_path):
+        # the helper thread is on whenever two CPUs are allowed; tracemalloc
+        # would see what it allocated too
+        monkeypatch.setattr(tensor_ops, "_helper_wanted", lambda: True)
+        self.test_write_holds_one_float32_block(tmp_path)
+        self.test_normalized_read_holds_the_cube_and_one_block(tmp_path)
 
 
 class TestNormalization:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
 
 import hsirestore.metrics
+import hsirestore.tensor_ops
 from hsirestore.metrics import evaluate, psnr, sam, ssim
 from memory import traced_peak
 from oracles import psnr_oracle, sam_oracle, ssim_oracle
@@ -239,7 +240,7 @@ class TestEvaluate:
         assert report.mpsnr == float(np.mean(report.psnr_per_band))
         assert report.mssim == float(np.mean(report.ssim_per_band))
 
-    def test_peak_memory_is_two_plane_blocks_plus_band_scratch(self):
+    def assert_peak_is_two_plane_blocks_plus_band_scratch(self):
         # 128x128x64 makes two blocks of 32 bands; band-major copies of both
         # whole cubes would hold two cubes.  The slack covers the temporaries
         # of one band's SSIM and of one row block's spectral angles.
@@ -250,6 +251,19 @@ class TestEvaluate:
         assert block_bands < 64
         _, peak = traced_peak(evaluate, ref, test)
         assert peak <= 2 * block_bands * 128 * 128 * ref.itemsize + 2**21
+
+    def test_peak_memory_is_two_plane_blocks_plus_band_scratch(self):
+        self.assert_peak_is_two_plane_blocks_plus_band_scratch()
+
+    def test_peak_memory_with_every_band_split_on_the_helper(self, monkeypatch):
+        # the same bound with both halves of each SSIM map and of the
+        # spectral-angle blocks formed at once, one of them on the helper;
+        # tracemalloc sees the allocations of every thread
+        monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: True)
+        monkeypatch.setattr(hsirestore.metrics, "SPLIT_BAND_ENTRIES", 1)
+        # once per process: the helper thread and its import
+        hsirestore.tensor_ops._fan_out([lambda: None], [])
+        self.assert_peak_is_two_plane_blocks_plus_band_scratch()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
-"""The solver's helper thread: same bytes with or without it, and no traced name on it.
+"""The helper thread: same bytes with or without it, and no traced name on it.
 
-``solver._helper_wanted`` is the seam: patched to return ``True`` the z-step's
-FFT halves and the helper's lane of every iteration run on the helper thread
-even on one CPU, patched to return ``False`` every task runs on the calling
-thread.
+``tensor_ops._helper_wanted`` is the seam: patched to return ``True`` the
+z-step's FFT halves, the helper's lane of every iteration, and the SSIM rows
+and spectral-angle blocks of bands above the metrics' floor run on the helper
+thread even on one CPU; patched to return ``False`` every task runs on the
+calling thread.
 """
 
 import concurrent.futures
@@ -17,14 +18,20 @@ import numpy as np
 import pytest
 
 import hsirestore.cli
+import hsirestore.fileio
+import hsirestore.gradient_fit
+import hsirestore.metrics
+import hsirestore.noise
 import hsirestore.solver
-from hsirestore.fileio import write_cube
+import hsirestore.tensor_ops
+from hsirestore.fileio import normalize_bands, read_cube, write_cube
+from hsirestore.metrics import SPLIT_BAND_ENTRIES, evaluate, sam, ssim
 from hsirestore.noise import case_spec, simulate_case
 from hsirestore.solver import SolverConfig, SolverState, solve, update_f, update_z
 from hsirestore.synthetic import low_rank_cube
 from hsirestore.tucker import TuckerRanks
 from memory import traced_peak
-from oracles import admm_loop_oracle
+from oracles import admm_loop_oracle, cube_file_oracle, cube_read_oracle
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -54,19 +61,19 @@ def load_tracing():
 def threads_of_tasks(monkeypatch):
     """Record the thread of every task list the fan-out runs."""
     threads = []
-    real_run_all = hsirestore.solver._run_all
+    real_run_all = hsirestore.tensor_ops._run_all
 
     def recording_run_all(tasks):
         threads.append(threading.current_thread())
         real_run_all(tasks)
 
-    monkeypatch.setattr(hsirestore.solver, "_run_all", recording_run_all)
+    monkeypatch.setattr(hsirestore.tensor_ops, "_run_all", recording_run_all)
     return threads
 
 
 def with_helper(monkeypatch, wanted, call):
     """``call()`` with the helper thread forced on or off; checks that it ran where it should."""
-    monkeypatch.setattr(hsirestore.solver, "_helper_wanted", lambda: wanted)
+    monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: wanted)
     threads = threads_of_tasks(monkeypatch)
     out = call()
     off_main = [t for t in threads if t is not threading.main_thread()]
@@ -187,12 +194,12 @@ def test_lanes_reorder_nothing(monkeypatch, fast_switching, loop, wanted):
 
 @pytest.mark.parametrize("cpus, wanted", [({0}, False), ({0, 1}, True)], ids=["one-CPU", "two-CPU"])
 def test_helper_is_wanted_when_more_than_one_cpu_is_allowed(monkeypatch, cpus, wanted):
-    monkeypatch.setattr(hsirestore.solver.os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    assert hsirestore.solver._helper_wanted() is wanted
+    monkeypatch.setattr(hsirestore.tensor_ops.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert hsirestore.tensor_ops._helper_wanted() is wanted
 
 
 def test_failed_half_is_waited_for_and_raised(monkeypatch):
-    monkeypatch.setattr(hsirestore.solver, "_helper_wanted", lambda: True)
+    monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: True)
     finished = []
 
     def slow_then_done():
@@ -203,7 +210,7 @@ def test_failed_half_is_waited_for_and_raised(monkeypatch):
         raise RuntimeError("inline half failed")
 
     with pytest.raises(RuntimeError, match="inline half failed"):
-        hsirestore.solver._fan_out([slow_then_done], [fail])
+        hsirestore.tensor_ops._fan_out([slow_then_done], [fail])
     # the helper's half had ended before the error reached the caller
     assert finished == ["helper"]
 
@@ -211,13 +218,13 @@ def test_failed_half_is_waited_for_and_raised(monkeypatch):
         raise ValueError("helper half failed")
 
     with pytest.raises(ValueError, match="helper half failed"):
-        hsirestore.solver._fan_out([fail_on_helper], [lambda: finished.append("inline")])
+        hsirestore.tensor_ops._fan_out([fail_on_helper], [lambda: finished.append("inline")])
     assert finished == ["helper", "inline"]
 
 
 def test_first_fan_outs_on_four_threads_make_one_helper(monkeypatch, fast_switching):
-    monkeypatch.setattr(hsirestore.solver, "_helper", None)
-    monkeypatch.setattr(hsirestore.solver, "_helper_wanted", lambda: True)
+    monkeypatch.setattr(hsirestore.tensor_ops, "_helper", None)
+    monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: True)
     made = []
     real_executor = concurrent.futures.ThreadPoolExecutor
 
@@ -235,7 +242,7 @@ def test_first_fan_outs_on_four_threads_make_one_helper(monkeypatch, fast_switch
         ran = []
         start.wait(timeout=30)
         for _ in range(50):
-            hsirestore.solver._fan_out([lambda: ran.append("helper")], [lambda: ran.append("inline")])
+            hsirestore.tensor_ops._fan_out([lambda: ran.append("helper")], [lambda: ran.append("inline")])
         results.append(sorted(ran))
 
     callers = [threading.Thread(target=caller) for _ in range(4)]
@@ -250,6 +257,142 @@ def test_first_fan_outs_on_four_threads_make_one_helper(monkeypatch, fast_switch
     finally:
         for executor in made:
             executor.shutdown()
+
+
+# Bands of the assessment path, each at or above the metrics' floor: an
+# 11-row band, whose SSIM map has one row, so the helper's half is empty; an
+# uneven shape whose map rows and spectral-angle blocks split unevenly; and a
+# single band.
+ASSESS_SHAPES = {
+    "11-rows": (11, 4500, 2),
+    "257x255x3": (257, 255, 3),
+    "one-band": (257, 255, 1),
+}
+assert all(h * w >= SPLIT_BAND_ENTRIES for h, w, _ in ASSESS_SHAPES.values())
+
+
+def assess_pair(shape, layout):
+    """A reference cube and a noisy test cube of ``shape``, the pair in ``layout``."""
+    rng = np.random.default_rng(sum(shape))
+    ref = rng.random(shape)
+    test = np.clip(ref + rng.normal(0.0, 0.1, shape), 0.0, 1.0)
+    if layout == "fortran":
+        return np.asfortranarray(ref), np.asfortranarray(test)
+    if layout == "strided":
+        # every other entry of a cube twice as tall and twice as wide
+        h, w, p = shape
+        big_ref, big_test = np.zeros((2 * h, 2 * w, p)), np.zeros((2 * h, 2 * w, p))
+        big_ref[::2, ::2], big_test[::2, ::2] = ref, test
+        return big_ref[::2, ::2], big_test[::2, ::2]
+    if layout == "broadcast":
+        # height-constant test cube, as simulate_case's stripe_field is
+        return ref, np.broadcast_to(test[:1], shape)
+    return ref, test
+
+
+def whole_band_report(monkeypatch, ref, test):
+    """``evaluate``'s figures from whole-band SSIM maps and one whole-cube angle map.
+
+    They are taken on C-ordered copies, as ``evaluate`` takes them, so that
+    the PSNR and angle means sum in its order.
+    """
+    ref, test = np.ascontiguousarray(ref), np.ascontiguousarray(test)
+    with monkeypatch.context() as m:
+        m.setattr(hsirestore.metrics, "SPLIT_BAND_ENTRIES", np.inf)
+        psnr_pb = [hsirestore.metrics.psnr(ref[:, :, b], test[:, :, b]) for b in range(ref.shape[2])]
+        ssim_pb = [ssim(ref[:, :, b], test[:, :, b]) for b in range(ref.shape[2])]
+    return (np.array(psnr_pb).tobytes(), np.array(ssim_pb).tobytes(),
+            float(np.mean(psnr_pb)), float(np.mean(ssim_pb)), float(np.mean(sam(ref, test))))
+
+
+LAYOUTS = ["C", "fortran", "strided", "broadcast"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", list(ASSESS_SHAPES.values()), ids=list(ASSESS_SHAPES))
+def test_ssim_rows_do_not_depend_on_the_helper(monkeypatch, fast_switching, shape, layout):
+    ref, test = (cube[:, :, 0] for cube in assess_pair(shape, layout))
+    whole = whole_band_report(monkeypatch, ref[:, :, None], test[:, :, None])[1]
+    for wanted in (True, False):
+        got = with_helper(monkeypatch, wanted, lambda: ssim(ref, test))
+        assert np.array([got]).tobytes() == whole
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", list(ASSESS_SHAPES.values()), ids=list(ASSESS_SHAPES))
+def test_evaluate_does_not_depend_on_the_helper(monkeypatch, fast_switching, shape, layout):
+    ref, test = assess_pair(shape, layout)
+    whole = whole_band_report(monkeypatch, ref, test)
+    for wanted in (True, False):
+        report = with_helper(monkeypatch, wanted, lambda: evaluate(ref, test))
+        got = (report.psnr_per_band.tobytes(), report.ssim_per_band.tobytes(),
+               report.mpsnr, report.mssim, report.msam)
+        assert got == whole
+
+
+@pytest.mark.parametrize("wanted", [True, False], ids=["helper", "inline"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("shape", list(ASSESS_SHAPES.values()), ids=list(ASSESS_SHAPES))
+def test_cube_files_do_not_depend_on_the_helper(monkeypatch, fast_switching, tmp_path, shape, layout, wanted):
+    monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: wanted)
+    cube = assess_pair(shape, layout)[1]
+    path = tmp_path / "cube.cube"
+    write_cube(path, cube)
+    raw = path.read_bytes()
+    assert raw == cube_file_oracle(cube)
+    assert read_cube(path, normalize=True).tobytes() == normalize_bands(cube_read_oracle(raw)).tobytes()
+
+
+# (shape, source layout, destination layout): tiles that do not divide the
+# first two axes, sides that store the same or different axes fastest, a
+# reversed axis, a single band and a float64-float32 cast either way
+TILED_COPIES = [
+    ((37, 53, 5), "C", "band-major", np.float64),
+    ((257, 255, 3), "C", "height-fastest", np.float32),
+    ((257, 255, 1), "height-fastest", "C", np.float64),
+    ((70, 9, 130), "reversed", "C", np.float32),
+    ((5, 300, 16), "C", "C", np.float64),
+    ((300, 5, 16), "height-fastest", "height-fastest", np.float64),
+]
+
+
+def in_layout(shape, layout, dtype, fill):
+    """A cube of ``shape`` in ``layout``, as an (h, w, p) view, filled from ``fill``."""
+    h, w, p = shape
+    if layout == "band-major":
+        cube = np.empty((p, h, w), dtype).transpose(1, 2, 0)
+    elif layout == "height-fastest":
+        cube = np.empty((p, w, h), dtype).transpose(2, 1, 0)
+    elif layout == "reversed":
+        cube = np.empty(shape, dtype)[::-1]
+    else:
+        cube = np.empty(shape, dtype)
+    cube[...] = fill
+    return cube
+
+
+@pytest.mark.parametrize("shape, src_layout, dst_layout, dst_dtype", TILED_COPIES)
+def test_tiled_copy_equals_one_whole_copy(shape, src_layout, dst_layout, dst_dtype):
+    src = in_layout(shape, src_layout, np.float64, np.random.default_rng(9).standard_normal(shape))
+    got = in_layout(shape, dst_layout, dst_dtype, np.nan)
+    expected = in_layout(shape, dst_layout, dst_dtype, np.nan)
+    np.copyto(expected, src, casting="unsafe")
+    hsirestore.tensor_ops._copy_in_tiles(got, src)
+    assert got.tobytes(order="A") == expected.tobytes(order="A")
+
+
+def test_bands_below_the_floor_give_the_helper_no_task(monkeypatch):
+    monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: True)
+    threads = threads_of_tasks(monkeypatch)
+    # 128 columns and the fewest rows that reach the floor, less one
+    rows = -(-SPLIT_BAND_ENTRIES // 128)
+    ref, test = assess_pair((rows - 1, 128, 4), "C")
+    evaluate(ref, test)
+    ssim(ref[:, :, 0], test[:, :, 0])
+    assert threads == []
+    # one more row reaches the floor
+    evaluate(*assess_pair((rows, 128, 1), "C"))
+    assert any(t is not threading.main_thread() for t in threads)
 
 
 def record_wrapped_threads(monkeypatch):
@@ -268,7 +411,7 @@ def record_wrapped_threads(monkeypatch):
 
 
 def test_traced_names_run_on_the_main_thread_in_solve(monkeypatch):
-    monkeypatch.setattr(hsirestore.solver, "_helper_wanted", lambda: True)
+    monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: True)
     helper_threads = threads_of_tasks(monkeypatch)
     noisy = noisy_cube((24, 24, 8), TuckerRanks(3, 3, 2))
     calls = record_wrapped_threads(monkeypatch)
@@ -279,7 +422,7 @@ def test_traced_names_run_on_the_main_thread_in_solve(monkeypatch):
 
 
 def test_traced_names_run_on_the_main_thread_in_cli_denoise(monkeypatch, tmp_path):
-    monkeypatch.setattr(hsirestore.solver, "_helper_wanted", lambda: True)
+    monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: True)
     helper_threads = threads_of_tasks(monkeypatch)
     path = tmp_path / "noisy.cube"
     write_cube(path, noisy_cube((24, 24, 8), TuckerRanks(3, 3, 2)))
@@ -293,10 +436,43 @@ def test_traced_names_run_on_the_main_thread_in_cli_denoise(monkeypatch, tmp_pat
     assert any(t is not threading.main_thread() for t in helper_threads)
 
 
-@pytest.mark.parametrize("entry", ["solve", "cli-denoise"])
-def test_tracer_notes_read_real_results(tmp_path, entry):
+# an assessment job whose bands reach the metrics' floor, so ssim and evaluate hand work to the helper
+ASSESS_JOB_SHAPE = (224, 224, 3)
+assert ASSESS_JOB_SHAPE[0] * ASSESS_JOB_SHAPE[1] >= SPLIT_BAND_ENTRIES
+
+
+def assess_job(tmp_path):
+    """``simulate_case``, ``write_cube``, ``read_cube``, ``estimate_p`` and ``evaluate``, then ``cli evaluate``."""
+    truth = low_rank_cube(ASSESS_JOB_SHAPE, TuckerRanks(5, 5, 2), seed=7)
+    noisy, _ = hsirestore.noise.simulate_case(truth, case_spec(5, seed=7))
+    truth_path, noisy_path = tmp_path / "truth.cube", tmp_path / "noisy.cube"
+    hsirestore.fileio.write_cube(noisy_path, noisy)
+    y = hsirestore.fileio.read_cube(noisy_path, normalize=True)
+    hsirestore.gradient_fit.estimate_p(y)
+    hsirestore.metrics.evaluate(truth, noisy)
+    hsirestore.fileio.write_cube(truth_path, truth)
+    argv = ["evaluate", "--ref", str(truth_path), "--test", str(noisy_path), "--out", str(tmp_path / "report.csv")]
+    assert hsirestore.cli.main(argv) == 0
+
+
+def test_traced_names_run_on_the_main_thread_in_assessment(monkeypatch, tmp_path):
+    monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: True)
+    helper_threads = threads_of_tasks(monkeypatch)
+    calls = record_wrapped_threads(monkeypatch)
+    assess_job(tmp_path)
+    assert {
+        "noise.simulate_case", "fileio.write_cube", "fileio.read_cube", "gradient_fit.estimate_p",
+        "metrics.evaluate", "metrics.ssim", "cli.main",
+    } <= {span for span, _ in calls}
+    assert {thread for _, thread in calls} == {threading.main_thread()}
+    assert any(t is not threading.main_thread() for t in helper_threads)
+
+
+@pytest.mark.parametrize("entry", ["solve", "cli-denoise", "assess"])
+def test_tracer_notes_read_real_results(monkeypatch, tmp_path, entry):
     # every span note, the update_f one on the stack update_f returns included,
     # runs on what a tiny traced job really returns
+    monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: True)
     tracing = load_tracing()
     noisy = noisy_cube((16, 16, 6), TuckerRanks(3, 3, 2))
     path, config = tmp_path / "noisy.cube", tmp_path / "config.txt"
@@ -306,6 +482,8 @@ def test_tracer_notes_read_real_results(tmp_path, entry):
     with tracer.job(0):
         if entry == "solve":
             hsirestore.solver.solve(noisy, SolverConfig(max_iter=3))
+        elif entry == "assess":
+            assess_job(tmp_path)
         else:
             argv = ["denoise", "--in", str(path), "--out-dir", str(tmp_path / "out"), "--config", str(config)]
             assert hsirestore.cli.main(argv) == 0
@@ -313,12 +491,17 @@ def test_tracer_notes_read_real_results(tmp_path, entry):
     assert tracing.nesting_problems(spans) == []
     metrics = tracing.job_layer_metrics(spans, job_s=1.0)
     assert set(metrics) == set(tracing.PER_LAYER) - {"trace.overhead_s"}
+    if entry == "assess":
+        # evaluate's bands, then cli evaluate's
+        assert metrics["metrics.ssim_calls"] == 2 * ASSESS_JOB_SHAPE[2]
+        assert metrics["solver.iterations"] == 0
+        return
     assert metrics["solver.iterations"] == 3
     assert 0.0 <= metrics["solver.f_nonzero_fraction"] <= 1.0
 
 
 def solve_peak_in_cubes(monkeypatch, p_override):
-    monkeypatch.setattr(hsirestore.solver, "_helper_wanted", lambda: True)
+    monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: True)
     truth = low_rank_cube((64, 64, 32), TuckerRanks(10, 10, 5), seed=7)
     noisy, _ = simulate_case(truth, case_spec(2, seed=7))
     # once per process: the Fourier multipliers' cache, the helper thread and its import
