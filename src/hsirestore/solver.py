@@ -48,10 +48,10 @@ them.  ``update_f`` overwrites ``state.f`` and ``state.dual_grad``, plain
 after the first.  Intermediate terms go into ``state.scratch``, one cube
 for each thread.
 
-:func:`solve` runs each iteration after its z-step as two lanes on two
-threads (``tensor_ops._fan_out``, which owns the process's one helper
-thread).  The helper thread runs the f-step, whose three
-directions read only ``z``, ``f`` and ``dual_grad``, and then forms the
+:func:`solve` runs each iteration but the stopping one (see below) after
+its z-step as two lanes on two threads (``tensor_ops._fan_out``, which owns
+the process's one helper thread).  The helper thread runs the f-step, whose
+three directions read only ``z``, ``f`` and ``dual_grad``, and then forms the
 next z-step's gradient terms ``D^T (beta' f - dual_grad)`` and its Fourier
 denominator at the grown ``beta'``.  The calling thread runs the multiplier
 step, the next iteration's x-step (which reads only ``z``, ``dual_x`` and
@@ -73,8 +73,9 @@ Iterations stop when the squared relative change of ``x`` drops below
 ``epsilon``, or when ``x`` is zero and stays zero after the first iteration
 (only an all-zero input gives that), or after ``max_iter`` iterations;
 hitting the cap is reported in the diagnostics, not raised.  The test reads
-the change of the iteration's ``x``, known before its z-step, so the last
-iteration forms no next x and no next right-hand side.
+the change of the iteration's ``x``, known before its z-step, so the
+stopping iteration runs only that z-step and then, on the calling thread,
+the b- and s-steps the outputs read: no f-step and no multiplier step.
 """
 
 from __future__ import annotations
@@ -193,8 +194,9 @@ class SolverState:
     helper thread, the second for the calling thread.  ``x_factors`` holds
     the Tucker factors of the last ``x`` fit, the warm start of the next one;
     ``None`` means start cold.  ``z_rhs``, ``z_adjoint`` and ``z_inv_denom``
-    are the parts of the next z-step that the lanes of :func:`solve` form
-    ahead of it (see :func:`update_z`); ``None`` until then.
+    are the parts of the next z-step formed ahead of it (see
+    :func:`update_z`): :func:`update_f` forms the last two, the calling
+    thread's lane of :func:`solve` the first.  ``None`` until then.
     """
 
     x: np.ndarray
@@ -391,22 +393,21 @@ def update_f(
     cfg: SolverConfig,
     p_values: tuple[float, float, float],
     alongside=(),
-    prepare_z: bool = False,
 ) -> GradientStack:
     """Generalized shrinkage of ``D z + dual_grad / beta``, then the ascent of ``dual_grad``.
 
     Both run in place, one direction at a time, on the helper thread: ``D_d
     z`` goes into a scratch cube and the target into ``f_d``, which the
     shrinkage with threshold ``lambda_tv / beta`` then overwrites; then
-    ``dual_grad_d += beta * (D_d z - f_d)``.  With ``prepare_z`` the helper
-    then forms the next z-step's gradient terms and denominator at the
-    ``beta`` that :func:`update_multipliers` grows this one to.  Meanwhile
-    this thread runs the ``alongside`` callables, which may write neither
-    ``z``, ``f``, ``dual_grad`` nor the first scratch cube, the helper's;
-    :func:`solve` passes the rest of its iteration.  Returns once both
-    threads are done, with ``state.f`` as a :class:`GradientStack`, which
-    copies nothing: the benchmark tracer's ``solver.update_f`` note reads
-    its ``blocks()``.
+    ``dual_grad_d += beta * (D_d z - f_d)``.  The helper then forms the next
+    z-step's gradient terms and denominator (:func:`_z_gradient_terms`) at
+    the ``beta`` that :func:`update_multipliers` grows this one to.
+    Meanwhile this thread runs the ``alongside`` callables, which may write
+    neither ``z``, ``f``, ``dual_grad`` nor the first scratch cube, the
+    helper's; :func:`solve` passes the rest of its iteration.  Returns once
+    both threads are done, with ``state.f`` as a :class:`GradientStack`,
+    which copies nothing: the benchmark tracer's ``solver.update_f`` note
+    reads its ``blocks()``.
 
     Both stacks must be C-contiguous: the shrinkage scatters its result
     through a flat view, which any other layout would only copy.
@@ -420,8 +421,7 @@ def update_f(
             raise ValueError(f"state.{name} must be a C-contiguous gradient stack")
     dz = state.scratch[0]
     lane = [partial(_f_direction, state, axis, beta, tau, p, dz) for axis, p in enumerate(p_values)]
-    if prepare_z:
-        lane.append(partial(_z_gradient_terms, state, _next_beta(beta, cfg), dz))
+    lane.append(partial(_z_gradient_terms, state, _next_beta(beta, cfg), dz))
     _fan_out(lane, list(alongside))
     return GradientStack(state.f)
 
@@ -523,6 +523,16 @@ def solve(
     rel_change: list[float] = []
     beta_history: list[float] = []
     dx2, x02 = _x_step(state, cfg)
+
+    def rest_of_iteration() -> None:
+        # this thread's lane; the helper's runs the f-step (see update_f)
+        nonlocal dx2, x02
+        state.dual_x, state.beta = update_multipliers(state, cfg)
+        dx2, x02 = _x_step(state, cfg)
+        state.b = update_b(state, cfg, y_mean)
+        state.s = update_s(state, cfg, y)
+        _z_rhs(state, y, state.scratch[1])
+
     for it in range(cfg.max_iter):
         beta_history.append(state.beta)
         if x02 > 0.0:
@@ -533,26 +543,14 @@ def solve(
             # too; after it, an x that stays exactly zero has converged
             converged = it > 0 and dx2 == 0.0
             rel = 0.0 if converged else 1.0
-        # the change of this iteration's x is known before its z-step, so
-        # the last iteration forms no next x and no next right-hand side
-        last = converged or it == cfg.max_iter - 1
         state.z = update_z(state, cfg, y)
-
-        def rest_of_iteration() -> None:
-            # this thread's lane; the helper's runs the f-step (see update_f)
-            nonlocal dx2, x02
-            state.dual_x, state.beta = update_multipliers(state, cfg)
-            if not last:
-                dx2, x02 = _x_step(state, cfg)
-            state.b = update_b(state, cfg, y_mean)
-            state.s = update_s(state, cfg, y)
-            if not last:
-                _z_rhs(state, y, state.scratch[1])
-
-        update_f(state, cfg, p_values, alongside=[rest_of_iteration], prepare_z=not last)
         rel_change.append(rel)
-        if converged:
+        if converged or it == cfg.max_iter - 1:
             break
+        update_f(state, cfg, p_values, alongside=[rest_of_iteration])
+    # the stopping iteration: only the b- and s-steps, which the outputs read
+    state.b = update_b(state, cfg, y_mean)
+    state.s = update_s(state, cfg, y)
 
     residual = y - (state.x + state.s + state.b)
     decomposition = ObservationDecomposition(state.x, state.s, state.b, residual)

@@ -612,8 +612,8 @@ class TestSolve:
         assert len(calls) == 9 * diag.iterations + 3
 
     def test_one_gradient_of_z_per_iteration(self, monkeypatch):
-        # D z is formed once per iteration, one direction at a time, and shared
-        # by the f-step and the dual step
+        # D z is formed once per f-step, one direction at a time, and shared
+        # by the f-step and the dual step; the stopping iteration runs no f-step
         truth = low_rank_cube((12, 12, 6), TuckerRanks(3, 3, 2), seed=47)
         noisy, _ = simulate_case(truth, case_spec(2, seed=47))
         cfg = SolverConfig(ranks_x=TuckerRanks(4, 4, 3), max_iter=8, p_override=(0.7, 0.7, 0.7))
@@ -628,7 +628,7 @@ class TestSolve:
         monkeypatch.setattr(hsirestore.solver, "_circular_diff", counting_circular_diff)
         _, diag = solve(noisy, cfg)
         assert diag.iterations == 8
-        assert sorted(calls) == sorted([0, 1, 2] * diag.iterations)
+        assert sorted(calls) == sorted([0, 1, 2] * (diag.iterations - 1))
 
     def test_non_finite_input_rejected(self):
         y = np.zeros((8, 8, 4))

@@ -192,6 +192,39 @@ def test_lanes_reorder_nothing(monkeypatch, fast_switching, loop, wanted):
     assert (diag.iterations, diag.converged) == (len(rel_change), converged)
 
 
+# (input, config, converged, iterations): a 48x48x16 solve run to convergence,
+# one cut at max_iter, one iteration alone, and the zero cube, which stops on
+# its second iteration
+STOPS = {
+    "converged": ("noisy", SolverConfig(**CASE2_RANKS), True, None),
+    "max_iter=5": ("noisy", SolverConfig(**CASE2_RANKS, max_iter=5), False, 5),
+    "max_iter=1": ("noisy", SolverConfig(**CASE2_RANKS, max_iter=1), False, 1),
+    "zero-cube": ("zeros", SolverConfig(), True, 2),
+}
+COUNTED_UPDATES = ("update_z", "update_b", "update_s", "update_f", "update_multipliers")
+
+
+@pytest.mark.parametrize("wanted", [True, False], ids=["helper", "inline"])
+@pytest.mark.parametrize("stop", list(STOPS))
+def test_stopping_iteration_runs_no_f_step(monkeypatch, stop, wanted):
+    source, cfg, converged, iterations = STOPS[stop]
+    shape = (48, 48, 16)
+    y = np.zeros(shape) if source == "zeros" else noisy_cube(shape, TuckerRanks(5, 5, 3))
+    calls = dict.fromkeys(COUNTED_UPDATES, 0)
+    for name in COUNTED_UPDATES:
+        def counting(*args, _name=name, _fn=getattr(hsirestore.solver, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(hsirestore.solver, name, counting)
+    _, diag = with_helper(monkeypatch, wanted, lambda: solve(y, cfg))
+    n = diag.iterations
+    assert diag.converged is converged
+    assert (n == iterations) if iterations else (n < cfg.max_iter)
+    # the stopping iteration runs the z-, b- and s-steps and no f- or multiplier step
+    assert calls == {"update_z": n, "update_b": n, "update_s": n, "update_f": n - 1, "update_multipliers": n - 1}
+
+
 @pytest.mark.parametrize("cpus, wanted", [({0}, False), ({0, 1}, True)], ids=["one-CPU", "two-CPU"])
 def test_helper_is_wanted_when_more_than_one_cpu_is_allowed(monkeypatch, cpus, wanted):
     monkeypatch.setattr(hsirestore.tensor_ops.os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -468,7 +501,7 @@ def test_traced_names_run_on_the_main_thread_in_assessment(monkeypatch, tmp_path
     assert any(t is not threading.main_thread() for t in helper_threads)
 
 
-@pytest.mark.parametrize("entry", ["solve", "cli-denoise", "assess"])
+@pytest.mark.parametrize("entry", ["solve", "solve-max_iter=1", "cli-denoise", "assess"])
 def test_tracer_notes_read_real_results(monkeypatch, tmp_path, entry):
     # every span note, the update_f one on the stack update_f returns included,
     # runs on what a tiny traced job really returns
@@ -477,11 +510,12 @@ def test_tracer_notes_read_real_results(monkeypatch, tmp_path, entry):
     noisy = noisy_cube((16, 16, 6), TuckerRanks(3, 3, 2))
     path, config = tmp_path / "noisy.cube", tmp_path / "config.txt"
     write_cube(path, noisy)
-    config.write_text("max_iter=3\n")
+    max_iter = 1 if entry == "solve-max_iter=1" else 3
+    config.write_text(f"max_iter={max_iter}\n")
     tracer = tracing.Tracer()
     with tracer.job(0):
-        if entry == "solve":
-            hsirestore.solver.solve(noisy, SolverConfig(max_iter=3))
+        if entry.startswith("solve"):
+            hsirestore.solver.solve(noisy, SolverConfig(max_iter=max_iter))
         elif entry == "assess":
             assess_job(tmp_path)
         else:
@@ -496,8 +530,13 @@ def test_tracer_notes_read_real_results(monkeypatch, tmp_path, entry):
         assert metrics["metrics.ssim_calls"] == 2 * ASSESS_JOB_SHAPE[2]
         assert metrics["solver.iterations"] == 0
         return
-    assert metrics["solver.iterations"] == 3
-    assert 0.0 <= metrics["solver.f_nonzero_fraction"] <= 1.0
+    assert metrics["solver.iterations"] == max_iter
+    # the stopping iteration runs no f-step, so one iteration alone runs none
+    assert sum(span.name == "solver.update_f" for span in spans) == max_iter - 1
+    if max_iter == 1:
+        assert metrics["solver.f_nonzero_fraction"] == 0.0
+    else:
+        assert 0.0 <= metrics["solver.f_nonzero_fraction"] <= 1.0
 
 
 def solve_peak_in_cubes(monkeypatch, p_override):
