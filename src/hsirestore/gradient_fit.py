@@ -154,11 +154,9 @@ def gaussian_histogram(sigma: float) -> np.ndarray:
     """
     if not sigma >= 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    if sigma == 0.0:
-        masses = np.zeros(HIST_BINS)
-        masses[HIST_BINS // 2] = 1.0
-        return masses
-    scaled = HIST_EDGES / (sigma * np.sqrt(2.0))
+    # no edge is 0, so sigma=0 scales every edge to +-inf: all mass in the center bin
+    with np.errstate(divide="ignore"):
+        scaled = HIST_EDGES / (sigma * np.sqrt(2.0))
     cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in scaled.tolist()]))
     cdf[0] = 0.0
     cdf[-1] = 1.0

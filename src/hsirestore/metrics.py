@@ -6,12 +6,12 @@ sums equal those of ``scipy.ndimage.correlate1d`` bit for bit.
 
 Bands of at least :data:`SPLIT_BAND_ENTRIES` entries use the process's
 helper thread (``tensor_ops._fan_out``): :func:`ssim` computes the top half of
-its map rows there and the bottom half here, and :func:`evaluate` splits its
-spectral-angle row blocks the same way.  Each map entry is the same numpy
-calls on the same operands on either thread, and the means run here on the
-whole map, so every score is bit-identical to the one-thread one.  The helper
-runs private kernels only, never :func:`ssim` or :func:`evaluate`, which the
-benchmark tracer wraps.
+its map rows there and the bottom half here, and :func:`evaluate` splits the
+rows of its spectral-angle map the same way.  Each map entry is the same
+numpy calls on the same operands on either thread, and the means run here on
+the whole map, so every score is bit-identical to the one-thread one.  The
+helper runs private kernels only, never :func:`ssim` or :func:`evaluate`,
+which the benchmark tracer wraps.
 """
 
 from __future__ import annotations
@@ -183,24 +183,19 @@ def _ssim_rows(ref: np.ndarray, test: np.ndarray, ssim_map: np.ndarray, rows: sl
 def sam(ref: np.ndarray, test: np.ndarray) -> float | np.ndarray:
     """Spectral angle along the last axis, in radians; a float for two spectra.
 
-    Computed as ``2*arcsin(|u - v| / 2)`` on the normalized spectra (and as
-    ``pi - 2*arcsin(|u + v| / 2)`` for obtuse pairs), which is exact for
-    identical inputs and well conditioned at small angles.  Two zero vectors
-    are assigned angle 0; exactly one zero vector gives pi/2.
+    Computed as ``2*atan2(|u - v|, |u + v|)`` on the normalized spectra ``u``
+    and ``v`` (W. Kahan, "How Futile are Mindless Assessments of Roundoff in
+    Floating-Point Computation?", 2006), which is exact for identical inputs
+    and well conditioned at every angle.  A zero vector normalizes to zero,
+    so two zero vectors give ``atan2(0, 0) = 0`` and exactly one gives
+    ``atan2(|v|, |v|) = pi/4``, hence an angle of exactly pi/2.
     """
     ref, test = _check_band(ref, test)
     nr = np.linalg.norm(ref, axis=-1)
     nt = np.linalg.norm(test, axis=-1)
     u = ref / np.where(nr > 0, nr, 1.0)[..., None]
     v = test / np.where(nt > 0, nt, 1.0)[..., None]
-    chord = np.minimum(np.linalg.norm(u - v, axis=-1), 2.0)
-    anti = np.minimum(np.linalg.norm(u + v, axis=-1), 2.0)
-    obtuse = np.sum(u * v, axis=-1) < 0.0
-    angles = np.where(
-        obtuse, np.pi - 2.0 * np.arcsin(0.5 * anti), 2.0 * np.arcsin(0.5 * chord)
-    )
-    # two zero vectors already give a zero chord, hence angle 0
-    angles = np.where((nr == 0) != (nt == 0), np.pi / 2.0, angles)
+    angles = 2.0 * np.arctan2(np.linalg.norm(u - v, axis=-1), np.linalg.norm(u + v, axis=-1))
     return float(angles) if angles.ndim == 0 else angles
 
 
@@ -214,7 +209,7 @@ def evaluate(ref: np.ndarray, test: np.ndarray) -> MetricsReport:
     :data:`SAM_BLOCK_ENTRIES` entries, which gives the same map as one
     :func:`sam` call on the whole cube; for bands of at least
     :data:`SPLIT_BAND_ENTRIES` entries the helper thread takes the first half
-    of the blocks.
+    of the rows.
     """
     ref = validate_cube(ref, "ref")
     test = validate_cube(test, "test")
@@ -235,20 +230,20 @@ def evaluate(ref: np.ndarray, test: np.ndarray) -> MetricsReport:
         ssim_pb += [ssim(r, t) for r, t in zip(ref_planes[:n], test_planes[:n])]
     del ref_planes, test_planes
     psnr_pb, ssim_pb = np.array(psnr_pb), np.array(ssim_pb)
-    # each pixel's angle reduces along the contiguous last axis only, so the
-    # row blocks give the map of one whole-cube call bit for bit
+    # each pixel's angle reduces along the contiguous last axis only, so any
+    # cut into blocks of rows gives the map of one whole-cube call bit for bit
     rows = max(1, SAM_BLOCK_ENTRIES // (w * bands))
     sam_map = np.empty((h, w))
 
-    def sam_blocks(blocks: slice) -> None:
-        for i in range(blocks.start * rows, min(blocks.stop * rows, h), rows):
-            sam_map[i : i + rows] = sam(ref[i : i + rows], test[i : i + rows])
+    def sam_rows(part: slice) -> None:
+        for i in range(part.start, part.stop, rows):
+            end = min(i + rows, part.stop)
+            sam_map[i:end] = sam(ref[i:end], test[i:end])
 
-    count = -(-h // rows)
     if h * w < SPLIT_BAND_ENTRIES:
-        sam_blocks(slice(0, count))
+        sam_rows(slice(0, h))
     else:
-        _on_halves(sam_blocks, count)
+        _on_halves(sam_rows, h)
     return MetricsReport(
         psnr_per_band=psnr_pb,
         ssim_per_band=ssim_pb,

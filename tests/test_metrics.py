@@ -127,7 +127,8 @@ class TestSam:
         assert sam(v, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_spectra_give_right_angle(self):
-        assert sam(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == pytest.approx(np.pi / 2)
+        assert sam(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == np.pi / 2
+        assert sam(np.array([1.0, 2.0, 0.0]), np.array([-2.0, 1.0, 5.0])) == np.pi / 2
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(6)
@@ -138,7 +139,24 @@ class TestSam:
         z = np.zeros(4)
         v = np.array([1.0, 0.0, 0.0, 0.0])
         assert sam(z, z) == 0.0
-        assert sam(z, v) == pytest.approx(np.pi / 2)
+        assert sam(z, v) == np.pi / 2
+        assert sam(v, z) == np.pi / 2
+
+    @pytest.mark.parametrize("seed", [5, 6, 7, 8])
+    def test_within_5e_16_rad_of_the_extended_precision_angle(self, seed):
+        # the same formula in np.longdouble (80-bit on x86-64) as the reference
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, 2000, 8))
+
+        def unit(x):
+            x = x.astype(np.longdouble)
+            return x / np.sqrt(np.sum(x * x, axis=-1))[:, None]
+
+        u, v = unit(a), unit(b)
+        chord = np.sqrt(np.sum((u - v) ** 2, axis=-1))
+        anti = np.sqrt(np.sum((u + v) ** 2, axis=-1))
+        ref = 2 * np.arctan2(chord, anti)
+        assert float(np.max(np.abs(sam(a, b) - ref))) <= 5e-16
 
     def test_symmetric(self):
         rng = np.random.default_rng(7)
@@ -157,8 +175,8 @@ class TestSam:
         angles = sam(ref, test)
         assert angles.shape == (3, 4)
         assert angles[0, 0] == 0.0
-        assert angles[0, 1] == pytest.approx(np.pi / 2, abs=1e-12)
-        assert angles[1, 0] == pytest.approx(np.pi, abs=1e-12)
+        assert angles[0, 1] == np.pi / 2
+        assert angles[1, 0] == np.pi
         for i in range(3):
             for j in range(4):
                 if (i, j) not in ((0, 0), (0, 1)):
@@ -210,12 +228,21 @@ class TestEvaluate:
         report = evaluate(ref, test)
         assert report.msam == float(np.mean(angles))
         # the antiparallel pixel's angle of pi is part of that mean
-        assert angles[3, 4] == pytest.approx(np.pi, abs=1e-12)
+        assert angles[3, 4] == np.pi
 
-    @pytest.mark.parametrize("block_entries", [1, 500, 10**6])
-    def test_sam_row_blocks_equal_the_whole_cube_map(self, monkeypatch, block_entries):
-        # 1 gives one-row blocks, 500 blocks of 2 rows and a short last one, 10**6 one block
+    @pytest.mark.parametrize(
+        ("block_entries", "split"),
+        [(1, False), (500, False), (10**6, False), (960, True)],
+        ids=["1", "500", "1000000", "960-split"],
+    )
+    def test_sam_row_blocks_equal_the_whole_cube_map(self, monkeypatch, block_entries, split):
+        # 1 gives one-row blocks, 500 blocks of 2 rows and a short last one,
+        # 10**6 one block; 960 gives blocks of 4 rows, and split on the helper
+        # the 13 rows halve at row 6, inside the second block
         monkeypatch.setattr(hsirestore.metrics, "SAM_BLOCK_ENTRIES", block_entries)
+        if split:
+            monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: True)
+            monkeypatch.setattr(hsirestore.metrics, "SPLIT_BAND_ENTRIES", 1)
         rng = np.random.default_rng(15)
         ref = rng.random((13, 12, 20))
         test = ref + rng.normal(0.0, 0.2, ref.shape)
