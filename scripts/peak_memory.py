@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the tracemalloc peak of each call on the assessment path, above its inputs.
+"""Print the tracemalloc peak of each call on the assessment path and of the solve, above its inputs.
 
 Simulates noise case 5 on a low-rank cube, writes it, reads it back
 normalized, fits the gradient exponents and scores the noisy cube, as the
@@ -7,9 +7,13 @@ normalized, fits the gradient exponents and scores the noisy cube, as the
 memory it held at once beyond the arrays it was given (its outputs included),
 in MiB and in cubes of ``--size`` float64 entries.  The benchmark's
 ``peak_rss_mb`` is one number per process; this names the call that sets it.
-A last row runs the ``hsirestore simulate`` command for case 5 on the truth
+A row then runs the ``hsirestore simulate`` command for case 5 on the truth
 cube, which reads it, simulates the noise and writes the noisy cube and its
-four components.
+four components.  The last two rows run :func:`hsirestore.solve` on a case-2
+cube of the same truth for :data:`SOLVE_ITERATIONS` iterations, at the
+fitted exponents and at ``p = 1``, each after a one-iteration solve that
+makes what a process makes once (the helper thread, the Fourier multipliers'
+cache).  ``tests/test_threads.py`` pins these two peaks at 64x64x32.
 
 Example:
 
@@ -24,10 +28,14 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
-from hsirestore import TuckerRanks, case_spec, evaluate, low_rank_cube, simulate_case
+from hsirestore import SolverConfig, TuckerRanks, case_spec, evaluate, low_rank_cube, simulate_case, solve
 from hsirestore.cli import main as cli_main
 from hsirestore.fileio import read_cube, write_cube
 from hsirestore.gradient_fit import estimate_p
+
+# iterations of each traced solve, as in the tests' pins; at 64x64x32 the full
+# 100-iteration solve peaked within 0.3 cube of them
+SOLVE_ITERATIONS = 5
 
 
 def traced_peak(call, *args, **kwargs):
@@ -67,6 +75,11 @@ def main() -> int:
     if rc != 0:
         print(f"hsirestore simulate exited {rc}", file=sys.stderr)
         return 1
+    case2, _ = simulate_case(truth, case_spec(2, seed=7))
+    for name, p_override in (("solve(fitted p)", None), ("solve(p=1)", (1.0, 1.0, 1.0))):
+        solve(case2, SolverConfig(max_iter=1, p_override=p_override))
+        cfg = SolverConfig(max_iter=SOLVE_ITERATIONS, p_override=p_override)
+        _, peaks[name] = traced_peak(solve, case2, cfg)
 
     print(f"{'call':<26} | {'peak MiB':>9} | {'cubes':>6}")
     for name, peak in peaks.items():

@@ -17,6 +17,9 @@ import numpy as np
 _NEWTON_STEP_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 # largest magnitude whose Newton product, at most its square, cannot overflow
 _NEWTON_MAX = float(np.sqrt(np.finfo(np.float64).max))
+# entries per block of the shrinkages' elementwise passes, whose temporaries
+# are one block long: a 48x48x16 cube (36864 entries) is one block
+SHRINK_BLOCK_ENTRIES = 40960
 
 
 @dataclass
@@ -89,16 +92,31 @@ def soft_threshold(x, delta: float):
     """Shrink toward zero by ``delta``; elementwise on arrays."""
     if not delta >= 0:
         raise ValueError(f"threshold must be nonnegative, got {delta}")
-    x = np.asarray(x, dtype=np.float64)
+    out = np.array(np.atleast_1d(x), dtype=np.float64, order="C")
+    _soft_threshold_in_place(out.reshape(-1), delta)
+    return out if np.ndim(x) else float(out[0])
+
+
+def _flat_blocks(size: int) -> list[slice]:
+    """Consecutive slices of at most :data:`SHRINK_BLOCK_ENTRIES` entries covering ``range(size)``."""
+    return [slice(start, start + SHRINK_BLOCK_ENTRIES) for start in range(0, size, SHRINK_BLOCK_ENTRIES)]
+
+
+def _soft_threshold_in_place(flat: np.ndarray, delta: float) -> None:
+    """:func:`soft_threshold` of a 1-D float64 array at a ``delta >= 0``, written over it.
+
+    Each block's clip goes into one block-sized buffer.
+    """
     if delta == np.inf:
-        # an infinite x minus its clip would be inf - inf
-        out = np.zeros(np.atleast_1d(x).shape)
-    else:
+        # an infinite entry minus its clip would be inf - inf
+        flat.fill(0.0)
+        return
+    clip = np.empty(min(flat.size, SHRINK_BLOCK_ENTRIES))
+    for part in _flat_blocks(flat.size):
+        block = flat[part]
         # x minus its clip is sign(x) * max(|x| - delta, 0) exactly, except
         # that every zero it gives is +0
-        out = np.clip(np.atleast_1d(x), -delta, delta)
-        np.subtract(x, out, out=out)
-    return out if x.ndim else float(out[0])
+        block -= np.clip(block, -delta, delta, out=clip[:block.size])
 
 
 def gst_threshold(tau: float, p: float) -> float:
@@ -117,7 +135,10 @@ def _gst_magnitude(am: np.ndarray, c: float, p: float) -> np.ndarray:
     the Newton steps, where its overflow would end the loop for every entry.
     It is its own root to rounding: ``c*am**(p-1)`` lies below half its
     rounding unit for every ``c`` under about 1e138.  Entries whose iterate
-    ends outside ``(0, am]`` (a NaN from an overflow) are zero.
+    ends outside ``(0, am]`` (a NaN from an overflow) are zero.  Each step
+    runs block by block through two block-sized buffers; the loop stays one
+    loop, whose stopping test is the maximum over every entry, so it takes
+    the steps, and gives the bits, of one whole pass.
     """
     x = am.copy()
     if not x.size:
@@ -126,23 +147,28 @@ def _gst_magnitude(am: np.ndarray, c: float, p: float) -> np.ndarray:
         inner = am <= _NEWTON_MAX
         x[inner] = _gst_magnitude(am[inner], c, p)
         return x
-    w = np.empty_like(x)
-    den = np.empty_like(x)
+    parts = _flat_blocks(x.size)
+    w, den = np.empty((2, min(x.size, SHRINK_BLOCK_ENTRIES)))
+    largest = np.empty(len(parts))
     while True:
         # Newton step x <- x - g(x)/g'(x) for g(x) = x + c*x**(p-1) - am, times x:
-        # x * (am - (2-p)*w) / (x - (1-p)*w) with w = c*x**(p-1); in place, as
-        # the cube-sized temporaries would cost more than the arithmetic
-        np.power(x, p - 1.0, out=w)
-        w *= c
-        np.multiply(w, 1.0 - p, out=den)
-        np.subtract(x, den, out=den)
-        w *= p - 2.0
-        w += am
-        x *= w
-        x /= den
-        # den / w is the old x over the new one; a NaN also ends the loop
-        np.divide(den, w, out=den)
-        if not den.max() - 1.0 > _NEWTON_STEP_TOL:
+        # x * (am - (2-p)*w) / (x - (1-p)*w) with w = c*x**(p-1); in place, one
+        # block at a time, as the temporaries would cost more than the arithmetic
+        for i, part in enumerate(parts):
+            xb, amb = x[part], am[part]
+            wb, denb = w[:xb.size], den[:xb.size]
+            np.power(xb, p - 1.0, out=wb)
+            wb *= c
+            np.multiply(wb, 1.0 - p, out=denb)
+            np.subtract(xb, denb, out=denb)
+            wb *= p - 2.0
+            wb += amb
+            xb *= wb
+            xb /= denb
+            # den / w is the old x over the new one
+            largest[i] = np.divide(denb, wb, out=denb).max()
+        # one test over every entry; a NaN also ends the loop
+        if not largest.max() - 1.0 > _NEWTON_STEP_TOL:
             break
     x[~((x > 0.0) & (x <= am))] = 0.0
     return x
@@ -167,19 +193,38 @@ def _gst_shrink_in_place(g: np.ndarray, tau: float, p: float) -> np.ndarray:
     It stops after the first step no larger than ``sqrt(eps)`` relative to every
     entry, which quadratic convergence leaves at the rounding level.  An infinite
     ``y`` passes through at a finite ``tau``; an infinite ``tau`` zeroes every entry.
+    Every elementwise pass runs in blocks of :data:`SHRINK_BLOCK_ENTRIES`
+    entries, so the temporaries as long as ``g`` are a boolean mask and, for
+    ``p<1``, three arrays as long as the entries beyond the dead zone.
     """
+    # the flat index addresses C order, in which ``flat`` is a view of ``g``
+    flat = g.reshape(-1)
     if p == 1.0:
-        g[...] = soft_threshold(g, tau)
+        _soft_threshold_in_place(flat, tau)
     elif tau != 0.0:
-        # the flat index addresses C order, in which ``flat`` is a view of ``g``
-        flat = g.reshape(-1)
-        idx = np.flatnonzero(np.abs(flat) > gst_threshold(tau, p))
-        x = _gst_magnitude(np.abs(flat[idx]), tau * p, p)
+        idx = _entries_above(flat, gst_threshold(tau, p))
+        magnitudes = flat[idx]
+        x = _gst_magnitude(np.abs(magnitudes, out=magnitudes), tau * p, p)
+        del magnitudes
         signs = flat[idx]
         x *= np.sign(signs, out=signs)
         g.fill(0.0)
         flat[idx] = x
     return g
+
+
+def _entries_above(flat: np.ndarray, threshold: float) -> np.ndarray:
+    """Flat indices, ascending, of the entries of ``flat`` whose magnitude exceeds ``threshold``.
+
+    The magnitudes are taken one block at a time into one block-sized buffer;
+    only the mask is as long as ``flat``.
+    """
+    magnitude = np.empty(min(flat.size, SHRINK_BLOCK_ENTRIES))
+    above = np.empty(flat.size, dtype=bool)
+    for part in _flat_blocks(flat.size):
+        block = flat[part]
+        np.greater(np.abs(block, out=magnitude[:block.size]), threshold, out=above[part])
+    return np.flatnonzero(above)
 
 
 def shrink_gradient_stack(g: GradientStack, tau: float, p: tuple[float, float, float]) -> GradientStack:

@@ -39,14 +39,29 @@ iteration performs, as ADMM orders them:
    stops at :data:`BETA_MAX`.
 
 Every update keeps the operation order of the plain expression it stands
-for (a regrouped sum would change the last bits).  It never writes into
-``y``, ``x``, ``z``, ``s``, ``b`` or ``dual_x``: the new ones are arrays it
-allocates.  Three things are updated in place.  ``update_x`` stores its new
-Tucker factors in ``state.x_factors``, where the next sweep starts from
-them.  ``update_f`` overwrites ``state.f`` and ``state.dual_grad``, plain
-``(3, h, w, p)`` arrays the solve owns, so no gradient stack is allocated
-after the first.  Intermediate terms go into ``state.scratch``, one cube
-for each thread.
+for (a regrouped sum would change the last bits), and each cube-sized
+temporary goes into a buffer the solve already holds, or runs in blocks.
+No update writes into ``y``, ``x``, ``z``, ``s`` or ``b``: the new ones are
+arrays it allocates.  What is written in place:
+
+- ``update_x`` forms its HOOI target in ``state.scratch[1]``, the calling
+  thread's scratch cube, and stores its new Tucker factors in
+  ``state.x_factors``, where the next sweep starts from them.  The solve
+  then takes the change of ``x`` over the old ``x``, once its norm is read.
+- ``update_f`` overwrites ``state.f`` and ``state.dual_grad``, plain
+  ``(3, h, w, p)`` arrays the solve owns, with ``D_d z`` in
+  ``state.scratch[0]``, the helper thread's scratch cube.  Its shrinkage
+  takes magnitudes, masks and Newton steps in blocks (see
+  :mod:`hsirestore.priors`), and the next z-step's width and band terms are
+  formed in blocks of whole rows (:func:`_z_gradient_terms`).
+- ``update_multipliers`` forms ``beta * (x - z)`` in ``state.scratch[1]``
+  and adds it into ``state.dual_x``.
+- ``update_s`` soft-thresholds its residual, the new ``s``, in place, in
+  blocks.
+
+:func:`solve` drops the old ``z`` before each z-step, which reads only the
+parts formed ahead of it, and drops the gradient stacks and scratch cubes
+before it forms the residual.
 
 :func:`solve` runs each iteration but the stopping one (see below) after
 its z-step as two lanes on two threads (``tensor_ops._fan_out``, which owns
@@ -93,12 +108,12 @@ from .priors import (
     _check_shrink_args,
     _circular_diff,
     _gst_shrink_in_place,
-    soft_threshold,
+    _soft_threshold_in_place,
 )
-# The solve forms each difference direction on its own and calls none of these
-# three; they are imported because restorebench/tracing.py wraps them in this
-# namespace.
-from .priors import diff_adjoint, diff_forward, shrink_gradient_stack  # noqa: F401
+# The solve forms each difference direction on its own and thresholds in place,
+# and calls none of these four; they are imported because
+# restorebench/tracing.py wraps them in this namespace.
+from .priors import diff_adjoint, diff_forward, shrink_gradient_stack, soft_threshold  # noqa: F401
 from .tensor_ops import _fan_out, _on_halves, fro_norm, validate_cube
 from .tucker import TuckerRanks, feasible_ranks, hooi, reconstruct
 
@@ -108,6 +123,9 @@ BETA_MAX = 1e6
 # weights of the height, width and band differences; the exponents, not the
 # weights, adapt to the data
 DIFF_WEIGHTS = (1.0, 1.0, 0.5)
+# entries per row block of the z-step's width and band terms: a 48x48x16
+# cube is one block
+ROW_BLOCK_ENTRIES = 40960
 
 
 def default_image_ranks(shape: tuple[int, int, int]) -> TuckerRanks:
@@ -190,8 +208,12 @@ class SolverState:
 
     ``f`` and ``dual_grad`` are C-ordered ``(3, h, w, p)`` arrays, one
     direction per leading index, that :func:`update_f` overwrites in place.
+    ``dual_x`` is updated in place by :func:`update_multipliers`.
     ``scratch`` is a ``(2, h, w, p)`` work array: the first cube for the
-    helper thread, the second for the calling thread.  ``x_factors`` holds
+    helper thread, where the f-step forms ``D_d z`` and the z-step's
+    gradient terms their input; the second for the calling thread, where
+    the x-step forms its HOOI target, the multiplier step its ascent and the
+    z-step's right-hand side ``beta * x``.  ``x_factors`` holds
     the Tucker factors of the last ``x`` fit, the warm start of the next one;
     ``None`` means start cold.  ``z_rhs``, ``z_adjoint`` and ``z_inv_denom``
     are the parts of the next z-step formed ahead of it (see
@@ -279,9 +301,10 @@ def _diff_transfer(shape: tuple[int, int, int], weights: tuple[float, float, flo
 def update_x(state: SolverState, cfg: SolverConfig) -> np.ndarray:
     """One HOOI sweep on the multiplier-shifted splitting variable at the image ranks.
 
-    Starts from ``state.x_factors`` and stores the new factors there.
+    Starts from ``state.x_factors`` and stores the new factors there.  The
+    target is formed in this thread's scratch cube, ``state.scratch[1]``.
     """
-    target = state.beta * state.z
+    target = np.multiply(state.beta, state.z, out=state.scratch[1])
     target -= state.dual_x
     target /= state.beta
     fit = hooi(target, cfg.ranks_x, init=state.x_factors)
@@ -332,15 +355,24 @@ def _z_gradient_terms(state: SolverState, beta: float, scratch: np.ndarray) -> N
     :func:`diff_adjoint` sums it.  numpy divides a complex number by a real
     one as a multiply by its reciprocal, so dividing the spectrum by the
     denominator and multiplying it by the reciprocal differ only in the sign
-    of a zero.  Reads only ``f``, ``dual_grad`` and ``scratch``.
+    of a zero.  Reads only ``f``, ``dual_grad`` and ``scratch``.  The width
+    and band differences stay inside each row, so they are taken in blocks of
+    whole rows, about :data:`ROW_BLOCK_ENTRIES` entries each, through one
+    block-sized buffer, and added to the height term block by block.
     """
-    adjoint, term = np.empty(scratch.shape), np.empty(scratch.shape)
+    h, w, p = scratch.shape
+    rows = max(1, ROW_BLOCK_ENTRIES // (w * p))
+    adjoint, term = np.empty(scratch.shape), np.empty((min(h, rows), w, p))
     for axis in range(3):
         np.multiply(beta, state.f[axis], out=scratch)
         scratch -= state.dual_grad[axis]
-        _circular_diff(scratch, axis, -1, DIFF_WEIGHTS[axis], term if axis else adjoint)
-        if axis:
-            adjoint += term
+        if not axis:
+            _circular_diff(scratch, axis, -1, DIFF_WEIGHTS[axis], adjoint)
+            continue
+        for start in range(0, h, rows):
+            block = slice(start, min(start + rows, h))
+            diff = _circular_diff(scratch[block], axis, -1, DIFF_WEIGHTS[axis], term[:block.stop - start])
+            adjoint[block] += diff
     del term
     inv_denom = np.multiply(beta, _diff_transfer(scratch.shape, DIFF_WEIGHTS))
     inv_denom += 1.0 + beta
@@ -462,21 +494,29 @@ def update_b(state: SolverState, cfg: SolverConfig, y_mean: np.ndarray) -> np.nd
 
 
 def update_s(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray:
-    """Soft threshold of the data residual, absorbing sparse outliers."""
-    residual = y - state.z
+    """Soft threshold of the data residual, absorbing sparse outliers.
+
+    The threshold runs in place on the residual, the new ``s``, which is
+    C-ordered whatever the layout of ``y``, so that its flat view is itself.
+    """
+    residual = np.subtract(y, state.z, order="C")
     residual -= state.b
-    return soft_threshold(residual, cfg.lambda_sparse)
+    _soft_threshold_in_place(residual.reshape(-1), cfg.lambda_sparse)
+    return residual
 
 
 def update_multipliers(state: SolverState, cfg: SolverConfig) -> tuple[np.ndarray, float]:
     """Dual ascent on ``x = z`` and the growth of ``beta``; returns both.
 
+    ``beta * (x - z)`` is formed in this thread's scratch cube,
+    ``state.scratch[1]``, and added into ``state.dual_x``, which is returned:
+    addition commutes bit for bit, so that is the plain expression's sum.
     The gradient multiplier ascends in :func:`update_f`.
     """
-    dual_x = state.x - state.z
-    dual_x *= state.beta
-    dual_x += state.dual_x
-    return dual_x, _next_beta(state.beta, cfg)
+    step = np.subtract(state.x, state.z, out=state.scratch[1])
+    step *= state.beta
+    state.dual_x += step
+    return state.dual_x, _next_beta(state.beta, cfg)
 
 
 def _next_beta(beta: float, cfg: SolverConfig) -> float:
@@ -487,13 +527,13 @@ def _next_beta(beta: float, cfg: SolverConfig) -> float:
 def _x_step(state: SolverState, cfg: SolverConfig) -> tuple[float, float]:
     """Run :func:`update_x`; returns the squared norms of the change of ``x`` and of the old ``x``.
 
-    The change is formed in this thread's scratch cube, and the old ``x`` is
-    freed on return.
+    The change is formed over the old ``x``, once its norm is taken.
     """
     x_old = state.x
     state.x = update_x(state, cfg)
-    change = np.subtract(state.x, x_old, out=state.scratch[1])
-    return fro_norm(change) ** 2, fro_norm(x_old) ** 2
+    x02 = fro_norm(x_old) ** 2
+    change = np.subtract(state.x, x_old, out=x_old)
+    return fro_norm(change) ** 2, x02
 
 
 def solve(
@@ -543,6 +583,8 @@ def solve(
             # too; after it, an x that stays exactly zero has converged
             converged = it > 0 and dx2 == 0.0
             rel = 0.0 if converged else 1.0
+        # the z-step reads only the parts formed ahead of it, not the old z
+        state.z = None
         state.z = update_z(state, cfg, y)
         rel_change.append(rel)
         if converged or it == cfg.max_iter - 1:
@@ -551,6 +593,8 @@ def solve(
     # the stopping iteration: only the b- and s-steps, which the outputs read
     state.b = update_b(state, cfg, y_mean)
     state.s = update_s(state, cfg, y)
+    # the outputs read only x, s and b; the gradient stacks and scratch go first
+    state.f = state.dual_grad = state.scratch = None
 
     residual = y - (state.x + state.s + state.b)
     decomposition = ObservationDecomposition(state.x, state.s, state.b, residual)

@@ -132,6 +132,7 @@ def hooi(
     t3 = mode_product(t, u3.T, 3)
     u1 = leading_left_singular_vectors(unfold(mode_product(t3, u2.T, 2), 1), r1)
     u2 = leading_left_singular_vectors(unfold(mode_product(t3, u1.T, 1), 2), r2)
+    del t3
     t12 = mode_product(mode_product(t, u1.T, 1), u2.T, 2)
     u3 = leading_left_singular_vectors(unfold(t12, 3), r3)
     return TuckerFactors(mode_product(t12, u3.T, 3), (u1, u2, u3))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsirestore.priors
 from hsirestore.priors import (
     GradientStack,
     _check_shrink_args,
@@ -371,3 +372,42 @@ class TestLayoutsAndEdges:
         expected = soft_threshold(c, 0.2)
         assert np.count_nonzero(expected) > 0
         assert soft_threshold(LAYOUTS[layout](c), 0.2).tobytes() == expected.tobytes()
+
+
+# block lengths that split a pass into single entries, into uneven blocks and
+# into one block
+BLOCK_ENTRIES = [1, 7, 10**9]
+
+
+class TestBlockedPasses:
+    """The shrinkages' passes run in blocks of ``SHRINK_BLOCK_ENTRIES`` entries, with the bits of one block."""
+
+    @pytest.mark.parametrize("block_entries", BLOCK_ENTRIES)
+    def test_in_place_soft_threshold_keeps_soft_threshold_conventions(self, monkeypatch, block_entries):
+        monkeypatch.setattr(hsirestore.priors, "SHRINK_BLOCK_ENTRIES", block_entries)
+        y = np.array([-0.3, -0.0, 0.0, 0.1, -0.2, 0.5, -2.0, 1e300, np.inf, -np.inf])
+        with warnings.catch_warnings():
+            # at an infinite threshold a clip would leave inf - inf
+            warnings.simplefilter("error")
+            for tau in (np.float64(np.inf), float("inf")):
+                for p in (1.0, 0.5):
+                    got = shrunk(y, tau, p)
+                    assert got.tobytes() == np.zeros(y.size).tobytes()
+            got = shrunk(y, 0.3, 1.0)
+        # every entry inside the band, signed zeros and -tau included, gives +0
+        assert got[:5].tobytes() == np.zeros(5).tobytes()
+        assert got[5:].tolist() == [0.5 - 0.3, -2.0 + 0.3, 1e300 - 0.3, np.inf, -np.inf]
+        assert got.tobytes() == soft_threshold(y, 0.3).tobytes()
+
+    @pytest.mark.parametrize("block_entries", BLOCK_ENTRIES[:-1])
+    @pytest.mark.parametrize("p", [0.2, 0.642, 1.0])
+    def test_blocks_give_the_bits_of_one_block(self, monkeypatch, p, block_entries):
+        g = signed_zero_cube((5, 4, 3), seed=60)
+        g[0, 0, :3] = [np.inf, -1e200, 3.0]
+        with monkeypatch.context() as m:
+            m.setattr(hsirestore.priors, "SHRINK_BLOCK_ENTRIES", 10**9)
+            whole = shrunk(g, 0.2, p)
+        monkeypatch.setattr(hsirestore.priors, "SHRINK_BLOCK_ENTRIES", block_entries)
+        assert np.count_nonzero(whole) > 0
+        assert shrunk(g, 0.2, p).tobytes() == whole.tobytes()
+        assert soft_threshold(g, 0.2).tobytes() == shrunk(g, 0.2, 1.0).tobytes()

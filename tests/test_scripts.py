@@ -1,5 +1,6 @@
 """Smoke tests: each experiment script runs a tiny case end to end."""
 
+import json
 import os
 import subprocess
 import sys
@@ -47,7 +48,7 @@ def test_peak_memory_prints_one_row_per_call():
     lines = run_script("peak_memory.py", ["--size", "12", "12", "6"])
     rows = {line.split("|")[0].strip(): line.split("|")[1:] for line in lines[1:]}
     calls = ["simulate_case", "write_cube", "read_cube(normalize=True)", "estimate_p", "evaluate",
-             "cli simulate"]
+             "cli simulate", "solve(fitted p)", "solve(p=1)"]
     assert lines[0].split() == ["call", "|", "peak", "MiB", "|", "cubes"]
     assert list(rows) == calls
     # every call allocates something, estimate_p at least its difference field
@@ -55,3 +56,27 @@ def test_peak_memory_prints_one_row_per_call():
     assert all(float(cubes) > 0 for _, cubes in rows.values())
     assert float(rows["estimate_p"][1]) >= 1.0
     assert float(rows["cli simulate"][1]) >= 1.0
+    # the solve's state alone holds twelve cubes
+    assert all(float(rows[name][1]) >= 12.0 for name in ("solve(fitted p)", "solve(p=1)"))
+
+
+def test_bench_record_folds_alternating_runs(tmp_path):
+    out = tmp_path / "bench.json"
+    run_script("bench_record.py", [str(ROOT), str(ROOT), "--workloads", "case2-48", "--sets", "1",
+                                   "--seconds", "1", "--out", str(out)])
+    bench = json.loads(out.read_text(encoding="utf-8"))
+    assert bench["sets"] == 1 and bench["nproc"] >= 1
+    assert [b["pinned"] for b in bench["blas_threads"]] == [1]
+    # one checkout as both trees: one HEAD, or none outside a git checkout
+    assert len({tree["git_head"] for tree in bench["trees"].values()}) == 1
+    workload = bench["workloads"]["case2-48"]
+    assert [run["tree"] for run in workload["runs"]] == ["parent", "change"]
+    assert all(run["correct"] for run in workload["runs"])
+    end_to_end = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    for tree in ("parent", "change"):
+        assert list(workload[tree]) == end_to_end
+        # every median has its set count, and the quartiles hold it
+        for spread in workload[tree].values():
+            assert spread["sets"] == 1
+            assert spread["q1"] <= spread["median"] <= spread["q3"]
+    assert all(sum(counts.values()) == 1 for counts in workload["pairs"].values())

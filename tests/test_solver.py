@@ -161,6 +161,14 @@ class TestUpdateZ:
     def test_equals_the_plain_expression_at_odd_shapes(self, monkeypatch, shape):
         self.check_plain_expression(monkeypatch, shape)
 
+    # the width and band terms in blocks of one row, and of two rows, which
+    # split 47 rows unevenly
+    @pytest.mark.parametrize("block_rows", [1, 2])
+    def test_equals_the_plain_expression_in_row_blocks(self, monkeypatch, block_rows):
+        shape = (47, 45, 15)
+        monkeypatch.setattr(hsirestore.solver, "ROW_BLOCK_ENTRIES", block_rows * 45 * 15 + 1)
+        self.check_plain_expression(monkeypatch, shape)
+
     @staticmethod
     def check_plain_expression(monkeypatch, shape):
         weights, beta = (1.0, 0.8, 0.5), 0.61
@@ -298,6 +306,17 @@ class TestUpdateS:
         got = update_s(state, small_cfg(lambda_sparse=0.0), y)
         np.testing.assert_array_equal(got, y - state.z - state.b)
 
+    def test_any_layout_of_y_gives_the_same_bytes(self):
+        # the threshold runs in place on the residual's flat view, which a
+        # residual in another layout than C order would only copy
+        shape = (6, 5, 4)
+        state = make_state(shape, beta=0.5, seed=18)
+        y = np.random.default_rng(17).standard_normal(shape)
+        expected = update_s(state, small_cfg(lambda_sparse=0.3), y)
+        assert 0 < np.count_nonzero(expected) < expected.size
+        got = update_s(state, small_cfg(lambda_sparse=0.3), np.asfortranarray(y))
+        assert got.tobytes() == expected.tobytes()
+
     def test_matches_scalar_soft_threshold(self):
         shape = (3, 4, 2)
         state = make_state(shape, beta=0.5, seed=19)
@@ -314,8 +333,9 @@ class TestUpdateMultipliers:
         state = make_state(shape, beta=0.5, seed=21)
         cfg = small_cfg()
         state.z = state.x.copy()
+        before = state.dual_x.copy()
         dual_x, beta = update_multipliers(state, cfg)
-        np.testing.assert_array_equal(dual_x, state.dual_x)
+        np.testing.assert_array_equal(dual_x, before)
         assert beta == pytest.approx(0.5 * cfg.beta_growth)
         # the gradient multiplier ascends in the f-step, by beta * (D z - f):
         # with no threshold and no multiplier f is D z, and it stays zero
@@ -334,9 +354,12 @@ class TestUpdateMultipliers:
         shape = (4, 3, 3)
         state = make_state(shape, beta=0.8, seed=23)
         cfg = small_cfg()
+        before = state.dual_x.copy()
         dual_x, _ = update_multipliers(state, cfg)
         # bit for bit: the in-place update keeps the plain expression's operation order
-        np.testing.assert_array_equal(dual_x, state.dual_x + 0.8 * (state.x - state.z))
+        np.testing.assert_array_equal(dual_x, before + 0.8 * (state.x - state.z))
+        # the ascent is written into the multiplier the state holds
+        assert dual_x is state.dual_x
 
 
 def held_arrays(state, y):
@@ -362,8 +385,9 @@ def returned_arrays(out):
     return []
 
 
-# the arrays each update may overwrite: the f-step owns f and dual_grad
-IN_PLACE = {"update_f": ("f.", "dual_grad.")}
+# the arrays each update may overwrite: the f-step owns f and dual_grad, the
+# multiplier step dual_x
+IN_PLACE = {"update_f": ("f.", "dual_grad."), "update_multipliers": ("dual_x",)}
 
 
 class TestUpdatesLeaveInputsAlone:
