@@ -40,7 +40,7 @@ def git_head(tree: Path) -> dict:
 
     head = git("rev-parse", "HEAD")
     dirty = git("status", "--porcelain", "--untracked-files=no")
-    return {"path": str(tree.resolve()), "git_head": head or "unknown (not a git checkout)",
+    return {"git_head": head or "unknown (not a git checkout)",
             "uncommitted_changes": None if dirty is None else bool(dirty)}
 
 
@@ -69,10 +69,10 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "sets": len(values)}
 
 
-def pair_counts(parent: list[float], change: list[float], better: str) -> dict:
-    """Sets in which the change read better, worse or the same as the parent."""
+def pair_counts(parent: dict, change: dict, better: str) -> dict:
+    """Sets, read by set index, in which the change read better, worse or the same as the parent."""
     sign = -1.0 if better == "lower" else 1.0
-    gaps = [sign * (c - p) for p, c in zip(parent, change)]
+    gaps = [sign * (change[index] - parent[index]) for index in parent if index in change]
     return {"change_better": sum(g > 0 for g in gaps), "change_worse": sum(g < 0 for g in gaps),
             "same": sum(g == 0 for g in gaps)}
 
@@ -83,15 +83,16 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     for run in runs:
         for name, value in run["metrics"].items():
             if isinstance(value, (int, float)):
-                values[run["tree"]].setdefault(name, []).append(value)
+                values[run["tree"]].setdefault(name, {})[run["set"]] = value
     out = {tree: {} for tree in TREES}
     out["pairs"] = {}
     for metric in end_to_end:
         name = metric["name"]
-        per_tree = [values[tree].get(name, []) for tree in TREES]
-        for tree, vals in zip(TREES, per_tree):
-            if vals:
-                out[tree][name] = {**spread(vals), "unit": metric["unit"], "better": metric["better"]}
+        per_tree = [values[tree].get(name, {}) for tree in TREES]
+        for tree, by_set in zip(TREES, per_tree):
+            if by_set:
+                out[tree][name] = {**spread(list(by_set.values())), "unit": metric["unit"],
+                                   "better": metric["better"]}
         if all(per_tree):
             out["pairs"][name] = pair_counts(*per_tree, metric["better"])
     return out

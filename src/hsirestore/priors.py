@@ -197,7 +197,10 @@ def _gst_shrink_in_place(g: np.ndarray, tau: float, p: float) -> np.ndarray:
     entries, so the temporaries as long as ``g`` are a boolean mask and, for
     ``p<1``, three arrays as long as the entries beyond the dead zone.
     """
-    # the flat index addresses C order, in which ``flat`` is a view of ``g``
+    # the flat index addresses C order, in which ``flat`` is a view of ``g``;
+    # of any other layout it would be a copy, and the result would be lost
+    if not g.flags.c_contiguous:
+        raise ValueError("the lp shrinkage works in place on a C-contiguous array only")
     flat = g.reshape(-1)
     if p == 1.0:
         _soft_threshold_in_place(flat, tau)

@@ -399,6 +399,15 @@ class TestBlockedPasses:
         assert got[5:].tolist() == [0.5 - 0.3, -2.0 + 0.3, 1e300 - 0.3, np.inf, -np.inf]
         assert got.tobytes() == soft_threshold(y, 0.3).tobytes()
 
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_other_layouts_rejected_before_any_write(self, p):
+        # a flat view of any other layout is a copy, which would take the result
+        g = np.asfortranarray(signed_zero_cube((4, 5, 6), seed=61))
+        before = g.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _gst_shrink_in_place(g, 0.2, p)
+        assert g.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("block_entries", BLOCK_ENTRIES[:-1])
     @pytest.mark.parametrize("p", [0.2, 0.642, 1.0])
     def test_blocks_give_the_bits_of_one_block(self, monkeypatch, p, block_entries):

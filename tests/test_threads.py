@@ -565,12 +565,10 @@ def solve_peak_in_cubes(monkeypatch, p_override, max_iter=5):
 
 
 # The state holds 12 cubes (x, z, s, dual_x, the two gradient stacks and two
-# scratch cubes).  Each iteration's temporaries go into those buffers or into
-# blocks; the two lanes' allocations at once, this thread's x-step beside the
-# helper's f-step Newton arrays and next z-step terms, reach 15.8-16.3 cubes
-# at fitted p, the 19.38 cubes that new gradient stacks in every iteration
-# took and the 17.6-18.1 before the temporaries moved into owned buffers
-# having gone.
+# scratch cubes), and each iteration's cube temporaries go into those buffers
+# or run in blocks.  The peak comes where the lanes allocate at once, this
+# thread's x-step beside the helper's f-step Newton arrays and next z-step
+# terms: 15.8-16.3 cubes at fitted p.
 def test_solve_peak_memory_at_64x64x32(monkeypatch):
     assert solve_peak_in_cubes(monkeypatch, None) <= 16.6
 
