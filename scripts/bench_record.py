@@ -5,14 +5,28 @@ Each set runs ``restorebench/run.py --trace 0`` once per workload in each of
 the two checkouts, the parent first in even sets and the change first in odd
 ones, so that a drift of the host's speed falls on both sides alike.  Each
 run's last stdout line is its JSON summary; its metrics and its failure counts
-are kept run by run.  The output file holds, per workload and per tree, each
-end-to-end metric's median and quartiles with the number of sets beside it,
-the count of sets in which the change read better, worse or the same, every
-run, the number of CPUs this process may use, the BLAS thread count the
-benchmark pinned and found in use, and each checkout's ``git rev-parse HEAD``
-and whether it had uncommitted changes.  The script only runs and reads the
-benchmark: it writes nothing into either checkout but what ``run.py`` itself
-writes there (its ignored ``results`` and ``_work`` directories).
+are kept run by run, with the vCPU steal the host took across the run (from
+the ``cpu`` line of ``/proc/stat``), and the reference MPSNRs of the input and
+the restored MPSNR's margin over the constant-mean estimate, both from the
+record ``run.py`` writes.  The output file holds, per workload and per tree,
+each end-to-end metric's median and quartiles with the number of sets beside
+it, the count of sets in which the change read better, worse or the same, and
+per metric one reading:
+
+* ``gain``: the change read better in at least nine tenths of at least ten
+  pairs, and its median is better than the parent's by more than the parent's
+  interquartile range;
+* ``regression``: the change's median is worse than the parent's by more than
+  the metric's ``BENCHMARK.json`` bound (a fraction of the parent's median);
+* ``unresolved``: the parent's interquartile range is wider than that bound;
+* ``no change`` otherwise.
+
+It also holds every run, the number of CPUs this process may use, the BLAS
+thread count the benchmark pinned and found in use, and each checkout's ``git
+rev-parse HEAD`` and whether it had uncommitted changes.  The script only runs
+and reads the benchmark: it writes nothing into either checkout but what
+``run.py`` itself writes there (its ignored ``results`` and ``_work``
+directories).
 
 Example, with the parent commit cloned beside the working tree:
 
@@ -30,6 +44,20 @@ from pathlib import Path
 
 TREES = ("parent", "change")
 RECORD = "restorebench/results/{workload}-seed{seed}-trace0.json"
+# a gain needs this many pairs, and the change better in this share of them
+GAIN_PAIRS = 10
+GAIN_SHARE = 0.9
+
+
+def steal_ticks() -> int | None:
+    """The host's vCPU steal so far, in clock ticks, from the ``cpu`` line of ``/proc/stat``."""
+    try:
+        with open("/proc/stat", encoding="utf-8") as fh:
+            fields = fh.readline().split()
+    except OSError:
+        return None
+    # cpu user nice system idle iowait irq softirq steal ...
+    return int(fields[8]) if fields[0] == "cpu" and len(fields) > 8 else None
 
 
 def git_head(tree: Path) -> dict:
@@ -48,17 +76,27 @@ def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     """One ``run.py --trace 0`` in ``tree``: its JSON summary and the BLAS threads its record names."""
     argv = [sys.executable, "restorebench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    steal_before = steal_ticks()
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=4 * seconds + 600)
+    steal_after = steal_ticks()
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} in {tree} exited {done.returncode}:\n{done.stderr}")
     summary = json.loads(done.stdout.strip().splitlines()[-1])
     record = json.loads((tree / RECORD.format(workload=workload, seed=seed)).read_text(encoding="utf-8"))
     env = record["environment"]
+    metrics = {name: m["value"] for name, m in summary["metrics"].items()}
+    references = record["reference_quality_not_gated"]
+    constant = references.get("constant_mean_mpsnr_db")
+    restored = metrics.get("mpsnr_db")
     return {
         "correct": summary["correct"],
         "attempted": summary["attempted"],
         "failed": summary["failed"],
-        "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
+        "metrics": metrics,
+        "steal_s": (None if None in (steal_before, steal_after)
+                    else (steal_after - steal_before) / os.sysconf("SC_CLK_TCK")),
+        "references": references,
+        "mpsnr_margin_over_constant_db": (None if None in (constant, restored) else restored - constant),
         "blas_threads": {"pinned": env["blas_threads_pinned"], "in_use": env["blas_threads_in_use"]},
     }
 
@@ -77,15 +115,30 @@ def pair_counts(parent: dict, change: dict, better: str) -> dict:
             "same": sum(g == 0 for g in gaps)}
 
 
+def reading(parent: dict, change: dict, pairs: dict, metric: dict) -> str:
+    """The gain, regression, unresolved or no-change reading of one metric (see the module docstring)."""
+    sign = -1.0 if metric["better"] == "lower" else 1.0
+    gap = sign * (change["median"] - parent["median"])
+    allowed = metric["bound"] * abs(parent["median"])
+    runs = sum(pairs.values())
+    if runs >= GAIN_PAIRS and pairs["change_better"] >= GAIN_SHARE * runs and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gap > allowed:
+        return "regression"
+    if parent["q3"] - parent["q1"] > allowed:
+        return "unresolved"
+    return "no change"
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
-    """Per tree, each end-to-end metric's spread over the sets, and the pair counts."""
+    """Per tree, each end-to-end metric's spread over the sets, the pair counts and the reading."""
     values = {tree: {} for tree in TREES}
     for run in runs:
         for name, value in run["metrics"].items():
             if isinstance(value, (int, float)):
                 values[run["tree"]].setdefault(name, {})[run["set"]] = value
     out = {tree: {} for tree in TREES}
-    out["pairs"] = {}
+    out["pairs"], out["readings"] = {}, {}
     for metric in end_to_end:
         name = metric["name"]
         per_tree = [values[tree].get(name, {}) for tree in TREES]
@@ -95,6 +148,7 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
                                    "better": metric["better"]}
         if all(per_tree):
             out["pairs"][name] = pair_counts(*per_tree, metric["better"])
+            out["readings"][name] = reading(out["parent"][name], out["change"][name], out["pairs"][name], metric)
     return out
 
 

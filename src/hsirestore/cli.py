@@ -6,8 +6,9 @@ stderr), 2 usage error.
 ``fit-p``, and ``denoise`` when it fits the exponents, end with the line
 ``p_on_bound=<directions>``: the directions (``h``, ``w``, ``p``) whose
 fitted exponent sits on a bound of ``FIT_P_BOUNDS``, comma-separated, or
-``none``.  A fit on its bound is a clamp, not a measurement: a cube with no
-gradients gives p = 0.1 with a perfect residual in every direction.
+``none``.  A fit on its bound is a clamp, not a measurement.  A cube that is
+constant along a direction has no gradients to fit there: the fit fails, and
+the command exits 1.
 """
 
 from __future__ import annotations

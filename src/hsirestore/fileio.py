@@ -9,9 +9,9 @@ Cube container layout (little endian):
 The payload stays height-fastest on disk, while cubes in memory are C-ordered
 (band index fastest): :func:`read_cube` returns a C-ordered float64 cube and
 :func:`write_cube` accepts any layout.  Both stream the payload in blocks of
-whole bands, about :data:`CUBE_BLOCK_ENTRIES` values each, through one reused
-float32 buffer, so neither holds a second copy of the cube.  The transposing
-copies between the two orders run in cache-sized tiles
+whole bands of at most ``tensor_ops.BAND_BLOCK_BYTES`` (2**20 values), through
+one reused float32 buffer, so neither holds a second copy of the cube.  The
+transposing copies between the two orders run in cache-sized tiles
 (``tensor_ops._copy_in_tiles``) on the calling thread; a copy and a cast keep
 the bits.
 
@@ -37,12 +37,10 @@ import numpy as np
 
 from .metrics import MetricsReport
 from .solver import SolveDiagnostics, SolverConfig
-from .tensor_ops import _copy_in_tiles
+from .tensor_ops import _copy_in_tiles, bands_per_block
 
 MAGIC = b"HSICUBE1"
 _HEADER = struct.Struct("<8sIII")
-# the payload is converted in blocks of whole bands holding about this many values
-CUBE_BLOCK_ENTRIES = 2**20
 
 
 class CubeFileError(Exception):
@@ -55,8 +53,7 @@ class ConfigError(Exception):
 
 def _band_block_buffer(h: int, w: int, p: int) -> np.ndarray:
     """A float32 buffer for a block of whole bands, laid out as the file stores them."""
-    bands = max(1, CUBE_BLOCK_ENTRIES // (h * w))
-    return np.empty((min(bands, p), w, h), dtype="<f4")
+    return np.empty((bands_per_block((h, w, p), 4), w, h), dtype="<f4")
 
 
 def write_cube(path: str | Path, cube: np.ndarray) -> None:

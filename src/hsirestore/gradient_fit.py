@@ -55,6 +55,8 @@ NELDER_MEAD_MAX_ITER = 500
 
 # MAD of a centered Gaussian is 0.6745 of its standard deviation.
 _MAD_TO_SIGMA = 0.6744897501960817
+# how a caller gets past a cube the fit rejects
+_OVERRIDE = "denoise skips the fit when its --config sets p_override"
 
 @dataclass(frozen=True)
 class HyperLaplacianFit:
@@ -266,20 +268,27 @@ def estimate_p(y: np.ndarray) -> HyperLaplacianFit:
 
     One difference field is held at a time, in one buffer of ``y``'s shape:
     its histogram is taken first, then its noise scale, which overwrites it.
+    A direction along which ``y`` is constant has no gradients to fit, so it
+    fails the fit, as a mode of size 1 does.
     """
     y = validate_cube(y, "y")
     if min(y.shape) < 2:
-        raise ValueError(
-            f"the exponent fit needs every mode to have size >= 2, got shape {y.shape}; "
-            "denoise skips the fit when its --config sets p_override"
-        )
+        raise ValueError(f"the exponent fit needs every mode to have size >= 2, got shape {y.shape}; {_OVERRIDE}")
     field = np.empty(y.shape)
     flat = field.reshape(-1)
-    fits = []
-    for axis in range(3):
+    fits, constant = [], []
+    for axis, direction in enumerate(("height", "width", "band")):
         _circular_diff(y, axis, 1, 1.0, field)
         observed = histogram(flat)
         sigma = _mad_sigma_in_place(flat)
+        # a circular difference field sums to zero, so it is zero everywhere
+        # exactly when its MAD is zero and every |g - median| left here is zero
+        if sigma == 0.0 and not flat.any():
+            constant.append(direction)
+            continue
         k, p, residual = _fit_masses(observed, sigma * np.sqrt(2.0))
         fits.append((p, sigma, k, residual))
+    if constant:
+        raise ValueError(f"the exponent fit needs gradients along every direction, got none along "
+                         f"{', '.join(constant)}; {_OVERRIDE}")
     return HyperLaplacianFit(*zip(*fits))

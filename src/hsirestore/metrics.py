@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .tensor_ops import _copy_in_tiles, _on_halves, validate_cube
+from .tensor_ops import _copy_in_tiles, _on_halves, bands_per_block, row_blocks, validate_cube
 
 PSNR_CAP_DB = 100.0
 
@@ -30,12 +30,6 @@ SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
-# spectral angles are taken over blocks of whole rows holding about this many
-# entries, so their temporaries stay small instead of cube-sized
-SAM_BLOCK_ENTRIES = 32768
-# PSNR and SSIM read bands from band-major copies of blocks of whole bands
-# holding about this many entries, not from band-major copies of both cubes
-PLANE_BLOCK_ENTRIES = 2**19
 # bands of fewer entries are scored on this thread alone.  Split in two, one
 # band's SSIM broke even at about 192x192 (36864 entries) on a 2-core Xeon,
 # ran 1.7x slower at 128x128 and 3.5-4x slower at 64x64: the two threads'
@@ -203,10 +197,10 @@ def evaluate(ref: np.ndarray, test: np.ndarray) -> MetricsReport:
     """Assemble per-band PSNR/SSIM, the pixel-wise spectral-angle summary, and their means.
 
     PSNR and SSIM are taken at a peak of 1, band by band, on contiguous
-    band-major copies of blocks of whole bands holding about
-    :data:`PLANE_BLOCK_ENTRIES` entries, made tile by tile into two reused
-    buffers.  The spectral angles are taken over blocks of whole rows of about
-    :data:`SAM_BLOCK_ENTRIES` entries, which gives the same map as one
+    band-major copies of blocks of whole bands of at most
+    ``tensor_ops.BAND_BLOCK_BYTES``, made tile by tile into two reused
+    buffers.  The spectral angles are taken over blocks of whole rows of at
+    most ``tensor_ops.BLOCK_ENTRIES`` entries, which gives the same map as one
     :func:`sam` call on the whole cube; for bands of at least
     :data:`SPLIT_BAND_ENTRIES` entries the helper thread takes the first half
     of the rows.
@@ -216,9 +210,8 @@ def evaluate(ref: np.ndarray, test: np.ndarray) -> MetricsReport:
     if ref.shape != test.shape:
         raise ValueError(f"shape mismatch: {ref.shape} vs {test.shape}")
     h, w, bands = ref.shape
-    block = min(bands, max(1, PLANE_BLOCK_ENTRIES // (h * w)))
-    ref_planes = np.empty((block, h, w))
-    test_planes = np.empty((block, h, w))
+    block = bands_per_block(ref.shape, ref.itemsize)
+    ref_planes, test_planes = np.empty((2, block, h, w))
     psnr_pb, ssim_pb = [], []
     for b in range(0, bands, block):
         n = min(block, bands - b)
@@ -232,13 +225,11 @@ def evaluate(ref: np.ndarray, test: np.ndarray) -> MetricsReport:
     psnr_pb, ssim_pb = np.array(psnr_pb), np.array(ssim_pb)
     # each pixel's angle reduces along the contiguous last axis only, so any
     # cut into blocks of rows gives the map of one whole-cube call bit for bit
-    rows = max(1, SAM_BLOCK_ENTRIES // (w * bands))
     sam_map = np.empty((h, w))
 
     def sam_rows(part: slice) -> None:
-        for i in range(part.start, part.stop, rows):
-            end = min(i + rows, part.stop)
-            sam_map[i:end] = sam(ref[i:end], test[i:end])
+        for rows in row_blocks(ref.shape, part):
+            sam_map[rows] = sam(ref[rows], test[rows])
 
     if h * w < SPLIT_BAND_ENTRIES:
         sam_rows(slice(0, h))

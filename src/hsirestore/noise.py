@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tensor_ops import validate_cube
+from .tensor_ops import row_blocks, validate_cube
 
 STRIPE_KINDS = ("none", "random", "periodic", "mixed", "wide_vertical")
 WIDE_STRIPE_WIDTH = (5, 15)
@@ -23,9 +23,6 @@ WIDE_STRIPE_WIDTH = (5, 15)
 DEADLINE_BAND_FRACTION = 1.0 / 3.0
 DEADLINE_COUNT = (1, 3)
 DEADLINE_WIDTH = (1, 3)
-# impulses are drawn over blocks of whole rows holding about this many entries,
-# so the uniform draws need one small buffer instead of two cube-sized ones
-IMPULSE_BLOCK_ENTRIES = 32768
 
 
 def _is_int(value) -> bool:
@@ -100,21 +97,20 @@ def _impulse_perturbation(
 
     The mask draws come first, then the 0/1 draws (each with equal
     probability), each over the whole cube in C order.  Both are taken in
-    blocks of whole rows holding about :data:`IMPULSE_BLOCK_ENTRIES` entries
-    into one reused buffer; every float64 draw takes one word of the stream in
+    blocks of whole rows of at most ``tensor_ops.BLOCK_ENTRIES`` entries into
+    one reused buffer; every float64 draw takes one word of the stream in
     order, so the blocks draw what one whole-cube ``rng.random`` would.  The
     ratios are draws from the ``impulse_ratio`` range that NoiseSpec checks.
     """
-    h, w, p = noisy.shape
-    rows = max(1, IMPULSE_BLOCK_ENTRIES // (w * p))
-    buf = np.empty((min(rows, h), w, p))
+    blocks = row_blocks(noisy.shape)
+    buf = np.empty((blocks[0].stop,) + noisy.shape[1:])
     mask = np.empty(noisy.shape, dtype=bool)
-    for i in range(0, h, rows):
-        np.less(rng.random(out=buf[: h - i]), ratio_per_band, out=mask[i : i + rows])
-    for i in range(0, h, rows):
-        u = rng.random(out=buf[: h - i])
+    for rows in blocks:
+        np.less(rng.random(out=buf[: rows.stop - rows.start]), ratio_per_band, out=mask[rows])
+    for rows in blocks:
+        u = rng.random(out=buf[: rows.stop - rows.start])
         np.less(u, 0.5, out=u)  # 1.0 where the draw is below one half, else 0.0
-        np.copyto(noisy[i : i + rows], u, where=mask[i : i + rows])
+        np.copyto(noisy[rows], u, where=mask[rows])
     return mask
 
 

@@ -13,13 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor_ops import flat_blocks
+
 # largest relative Newton step of the lp shrinkage that ends its loop
 _NEWTON_STEP_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 # largest magnitude whose Newton product, at most its square, cannot overflow
 _NEWTON_MAX = float(np.sqrt(np.finfo(np.float64).max))
-# entries per block of the shrinkages' elementwise passes, whose temporaries
-# are one block long: a 48x48x16 cube (36864 entries) is one block
-SHRINK_BLOCK_ENTRIES = 40960
 
 
 @dataclass
@@ -97,11 +96,6 @@ def soft_threshold(x, delta: float):
     return out if np.ndim(x) else float(out[0])
 
 
-def _flat_blocks(size: int) -> list[slice]:
-    """Consecutive slices of at most :data:`SHRINK_BLOCK_ENTRIES` entries covering ``range(size)``."""
-    return [slice(start, start + SHRINK_BLOCK_ENTRIES) for start in range(0, size, SHRINK_BLOCK_ENTRIES)]
-
-
 def _soft_threshold_in_place(flat: np.ndarray, delta: float) -> None:
     """:func:`soft_threshold` of a 1-D float64 array at a ``delta >= 0``, written over it.
 
@@ -111,8 +105,9 @@ def _soft_threshold_in_place(flat: np.ndarray, delta: float) -> None:
         # an infinite entry minus its clip would be inf - inf
         flat.fill(0.0)
         return
-    clip = np.empty(min(flat.size, SHRINK_BLOCK_ENTRIES))
-    for part in _flat_blocks(flat.size):
+    parts = flat_blocks(flat.size)
+    clip = np.empty(parts[0].stop)
+    for part in parts:
         block = flat[part]
         # x minus its clip is sign(x) * max(|x| - delta, 0) exactly, except
         # that every zero it gives is +0
@@ -147,8 +142,8 @@ def _gst_magnitude(am: np.ndarray, c: float, p: float) -> np.ndarray:
         inner = am <= _NEWTON_MAX
         x[inner] = _gst_magnitude(am[inner], c, p)
         return x
-    parts = _flat_blocks(x.size)
-    w, den = np.empty((2, min(x.size, SHRINK_BLOCK_ENTRIES)))
+    parts = flat_blocks(x.size)
+    w, den = np.empty((2, parts[0].stop))
     largest = np.empty(len(parts))
     while True:
         # Newton step x <- x - g(x)/g'(x) for g(x) = x + c*x**(p-1) - am, times x:
@@ -193,9 +188,10 @@ def _gst_shrink_in_place(g: np.ndarray, tau: float, p: float) -> np.ndarray:
     It stops after the first step no larger than ``sqrt(eps)`` relative to every
     entry, which quadratic convergence leaves at the rounding level.  An infinite
     ``y`` passes through at a finite ``tau``; an infinite ``tau`` zeroes every entry.
-    Every elementwise pass runs in blocks of :data:`SHRINK_BLOCK_ENTRIES`
+    Every elementwise pass runs in blocks of ``tensor_ops.BLOCK_ENTRIES``
     entries, so the temporaries as long as ``g`` are a boolean mask and, for
-    ``p<1``, three arrays as long as the entries beyond the dead zone.
+    ``p<1``, three arrays as long as the entries beyond the dead zone.  Each
+    entry's value is its own, so any cut gives the bits of one whole pass.
     """
     # the flat index addresses C order, in which ``flat`` is a view of ``g``;
     # of any other layout it would be a copy, and the result would be lost
@@ -222,9 +218,10 @@ def _entries_above(flat: np.ndarray, threshold: float) -> np.ndarray:
     The magnitudes are taken one block at a time into one block-sized buffer;
     only the mask is as long as ``flat``.
     """
-    magnitude = np.empty(min(flat.size, SHRINK_BLOCK_ENTRIES))
+    parts = flat_blocks(flat.size)
+    magnitude = np.empty(parts[0].stop)
     above = np.empty(flat.size, dtype=bool)
-    for part in _flat_blocks(flat.size):
+    for part in parts:
         block = flat[part]
         np.greater(np.abs(block, out=magnitude[:block.size]), threshold, out=above[part])
     return np.flatnonzero(above)

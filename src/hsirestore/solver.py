@@ -114,7 +114,7 @@ from .priors import (
 # and calls none of these four; they are imported because
 # restorebench/tracing.py wraps them in this namespace.
 from .priors import diff_adjoint, diff_forward, shrink_gradient_stack, soft_threshold  # noqa: F401
-from .tensor_ops import _fan_out, _on_halves, fro_norm, validate_cube
+from .tensor_ops import _fan_out, _on_halves, fro_norm, row_blocks, validate_cube
 from .tucker import TuckerRanks, feasible_ranks, hooi, reconstruct
 
 # cap on the penalty; from the defaults (beta0=0.01, growth 1.1, max_iter=100)
@@ -123,9 +123,6 @@ BETA_MAX = 1e6
 # weights of the height, width and band differences; the exponents, not the
 # weights, adapt to the data
 DIFF_WEIGHTS = (1.0, 1.0, 0.5)
-# entries per row block of the z-step's width and band terms: a 48x48x16
-# cube is one block
-ROW_BLOCK_ENTRIES = 40960
 
 
 def default_image_ranks(shape: tuple[int, int, int]) -> TuckerRanks:
@@ -357,21 +354,19 @@ def _z_gradient_terms(state: SolverState, beta: float, scratch: np.ndarray) -> N
     denominator and multiplying it by the reciprocal differ only in the sign
     of a zero.  Reads only ``f``, ``dual_grad`` and ``scratch``.  The width
     and band differences stay inside each row, so they are taken in blocks of
-    whole rows, about :data:`ROW_BLOCK_ENTRIES` entries each, through one
+    whole rows, at most ``tensor_ops.BLOCK_ENTRIES`` entries each, through one
     block-sized buffer, and added to the height term block by block.
     """
-    h, w, p = scratch.shape
-    rows = max(1, ROW_BLOCK_ENTRIES // (w * p))
-    adjoint, term = np.empty(scratch.shape), np.empty((min(h, rows), w, p))
+    blocks = row_blocks(scratch.shape)
+    adjoint, term = np.empty(scratch.shape), np.empty((blocks[0].stop,) + scratch.shape[1:])
     for axis in range(3):
         np.multiply(beta, state.f[axis], out=scratch)
         scratch -= state.dual_grad[axis]
         if not axis:
             _circular_diff(scratch, axis, -1, DIFF_WEIGHTS[axis], adjoint)
             continue
-        for start in range(0, h, rows):
-            block = slice(start, min(start + rows, h))
-            diff = _circular_diff(scratch[block], axis, -1, DIFF_WEIGHTS[axis], term[:block.stop - start])
+        for block in blocks:
+            diff = _circular_diff(scratch[block], axis, -1, DIFF_WEIGHTS[axis], term[:block.stop - block.start])
             adjoint[block] += diff
     del term
     inv_denom = np.multiply(beta, _diff_transfer(scratch.shape, DIFF_WEIGHTS))

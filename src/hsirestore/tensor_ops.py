@@ -10,7 +10,8 @@ built from the remaining indices in ascending mode order with the lower mode
 varying fastest; :func:`unfold` and :func:`fold` keep that order whatever the
 memory layout.
 
-The module also holds what every layer shares for its layout copies and its
+The module also holds what every layer shares for its blocks (one rule,
+:data:`BLOCK_ENTRIES` and :data:`BAND_BLOCK_BYTES`), its layout copies and its
 second core.  :func:`_copy_in_tiles` runs a transposing copy tile by tile, so
 that neither side is walked across the whole array between two uses of one
 cache line.  :func:`_fan_out` hands a list of tasks to the one helper thread
@@ -124,6 +125,29 @@ def leading_left_singular_vectors(m: np.ndarray, r: int) -> np.ndarray:
     signs = np.sign(u[idx, np.arange(r)])
     signs[signs == 0] = 1.0
     return u * signs
+
+
+# one block rule: a pass whose temporaries are one block long cuts blocks of at
+# most this many entries (256 KiB of float64), a buffer of whole bands this many bytes
+BLOCK_ENTRIES = 32768
+BAND_BLOCK_BYTES = 2**22
+
+
+def flat_blocks(size: int) -> list[slice]:
+    """Slices of at most :data:`BLOCK_ENTRIES` entries covering ``range(size)``, the longest first (one if empty)."""
+    return [slice(i, min(i + BLOCK_ENTRIES, size)) for i in range(0, max(size, 1), BLOCK_ENTRIES)]
+
+
+def row_blocks(shape: tuple[int, ...], rows: slice = slice(None)) -> list[slice]:
+    """Slices of ``rows`` of axis 0, the longest first: at least one row, at most :data:`BLOCK_ENTRIES` entries."""
+    start, stop, _ = rows.indices(shape[0])
+    step = max(1, BLOCK_ENTRIES // math.prod(shape[1:]))
+    return [slice(i, min(i + step, stop)) for i in range(start, stop, step)]
+
+
+def bands_per_block(shape: tuple[int, int, int], itemsize: int) -> int:
+    """Whole bands of ``shape`` per buffer of at most :data:`BAND_BLOCK_BYTES`, at least one and at most all."""
+    return min(shape[2], max(1, BAND_BLOCK_BYTES // (shape[0] * shape[1] * itemsize)))
 
 
 # a layout copy runs over tiles of about this many entries: the cache lines

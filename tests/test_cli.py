@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import hsirestore.cli
+import hsirestore.solver
 from hsirestore.cli import main
 from hsirestore.fileio import parse_solver_config, read_cube, write_cube
 from hsirestore.gradient_fit import HyperLaplacianFit, estimate_p
@@ -203,24 +204,39 @@ class TestDenoise:
         assert "p_override" in err
 
     def test_constant_cube_converges_after_two_iterations(self, tmp_path, capsys):
-        # --normalize maps a constant band to zero, where every iterate stays zero
-        noisy = tmp_path / "constant.cube"
-        write_cube(noisy, np.full((16, 16, 8), 0.3))
-        code = main(["denoise", "--in", str(noisy), "--out-dir", str(tmp_path / "o"), "--normalize"])
-        assert code == 0
-        assert capsys.readouterr().out.startswith("converged after 2 iterations")
-
-    def test_exponents_fitted_on_their_bound_are_reported(self, tmp_path, capsys):
-        # a constant cube has no gradients to fit; the fit clamps p to its lower bound
+        # --normalize maps a constant band to zero, where every iterate stays
+        # zero; the exponent fit rejects such a cube, so the config sets them
         noisy = tmp_path / "constant.cube"
         write_cube(noisy, np.full((16, 16, 8), 0.3))
         config = tmp_path / "config.txt"
+        config.write_text("p_override=0.5,0.5,0.5\n")
+        code = main(["denoise", "--in", str(noisy), "--out-dir", str(tmp_path / "o"), "--normalize",
+                     "--config", str(config)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("converged after 2 iterations")
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    def test_constant_cube_without_p_override_exits_1(self, tmp_path, capsys, normalize):
+        noisy = tmp_path / "constant.cube"
+        write_cube(noisy, np.full((16, 16, 8), 0.3))
+        code = main(["denoise", "--in", str(noisy), "--out-dir", str(tmp_path / "o")] + ["--normalize"] * normalize)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: the exponent fit needs gradients along every direction, got none along "
+                       "height, width, band; denoise skips the fit when its --config sets p_override\n")
+
+    def test_exponents_fitted_on_their_bound_are_reported(self, tmp_path, truth_file, monkeypatch, capsys):
+        # the height and width exponents sit on the lower bound, the band's inside
+        fit = HyperLaplacianFit((0.1, 0.1, 0.5), (0.1, 0.1, 0.1), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        monkeypatch.setattr(hsirestore.solver, "estimate_p", lambda y: fit)
+        config = tmp_path / "config.txt"
         config.write_text("max_iter=3\n")
-        code = main(["denoise", "--in", str(noisy), "--out-dir", str(tmp_path / "o"), "--config", str(config)])
+        code = main(["denoise", "--in", str(truth_file), "--out-dir", str(tmp_path / "o"),
+                     "--config", str(config)])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0].endswith("p=(0.100, 0.100, 0.100)")
-        assert lines[1:] == ["p_on_bound=h,w,p"]
+        assert lines[0].endswith("p=(0.100, 0.100, 0.500)")
+        assert lines[1:] == ["p_on_bound=h,w"]
 
     def test_overridden_exponents_are_not_checked_against_the_fit_bounds(self, tmp_path, truth_file, capsys):
         config = fast_config(tmp_path)
@@ -284,13 +300,16 @@ class TestFitP:
         assert lines[-1] == "p_on_bound=none"
 
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
-    def test_constant_cube_reports_every_exponent_on_its_bound(self, tmp_path, capsys, normalize):
+    def test_constant_cube_exits_1_naming_every_direction(self, tmp_path, capsys, normalize):
+        # a constant cube has no gradients to fit in any direction
         path = tmp_path / "constant.cube"
         write_cube(path, np.full((16, 16, 8), 0.3))
-        assert main(["fit-p", "--in", str(path)] + ["--normalize"] * normalize) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[:3] == ["p_h=0.1", "p_w=0.1", "p_p=0.1"]
-        assert lines[-1] == "p_on_bound=h,w,p"
+        assert main(["fit-p", "--in", str(path)] + ["--normalize"] * normalize) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: the exponent fit needs gradients along every direction")
+        assert "got none along height, width, band;" in err and "p_override" in err
 
     def test_exponent_on_one_bound_names_its_direction(self, tmp_path, monkeypatch, capsys):
         # only the width exponent sits on a bound, the upper one

@@ -142,7 +142,8 @@ class TestStreamedCube:
     @pytest.mark.parametrize("block_entries", [1, 61, 10**9])
     @pytest.mark.parametrize("layout", ["c", "fortran", "strided", "broadcast", "bool"])
     def test_file_and_cube_equal_the_one_shot_cast(self, tmp_path, monkeypatch, block_entries, layout):
-        monkeypatch.setattr(fileio, "CUBE_BLOCK_ENTRIES", block_entries)
+        # the transfer buffer holds float32 values
+        monkeypatch.setattr(tensor_ops, "BAND_BLOCK_BYTES", 4 * block_entries)
         cube = layouts(self.SHAPE)[layout]
         path = tmp_path / "s.cube"
         write_cube(path, cube)
@@ -190,7 +191,7 @@ class TestStreamedCube:
     @pytest.mark.parametrize("block_entries", [1, 10**9])
     def test_short_read_reports_the_bytes_found(self, tmp_path, monkeypatch, block_entries):
         # the file shrinks after read_cube took its size
-        monkeypatch.setattr(fileio, "CUBE_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(tensor_ops, "BAND_BLOCK_BYTES", 4 * block_entries)
         path = tmp_path / "short.cube"
         write_cube(path, f32_cube())
         raw = path.read_bytes()
@@ -202,7 +203,7 @@ class TestStreamedCube:
 
     @pytest.mark.parametrize("band", [0, 6])
     def test_non_finite_value_found_in_any_block(self, tmp_path, monkeypatch, band):
-        monkeypatch.setattr(fileio, "CUBE_BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(tensor_ops, "BAND_BLOCK_BYTES", 1)
         path = tmp_path / "nan.cube"
         write_cube(path, f32_cube(shape=self.SHAPE))
         raw = bytearray(path.read_bytes())
@@ -216,12 +217,12 @@ class TestStreamedCube:
 class TestStreamedMemory:
     """Peaks above the inputs on a cube of four blocks, measured with tracemalloc."""
 
-    SHAPE = (128, 128, 256)  # 64 bands per block of CUBE_BLOCK_ENTRIES
+    SHAPE = (128, 128, 256)  # 64 bands per float32 block of BAND_BLOCK_BYTES
 
     def test_write_holds_one_float32_block(self, tmp_path):
         # a whole-cube cast would hold half a cube of float32 payload
         cube = np.random.default_rng(6).random(self.SHAPE)
-        assert cube.size == 4 * fileio.CUBE_BLOCK_ENTRIES
+        assert 4 * tensor_ops.bands_per_block(self.SHAPE, 4) == self.SHAPE[2]
         _, peak = traced_peak(write_cube, tmp_path / "w.cube", cube)
         assert peak <= 0.2 * cube.nbytes
 

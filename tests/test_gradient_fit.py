@@ -361,6 +361,28 @@ class TestEstimateP:
         with pytest.raises(ValueError):
             estimate_p(np.zeros((1, 4, 4)))
 
+    @pytest.mark.parametrize(
+        "constant_along, named",
+        [((0,), "height"), ((2,), "band"), ((0, 1), "height, width"), ((0, 1, 2), "height, width, band")],
+    )
+    def test_direction_without_gradients_rejected(self, constant_along, named):
+        # constant along those axes, so its differences there are all zero
+        shape = (6, 5, 4)
+        profile = np.random.default_rng(12).random([1 if a in constant_along else n for a, n in enumerate(shape)])
+        with pytest.raises(ValueError, match=f"got none along {named}; denoise skips .* p_override$"):
+            estimate_p(np.broadcast_to(profile, shape))
+
+    def test_steps_under_a_zero_noise_scale_are_fitted(self):
+        # three quarters of every difference field are zero, so each MAD is
+        # zero, but the steps are gradients
+        cube = np.zeros((8, 8, 8))
+        cube[:2] += 1.0
+        cube[:, :2] += 1.0
+        cube[:, :, :2] += 1.0
+        fit = estimate_p(cube)
+        assert fit.sigmas == (0.0, 0.0, 0.0)
+        assert all(FIT_P_BOUNDS[0] <= p <= FIT_P_BOUNDS[1] for p in fit.p_values)
+
     # 70x40x30 holds more than one histogram block
     @pytest.mark.parametrize("shape", [(5, 7, 3), (33, 17, 9), (70, 40, 30)])
     @pytest.mark.parametrize("layout", ["C", "F", "float32"])

@@ -239,7 +239,7 @@ class TestEvaluate:
         # 1 gives one-row blocks, 500 blocks of 2 rows and a short last one,
         # 10**6 one block; 960 gives blocks of 4 rows, and split on the helper
         # the 13 rows halve at row 6, inside the second block
-        monkeypatch.setattr(hsirestore.metrics, "SAM_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(hsirestore.tensor_ops, "BLOCK_ENTRIES", block_entries)
         if split:
             monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: True)
             monkeypatch.setattr(hsirestore.metrics, "SPLIT_BAND_ENTRIES", 1)
@@ -255,7 +255,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("bands", [1, 3, 4, 5])
     def test_band_blocks_equal_direct_band_values(self, monkeypatch, bands):
         # blocks of 4 bands: one short block, one full, one full and one band
-        monkeypatch.setattr(hsirestore.metrics, "PLANE_BLOCK_ENTRIES", 4 * 16 * 13)
+        monkeypatch.setattr(hsirestore.tensor_ops, "BAND_BLOCK_BYTES", 4 * 16 * 13 * 8)
         rng = np.random.default_rng(16 + bands)
         ref = rng.random((16, 13, bands))
         test = np.clip(ref + rng.normal(0, 0.1, ref.shape), 0, 1)
@@ -274,7 +274,7 @@ class TestEvaluate:
         rng = np.random.default_rng(17)
         ref = rng.random((128, 128, 64))
         test = np.clip(ref + rng.normal(0, 0.1, ref.shape), 0, 1)
-        block_bands = hsirestore.metrics.PLANE_BLOCK_ENTRIES // (128 * 128)
+        block_bands = hsirestore.tensor_ops.bands_per_block(ref.shape, ref.itemsize)
         assert block_bands < 64
         _, peak = traced_peak(evaluate, ref, test)
         assert peak <= 2 * block_bands * 128 * 128 * ref.itemsize + 2**21

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from hsirestore import noise
+from hsirestore import tensor_ops
 from hsirestore.noise import (
     DEADLINE_COUNT,
     DEADLINE_WIDTH,
-    IMPULSE_BLOCK_ENTRIES,
     NoiseSpec,
     _deadline_profile,
     _impulse_perturbation,
@@ -13,7 +12,7 @@ from hsirestore.noise import (
     case_spec,
     simulate_case,
 )
-from hsirestore.tensor_ops import validate_cube
+from hsirestore.tensor_ops import row_blocks, validate_cube
 from memory import traced_peak
 
 
@@ -95,7 +94,7 @@ class TestImpulsePerturbation:
     def test_row_blocks_draw_the_whole_cube_stream(self, monkeypatch, block_entries):
         # 7 rows of 4x5 entries: one row, three rows with a short last block,
         # and the whole cube per block
-        monkeypatch.setattr(noise, "IMPULSE_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(tensor_ops, "BLOCK_ENTRIES", block_entries)
         cube = np.random.default_rng(10).random((7, 4, 5))
         ratio = np.linspace(0.0, 1.0, 5)
         rng = np.random.default_rng(11)
@@ -232,7 +231,8 @@ class TestSimulateCase:
         # the stripe field and dead-line mask are views of (w, p) profiles,
         # which fit in the slack beside the iterator buffer
         returned = noisy.nbytes + sum(c.nbytes for c in comps.values() if c.flags.owndata)
-        assert peak <= returned + IMPULSE_BLOCK_ENTRIES * noisy.itemsize + 2**17
+        block = row_blocks(noisy.shape)[0]
+        assert peak <= returned + noisy[block].nbytes + 2**17
 
     @pytest.mark.parametrize("case_id", [1, 5])
     def test_peak_memory_is_two_cubes_and_the_impulse_mask(self, case_id):

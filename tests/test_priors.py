@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsirestore.priors
+import hsirestore.tensor_ops
 from hsirestore.priors import (
     GradientStack,
     _check_shrink_args,
@@ -380,11 +381,11 @@ BLOCK_ENTRIES = [1, 7, 10**9]
 
 
 class TestBlockedPasses:
-    """The shrinkages' passes run in blocks of ``SHRINK_BLOCK_ENTRIES`` entries, with the bits of one block."""
+    """The shrinkages' passes run in blocks of ``tensor_ops.BLOCK_ENTRIES`` entries, with the bits of one block."""
 
     @pytest.mark.parametrize("block_entries", BLOCK_ENTRIES)
     def test_in_place_soft_threshold_keeps_soft_threshold_conventions(self, monkeypatch, block_entries):
-        monkeypatch.setattr(hsirestore.priors, "SHRINK_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(hsirestore.tensor_ops, "BLOCK_ENTRIES", block_entries)
         y = np.array([-0.3, -0.0, 0.0, 0.1, -0.2, 0.5, -2.0, 1e300, np.inf, -np.inf])
         with warnings.catch_warnings():
             # at an infinite threshold a clip would leave inf - inf
@@ -414,9 +415,9 @@ class TestBlockedPasses:
         g = signed_zero_cube((5, 4, 3), seed=60)
         g[0, 0, :3] = [np.inf, -1e200, 3.0]
         with monkeypatch.context() as m:
-            m.setattr(hsirestore.priors, "SHRINK_BLOCK_ENTRIES", 10**9)
+            m.setattr(hsirestore.tensor_ops, "BLOCK_ENTRIES", 10**9)
             whole = shrunk(g, 0.2, p)
-        monkeypatch.setattr(hsirestore.priors, "SHRINK_BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(hsirestore.tensor_ops, "BLOCK_ENTRIES", block_entries)
         assert np.count_nonzero(whole) > 0
         assert shrunk(g, 0.2, p).tobytes() == whole.tobytes()
         assert soft_threshold(g, 0.2).tobytes() == shrunk(g, 0.2, 1.0).tobytes()

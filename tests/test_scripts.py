@@ -1,7 +1,9 @@
 """Smoke tests: each experiment script runs a tiny case end to end."""
 
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -80,3 +82,63 @@ def test_bench_record_folds_alternating_runs(tmp_path):
             assert spread["sets"] == 1
             assert spread["q1"] <= spread["median"] <= spread["q3"]
     assert all(sum(counts.values()) == 1 for counts in workload["pairs"].values())
+    for run in workload["runs"]:
+        assert run["steal_s"] >= 0.0
+        assert sorted(run["references"]) == ["constant_mean_mpsnr_db", "median5_mpsnr_db", "noisy_mpsnr_db"]
+        margin = run["metrics"]["mpsnr_db"] - run["references"]["constant_mean_mpsnr_db"]
+        assert run["mpsnr_margin_over_constant_db"] == margin
+    # one pair reads no gain; one tree's quality against itself reads no change
+    assert list(workload["readings"]) == end_to_end
+    assert set(workload["readings"].values()) <= {"regression", "unresolved", "no change"}
+    assert all(workload["readings"][name] == "no change" for name in ("mpsnr_db", "mssim", "msam_rad"))
+
+
+def load_bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", ROOT / "scripts" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# ten parent job times: median 1.1 s, interquartile range 0.175 s
+PARENT_JOB_S = [1.0, 1.1, 1.2, 1.0, 1.3, 0.9, 1.1, 1.2, 1.0, 1.1]
+
+
+@pytest.mark.parametrize(
+    "parent, change, expected",
+    [
+        # nine of ten pairs faster, by more than the parent's interquartile range
+        (PARENT_JOB_S, [0.7] * 9 + [1.4], "gain"),
+        # faster in every pair, but by less than that range
+        (PARENT_JOB_S, [v - 0.01 for v in PARENT_JOB_S], "no change"),
+        # 30% slower against a bound of 24%
+        ([1.0] * 10, [1.3] * 10, "regression"),
+        # a parent interquartile range of 75% of its median against that bound
+        ([0.5, 1.0, 1.5] * 3 + [1.0], [1.0] * 10, "unresolved"),
+        # every pair faster by more than the range, but too few pairs for a gain
+        ([1.0] * 4, [0.5] * 4, "no change"),
+    ],
+    ids=["gain", "inside-the-spread", "regression", "unresolved", "too-few-pairs"],
+)
+def test_bench_reading_rule(parent, change, expected):
+    bench_record = load_bench_record()
+    metric = {"name": "job_s", "unit": "s", "better": "lower", "bound": 0.24}
+    pairs = bench_record.pair_counts(dict(enumerate(parent)), dict(enumerate(change)), "lower")
+    spreads = bench_record.spread(parent), bench_record.spread(change)
+    assert bench_record.reading(*spreads, pairs, metric) == expected
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_committed_bench_files_are_readable(path):
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    # both trees' commits, so that each side can be checked out again
+    for tree in ("parent", "change"):
+        assert re.fullmatch("[0-9a-f]{40}", bench["trees"][tree]["git_head"])
+    assert bench["workloads"]
+    for workload in bench["workloads"].values():
+        for tree in ("parent", "change"):
+            assert workload[tree]
+            # every median carries its set count, and every set ran
+            for spread in workload[tree].values():
+                assert spread["sets"] == bench["sets"]
+                assert spread["q1"] <= spread["median"] <= spread["q3"]

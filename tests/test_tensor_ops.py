@@ -3,13 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsirestore import fileio, metrics, noise, priors, solver, tensor_ops
+from hsirestore.noise import case_spec, simulate_case
+from hsirestore.synthetic import low_rank_cube
 from hsirestore.tensor_ops import (
+    bands_per_block,
+    flat_blocks,
     fold,
     fro_norm,
     leading_left_singular_vectors,
     mode_product,
+    row_blocks,
     unfold,
 )
+from hsirestore.tucker import TuckerRanks
 from oracles import (
     fro_norm_oracle,
     mode_product_oracle,
@@ -199,3 +206,103 @@ class TestLeadingLeftSingularVectors:
         # the first ADMM Tucker target is all zero
         u = leading_left_singular_vectors(np.zeros((6, 40)), 3)
         np.testing.assert_allclose(u.T @ u, np.eye(3), atol=1e-14)
+
+
+class TestBlockCuts:
+    """The cuts of the one block rule, at a patched ``BLOCK_ENTRIES`` of 10 and ``BAND_BLOCK_BYTES`` of 96."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(tensor_ops, "BLOCK_ENTRIES", 10)
+        monkeypatch.setattr(tensor_ops, "BAND_BLOCK_BYTES", 96)
+
+    def test_flat_blocks_cover_the_range_longest_first(self):
+        assert flat_blocks(25) == [slice(0, 10), slice(10, 20), slice(20, 25)]
+        assert flat_blocks(10) == [slice(0, 10)]
+        # one empty block, so that a buffer the first block's length exists
+        assert flat_blocks(0) == [slice(0, 0)]
+
+    def test_row_blocks_hold_whole_rows(self):
+        # rows of 3 entries: three rows per block
+        assert row_blocks((7, 3)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+        assert row_blocks((7, 1, 3), slice(2, 7)) == [slice(2, 5), slice(5, 7)]
+        assert row_blocks((7, 3), slice(4, 4)) == []
+        # a row longer than a block is a block of its own
+        assert row_blocks((3, 4, 5)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    @pytest.mark.parametrize(
+        "shape, itemsize, bands",
+        [((2, 3, 9), 4, 4), ((2, 3, 9), 8, 2), ((2, 3, 1), 4, 1), ((5, 5, 9), 8, 1), ((1, 1, 3), 4, 3)],
+    )
+    def test_bands_per_block(self, shape, itemsize, bands):
+        # at least one band, at most every band, and no more bytes than the bound beyond one band
+        assert bands_per_block(shape, itemsize) == bands
+
+
+def blocked_pass_outputs(monkeypatch, block_entries):
+    """The bytes of every pass that cuts its work by ``tensor_ops.BLOCK_ENTRIES``, at ``block_entries``.
+
+    The shapes are chosen so that a limit of 300 entries leaves a short last
+    block in each pass: 385 shrinkage entries, 7 z-step rows of 60 entries,
+    13 spectral-angle rows of 132, split at row 6 between the two threads,
+    and 11 impulse rows of 30.
+    """
+    rng = np.random.default_rng(70)
+    out = {}
+    with monkeypatch.context() as m:
+        m.setattr(tensor_ops, "BLOCK_ENTRIES", block_entries)
+        # the helper takes its share of the spectral angles and of the solve
+        m.setattr(tensor_ops, "_helper_wanted", lambda: True)
+        m.setattr(metrics, "SPLIT_BAND_ENTRIES", 1)
+        g = rng.standard_normal((5, 7, 11))
+        # two entries past the Newton steps, then one that needs fewer steps
+        # than the rest, so a stopping test per block would show
+        g[0, 0, :3] = [np.inf, -1e200, 50.0]
+        for p in (0.5, 1.0):
+            out[f"shrinkage p={p}"] = priors._gst_shrink_in_place(g.copy(), 0.4, p).tobytes()
+        shape = (7, 6, 10)
+        state = solver.SolverState.zeros(shape, 0.7)
+        state.f, state.dual_grad = rng.standard_normal((2, 3) + shape)
+        solver._z_gradient_terms(state, 0.7, np.empty(shape))
+        out["z-step gradient terms"] = state.z_adjoint.tobytes() + state.z_inv_denom.tobytes()
+        ref = rng.random((13, 11, 12))
+        out["spectral angles"] = repr(metrics.evaluate(ref, ref + rng.normal(0.0, 0.2, ref.shape)).msam)
+        cube = rng.random((11, 5, 6))
+        mask = noise._impulse_perturbation(cube, np.linspace(0.0, 1.0, 6), np.random.default_rng(71))
+        out["impulse draws"] = mask.tobytes() + cube.tobytes()
+        truth = low_rank_cube((16, 16, 8), TuckerRanks(3, 3, 2), seed=72)
+        noisy, _ = simulate_case(truth, case_spec(2, seed=72))
+        dec, diag = solver.solve(noisy, solver.SolverConfig(max_iter=5))
+        out["solve"] = b"".join(getattr(dec, name).tobytes() for name in ("clean", "sparse", "stripes", "residual"))
+        out["solve"] += repr((diag.p_values, diag.rel_change)).encode()
+    return out
+
+
+# a BLOCK_ENTRIES that cuts every pass into single entries or rows, into blocks
+# with a short last one, and into one block
+@pytest.mark.parametrize("block_entries", [1, 300, 10**9])
+def test_every_blocked_pass_gives_the_bytes_of_one_block(monkeypatch, block_entries):
+    blocked = blocked_pass_outputs(monkeypatch, block_entries)
+    assert blocked == blocked_pass_outputs(monkeypatch, 10**9)
+
+
+# one band per buffer, buffers of 3 float64 or 6 float32 bands of 12x11 with
+# a short last one, and one buffer for the cube
+@pytest.mark.parametrize("band_block_bytes", [1, 3 * 12 * 11 * 8, 10**9])
+def test_band_blocks_give_the_bytes_of_one_block(monkeypatch, tmp_path, band_block_bytes):
+    rng = np.random.default_rng(73)
+    ref = rng.random((12, 11, 7))
+    test = np.clip(ref + rng.normal(0.0, 0.1, ref.shape), 0.0, 1.0)
+
+    def outputs(directory):
+        directory.mkdir()
+        path = directory / "test.cube"
+        fileio.write_cube(path, np.asfortranarray(test))
+        return (path.read_bytes(), fileio.read_cube(path).tobytes(), fileio.read_cube(path, normalize=True).tobytes(),
+                repr(metrics.evaluate(ref, test)))
+
+    with monkeypatch.context() as m:
+        m.setattr(tensor_ops, "BAND_BLOCK_BYTES", 10**9)
+        whole = outputs(tmp_path / "whole")
+    monkeypatch.setattr(tensor_ops, "BAND_BLOCK_BYTES", band_block_bytes)
+    assert outputs(tmp_path / "blocked") == whole

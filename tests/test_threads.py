@@ -166,7 +166,8 @@ LOOPS = {
     "stripes-off": (((24, 24, 8), TuckerRanks(3, 3, 2)), SolverConfig(max_iter=8, stripe_enabled=False)),
     "max_iter=1": (((24, 24, 8), TuckerRanks(3, 3, 2)), SolverConfig(max_iter=1)),
     "max_iter=2": (((24, 24, 8), TuckerRanks(3, 3, 2)), SolverConfig(max_iter=2)),
-    "zero-cube": ("zeros", SolverConfig()),
+    # the exponent fit rejects a cube with no gradients
+    "zero-cube": ("zeros", SolverConfig(p_override=(0.5, 0.5, 0.5))),
 }
 
 
@@ -186,11 +187,11 @@ def test_lanes_reorder_nothing(monkeypatch, fast_switching, loop, wanted):
 
 @pytest.mark.parametrize("loop", ["47x45x15", "48x48x16-p=1"])
 def test_blocked_passes_reorder_nothing(monkeypatch, fast_switching, loop):
-    # the z-step's row blocks of three rows and the shrinkages' blocks of 1000
-    # entries, each splitting the cube unevenly; the oracle's shrinkage is the
-    # package's own, whose blocks test_priors checks against one block
-    monkeypatch.setattr(hsirestore.solver, "ROW_BLOCK_ENTRIES", 3 * 48 * 16)
-    monkeypatch.setattr(hsirestore.priors, "SHRINK_BLOCK_ENTRIES", 1000)
+    # blocks of 2000 entries: the z-step's row blocks of two rows, which split
+    # 47 rows unevenly, and the shrinkages' flat blocks, which split both cubes
+    # unevenly; the oracle's shrinkage is the package's own, whose blocks
+    # test_priors checks against one block
+    monkeypatch.setattr(hsirestore.tensor_ops, "BLOCK_ENTRIES", 2000)
     assert_matches_loop_oracle(monkeypatch, loop, True)
 
 
@@ -209,12 +210,12 @@ def assert_matches_loop_oracle(monkeypatch, loop, wanted):
 
 # (input, config, converged, iterations): a 48x48x16 solve run to convergence,
 # one cut at max_iter, one iteration alone, and the zero cube, which stops on
-# its second iteration
+# its second iteration, at exponents of its own since the fit rejects it
 STOPS = {
     "converged": ("noisy", SolverConfig(**CASE2_RANKS), True, None),
     "max_iter=5": ("noisy", SolverConfig(**CASE2_RANKS, max_iter=5), False, 5),
     "max_iter=1": ("noisy", SolverConfig(**CASE2_RANKS, max_iter=1), False, 1),
-    "zero-cube": ("zeros", SolverConfig(), True, 2),
+    "zero-cube": ("zeros", SolverConfig(p_override=(0.5, 0.5, 0.5)), True, 2),
 }
 COUNTED_UPDATES = ("update_z", "update_b", "update_s", "update_f", "update_multipliers")
 
