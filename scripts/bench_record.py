@@ -49,15 +49,11 @@ GAIN_PAIRS = 10
 GAIN_SHARE = 0.9
 
 
-def steal_ticks() -> int | None:
+def steal_ticks() -> int:
     """The host's vCPU steal so far, in clock ticks, from the ``cpu`` line of ``/proc/stat``."""
-    try:
-        with open("/proc/stat", encoding="utf-8") as fh:
-            fields = fh.readline().split()
-    except OSError:
-        return None
-    # cpu user nice system idle iowait irq softirq steal ...
-    return int(fields[8]) if fields[0] == "cpu" and len(fields) > 8 else None
+    with open("/proc/stat", encoding="utf-8") as fh:
+        # cpu user nice system idle iowait irq softirq steal ...
+        return int(fh.readline().split()[8])
 
 
 def git_head(tree: Path) -> dict:
@@ -93,8 +89,7 @@ def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
         "attempted": summary["attempted"],
         "failed": summary["failed"],
         "metrics": metrics,
-        "steal_s": (None if None in (steal_before, steal_after)
-                    else (steal_after - steal_before) / os.sysconf("SC_CLK_TCK")),
+        "steal_s": (steal_after - steal_before) / os.sysconf("SC_CLK_TCK"),
         "references": references,
         "mpsnr_margin_over_constant_db": (None if None in (constant, restored) else restored - constant),
         "blas_threads": {"pinned": env["blas_threads_pinned"], "in_use": env["blas_threads_in_use"]},

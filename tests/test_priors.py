@@ -401,6 +401,12 @@ class TestBlockedPasses:
         assert got.tobytes() == soft_threshold(y, 0.3).tobytes()
 
     @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_empty_array_passes_through(self, p):
+        # its one block is empty, and that block's length sizes the buffers
+        assert shrunk(np.empty((0, 3)), 0.2, p).shape == (0, 3)
+        assert soft_threshold(np.array([]), 0.2).shape == (0,)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
     def test_other_layouts_rejected_before_any_write(self, p):
         # a flat view of any other layout is a copy, which would take the result
         g = np.asfortranarray(signed_zero_cube((4, 5, 6), seed=61))
