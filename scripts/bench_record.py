@@ -21,6 +21,13 @@ per metric one reading:
 * ``unresolved``: the parent's interquartile range is wider than that bound;
 * ``no change`` otherwise.
 
+Per workload it also holds one digest per tree: sha256 over the sorted
+``Checked.outputs`` (each key, then its bytes) of one ``Workload.check(
+Workload.run())`` at the same seed, run in a fresh process of that checkout,
+with its own ``restorebench/workloads.py``, on one BLAS thread, and whether
+the two digests are equal, so that a change that claims byte-identical
+outputs shows it.
+
 It also holds every run, the number of CPUs this process may use, the BLAS
 thread count the benchmark pinned and found in use, and each checkout's ``git
 rev-parse HEAD`` and whether it had uncommitted changes.  The script only runs
@@ -47,6 +54,22 @@ RECORD = "restorebench/results/{workload}-seed{seed}-trace0.json"
 # a gain needs this many pairs, and the change better in this share of them
 GAIN_PAIRS = 10
 GAIN_SHARE = 0.9
+# one job of the workload argv[2] at the seed argv[3], run and checked with the
+# checkout argv[1]'s workloads and package; prints the sha256 of its outputs
+DIGEST_PROBE = """\
+import hashlib, sys, tempfile
+from pathlib import Path
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/restorebench"]
+from workloads import WORKLOADS
+with tempfile.TemporaryDirectory() as workdir:
+    workload = WORKLOADS[sys.argv[2]](int(sys.argv[3]), Path(workdir))
+    outputs = workload.check(workload.run()).outputs
+digest = hashlib.sha256()
+for key in sorted(outputs):
+    digest.update(key.encode())
+    digest.update(outputs[key])
+print(digest.hexdigest())
+"""
 
 
 def steal_ticks() -> int:
@@ -94,6 +117,16 @@ def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
         "mpsnr_margin_over_constant_db": (None if None in (constant, restored) else restored - constant),
         "blas_threads": {"pinned": env["blas_threads_pinned"], "in_use": env["blas_threads_in_use"]},
     }
+
+
+def output_digest(tree: Path, workload: str, seed: int) -> str:
+    """The sha256 of one job's sorted outputs in ``tree``, with BLAS pinned to one thread as ``run.py`` pins it."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = [sys.executable, "-c", DIGEST_PROBE, str(tree.resolve()), workload, str(seed)]
+    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, timeout=600)
+    if done.returncode != 0:
+        raise RuntimeError(f"the {workload} digest in {tree} exited {done.returncode}:\n{done.stderr}")
+    return done.stdout.strip().splitlines()[-1]
 
 
 def spread(values: list[float]) -> dict:
@@ -160,6 +193,11 @@ def main() -> int:
 
     trees = dict(zip(TREES, (args.parent, args.change)))
     end_to_end = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    digests = {}
+    for workload in args.workloads:
+        digests[workload] = {tree: output_digest(path, workload, args.seed) for tree, path in trees.items()}
+        digests[workload]["equal"] = digests[workload]["parent"] == digests[workload]["change"]
+        print(f"{workload} digests: {digests[workload]}", flush=True)
     runs = {workload: [] for workload in args.workloads}
     blas = set()
     for index in range(args.sets):
@@ -179,7 +217,7 @@ def main() -> int:
         "blas_threads": [json.loads(b) for b in sorted(blas)],
         "trees": {tree: git_head(path) for tree, path in trees.items()},
         "workloads": {
-            workload: {**summarize(workload_runs, end_to_end), "runs": workload_runs}
+            workload: {**summarize(workload_runs, end_to_end), "digests": digests[workload], "runs": workload_runs}
             for workload, workload_runs in runs.items()
         },
     }

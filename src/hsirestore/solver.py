@@ -66,16 +66,19 @@ before it forms the residual.
 :func:`solve` runs each iteration but the stopping one (see below) after
 its z-step as two lanes on two threads (``tensor_ops._fan_out``, which owns
 the process's one helper thread).  The helper thread runs the f-step, whose
-three directions read only ``z``, ``f`` and ``dual_grad``, and then forms the
-next z-step's gradient terms ``D^T (beta' f - dual_grad)`` and its Fourier
-denominator at the grown ``beta'``.  The calling thread runs the multiplier
-step, the next iteration's x-step (which reads only ``z``, ``dual_x`` and
-``beta``), the b- and s-steps and the rest of the next z-step's right-hand
-side.  So the next z-step only adds the two parts and runs the FFTs, whose
-stages it splits into halves, one on each thread.  No lane reads what the
-other writes, and every update sees the operands the order above gives it,
-so the lanes reorder no arithmetic: each value is the same numpy call on the
-same operands in the same order as in the one-thread loop.  numpy's FFTs
+three directions read only ``z``, ``f`` and ``dual_grad``, and then forms only
+the next z-step's gradient terms ``D^T (beta' f - dual_grad)`` at the grown
+``beta'``.  The calling thread runs the multiplier step, the next
+iteration's x-step (which reads only ``z``, ``dual_x`` and ``beta``), the b-
+and s-steps and the rest of the next z-step's right-hand side.  So the next
+z-step only adds the two parts and runs the FFTs, whose stages it splits
+into halves, one on each thread; it forms its Fourier denominator itself,
+in the width halves, where it divides the spectrum.  The first z-step has
+no lanes before it and forms both parts on the calling thread.  No lane
+reads what the other writes, and every update sees the operands the order
+above gives it, so the lanes reorder no arithmetic: each value is the same
+numpy call on the same operands in the same order as in the one-thread
+loop.  numpy's FFTs
 transform each line on its own, so a transform over half of the lines gives
 their bits; and a direction's Newton loop stays whole on one thread, as its
 stopping test spans the direction.  So the output is bit-identical whichever
@@ -212,10 +215,11 @@ class SolverState:
     the x-step forms its HOOI target, the multiplier step its ascent and the
     z-step's right-hand side ``beta * x``.  ``x_factors`` holds
     the Tucker factors of the last ``x`` fit, the warm start of the next one;
-    ``None`` means start cold.  ``z_rhs``, ``z_adjoint`` and ``z_inv_denom``
-    are the parts of the next z-step formed ahead of it (see
-    :func:`update_z`): :func:`update_f` forms the last two, the calling
-    thread's lane of :func:`solve` the first.  ``None`` until then.
+    ``None`` means start cold.  ``z_rhs`` and ``z_adjoint`` are the two parts
+    of the next z-step's right-hand side, formed ahead of it (see
+    :func:`update_z`): the calling thread's lane of :func:`solve` forms the
+    first, the helper's lane in :func:`update_f` the second.  ``None`` until
+    then.
     """
 
     x: np.ndarray
@@ -230,7 +234,6 @@ class SolverState:
     x_factors: tuple[np.ndarray, ...] | None = None
     z_rhs: np.ndarray | None = None
     z_adjoint: np.ndarray | None = None
-    z_inv_denom: np.ndarray | None = None
 
     @classmethod
     def zeros(cls, shape: tuple[int, int, int], beta: float) -> "SolverState":
@@ -314,26 +317,20 @@ def update_z(state: SolverState, cfg: SolverConfig, y: np.ndarray) -> np.ndarray
 
     The right-hand side is ``y - b - s + dual_x + beta * x`` (:func:`_z_rhs`)
     plus the gradient terms ``D^T (beta f - dual_grad)``
-    (:func:`_z_gradient_terms`), which also give the reciprocal denominator.
-    Inside :func:`solve` the lanes of the previous iteration have formed
-    both parts, and this step only adds them, half of the rows on each
-    thread, and runs the FFTs.  Where they are missing (the first iteration,
-    or a call on a state of one's own) the helper thread forms the gradient
-    terms while this thread forms the rest.  Either way the parts are used
-    once: the state's references to them are dropped.
+    (:func:`_z_gradient_terms`).  Inside :func:`solve` the lanes of the
+    previous iteration have formed both parts, and this step only adds them,
+    half of the rows on each thread, forms the Fourier denominator in halves
+    of the width and runs the FFTs (:func:`_fft_solve`).  Where they are
+    missing (the first iteration, or a call on a state of one's own) this
+    thread forms both, the gradient terms first.  Either way the parts are
+    used once: the state's references to them are dropped.
     """
     if state.z_rhs is None:
-        helper_scratch, own_scratch = state.scratch
-        _fan_out([partial(_z_gradient_terms, state, state.beta, helper_scratch)],
-                 [partial(_z_rhs, state, y, own_scratch)])
+        _z_gradient_terms(state, state.beta, state.scratch[0])
+        _z_rhs(state, y, state.scratch[1])
     rhs, adjoint = state.z_rhs, state.z_adjoint
-    inv_denom = state.z_inv_denom
-    state.z_rhs = state.z_adjoint = state.z_inv_denom = None
-
-    def finish_rows(rows: slice) -> None:
-        rhs[rows] += adjoint[rows]
-
-    return _fft_solve(rhs, inv_denom, finish_rows)
+    state.z_rhs = state.z_adjoint = None
+    return _fft_solve(rhs, adjoint, state.beta)
 
 
 def _z_rhs(state: SolverState, y: np.ndarray, scratch: np.ndarray) -> None:
@@ -346,13 +343,10 @@ def _z_rhs(state: SolverState, y: np.ndarray, scratch: np.ndarray) -> None:
 
 
 def _z_gradient_terms(state: SolverState, beta: float, scratch: np.ndarray) -> None:
-    """The z-step's gradient terms and reciprocal denominator at ``beta``, into the state.
+    """The z-step's gradient terms ``D^T (beta f - dual_grad)``, into ``state.z_adjoint``.
 
-    ``D^T (beta f - dual_grad)`` is summed height, then width, then band, as
-    :func:`diff_adjoint` sums it.  numpy divides a complex number by a real
-    one as a multiply by its reciprocal, so dividing the spectrum by the
-    denominator and multiplying it by the reciprocal differ only in the sign
-    of a zero.  Reads only ``f``, ``dual_grad`` and ``scratch``.  The width
+    They are summed height, then width, then band, as :func:`diff_adjoint`
+    sums them.  Reads only ``f``, ``dual_grad`` and ``scratch``.  The width
     and band differences stay inside each row, so they are taken in blocks of
     whole rows, at most ``tensor_ops.BLOCK_ENTRIES`` entries each, through one
     block-sized buffer, and added to the height term block by block.
@@ -368,32 +362,32 @@ def _z_gradient_terms(state: SolverState, beta: float, scratch: np.ndarray) -> N
         for block in blocks:
             diff = _circular_diff(scratch[block], axis, -1, DIFF_WEIGHTS[axis], term[:block.stop - block.start])
             adjoint[block] += diff
-    del term
-    inv_denom = np.multiply(beta, _diff_transfer(scratch.shape, DIFF_WEIGHTS))
-    inv_denom += 1.0 + beta
-    np.divide(1.0, inv_denom, out=inv_denom)
-    state.z_adjoint, state.z_inv_denom = adjoint, inv_denom
+    state.z_adjoint = adjoint
 
 
-def _fft_solve(rhs: np.ndarray, inv_denom: np.ndarray, finish_rows) -> np.ndarray:
-    """``irfftn(rfftn(rhs) * inv_denom)`` over all three axes, in slabs; overwrites ``rhs``.
+def _fft_solve(rhs: np.ndarray, adjoint: np.ndarray, beta: float) -> np.ndarray:
+    """``irfftn(rfftn(rhs + adjoint) / ((1 + beta) + beta * transfer))`` in slabs; overwrites ``rhs``.
 
-    numpy 2's ``np.fft.rfftn`` takes an ``rfft`` along the band axis, then an
+    The transforms run over all three axes, and ``transfer`` is
+    :func:`_diff_transfer` at :data:`DIFF_WEIGHTS`.  numpy 2's ``np.fft.rfftn`` takes an ``rfft`` along the band axis, then an
     ``fft`` along the width and one along the height, and ``irfftn`` runs the
     inverses in the reverse order; ``pyproject.toml`` requires numpy 2.0 or
     later, for that order and for the ``out=`` of its FFTs.  Each 1-D
     transform acts on every line along its axis alone, so the band and width
     transforms run on halves of the height, and the height transforms, with
     the division, on halves of the width, one half on each thread, with the
-    same bits.
-    ``finish_rows(rows)`` first completes ``rhs[rows]`` on the thread that
-    then transforms those rows.
+    same bits.  Each thread adds ``adjoint`` into the rows of ``rhs`` it then
+    transforms, and forms the denominator of the columns it divides, each
+    entry as the plain expression does.  numpy divides a complex number by a
+    real one as a multiply by its reciprocal, so multiplying the spectrum by
+    ``1 / denominator`` differs from dividing it only in the sign of a zero.
     """
     h, w, p = rhs.shape
     spectrum = np.empty((h, w, p // 2 + 1), dtype=np.complex128)
+    transfer = _diff_transfer(rhs.shape, DIFF_WEIGHTS)
 
     def forward_rows(rows: slice) -> None:
-        finish_rows(rows)
+        rhs[rows] += adjoint[rows]
         block = spectrum[rows]
         np.fft.rfft(rhs[rows], axis=2, out=block)
         np.fft.fft(block, axis=1, out=block)
@@ -401,7 +395,10 @@ def _fft_solve(rhs: np.ndarray, inv_denom: np.ndarray, finish_rows) -> np.ndarra
     def divide_columns(columns: slice) -> None:
         block = spectrum[:, columns]
         np.fft.fft(block, axis=0, out=block)
-        block *= inv_denom[:, columns]
+        inv_denom = np.multiply(beta, transfer[:, columns])
+        inv_denom += 1.0 + beta
+        np.divide(1.0, inv_denom, out=inv_denom)
+        block *= inv_denom
         np.fft.ifft(block, axis=0, out=block)
 
     def inverse_rows(rows: slice) -> None:
@@ -427,7 +424,7 @@ def update_f(
     z`` goes into a scratch cube and the target into ``f_d``, which the
     shrinkage with threshold ``lambda_tv / beta`` then overwrites; then
     ``dual_grad_d += beta * (D_d z - f_d)``.  The helper then forms the next
-    z-step's gradient terms and denominator (:func:`_z_gradient_terms`) at
+    z-step's gradient terms (:func:`_z_gradient_terms`), and only those, at
     the ``beta`` that :func:`update_multipliers` grows this one to.
     Meanwhile this thread runs the ``alongside`` callables, which may write
     neither ``z``, ``f``, ``dual_grad`` nor the first scratch cube, the

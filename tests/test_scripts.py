@@ -91,6 +91,10 @@ def test_bench_record_folds_alternating_runs(tmp_path):
     assert list(workload["readings"]) == end_to_end
     assert set(workload["readings"].values()) <= {"regression", "unresolved", "no change"}
     assert all(workload["readings"][name] == "no change" for name in ("mpsnr_db", "mssim", "msam_rad"))
+    # one tree's outputs against themselves: two equal sha256 digests
+    digests = workload["digests"]
+    assert re.fullmatch("[0-9a-f]{64}", digests["parent"])
+    assert digests["change"] == digests["parent"] and digests["equal"] is True
 
 
 def load_bench_record():
@@ -138,6 +142,10 @@ def test_committed_bench_files_are_readable(path):
     for workload in bench["workloads"].values():
         for tree in ("parent", "change"):
             assert workload[tree]
+        # files written before the digests were recorded have none
+        if "digests" in workload:
+            digests = workload["digests"]
+            assert digests["equal"] is (digests["parent"] == digests["change"])
             # every median carries its set count, and every set ran
             for spread in workload[tree].values():
                 assert spread["sets"] == bench["sets"]

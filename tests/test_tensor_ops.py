@@ -264,7 +264,7 @@ def blocked_pass_outputs(monkeypatch, block_entries):
         state = solver.SolverState.zeros(shape, 0.7)
         state.f, state.dual_grad = rng.standard_normal((2, 3) + shape)
         solver._z_gradient_terms(state, 0.7, np.empty(shape))
-        out["z-step gradient terms"] = state.z_adjoint.tobytes() + state.z_inv_denom.tobytes()
+        out["z-step gradient terms"] = state.z_adjoint.tobytes()
         ref = rng.random((13, 11, 12))
         out["spectral angles"] = repr(metrics.evaluate(ref, ref + rng.normal(0.0, 0.2, ref.shape)).msam)
         cube = rng.random((11, 5, 6))

@@ -555,8 +555,8 @@ def test_tracer_notes_read_real_results(monkeypatch, tmp_path, entry):
         assert 0.0 <= metrics["solver.f_nonzero_fraction"] <= 1.0
 
 
-def solve_peak_in_cubes(monkeypatch, p_override, max_iter=5):
-    monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: True)
+def solve_peak_in_cubes(monkeypatch, p_override, max_iter=5, helper=True):
+    monkeypatch.setattr(hsirestore.tensor_ops, "_helper_wanted", lambda: helper)
     truth = low_rank_cube((64, 64, 32), TuckerRanks(10, 10, 5), seed=7)
     noisy, _ = simulate_case(truth, case_spec(2, seed=7))
     # once per process: the Fourier multipliers' cache, the helper thread and its import
@@ -582,3 +582,9 @@ def test_full_solve_peak_memory_at_64x64x32(monkeypatch):
 def test_solve_peak_memory_at_64x64x32_at_p_1(monkeypatch):
     # the shrinkage is an in-place soft threshold here: about 15.45
     assert solve_peak_in_cubes(monkeypatch, (1.0, 1.0, 1.0)) <= 15.9
+
+
+def test_one_thread_solve_peak_memory_at_64x64x32(monkeypatch):
+    # both lanes and both FFT halves on this thread: the z-step forms the
+    # Fourier denominator of one width half at a time, about 14.8
+    assert solve_peak_in_cubes(monkeypatch, None, helper=False) <= 14.9
