@@ -195,8 +195,8 @@ def main() -> int:
     end_to_end = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     digests = {}
     for workload in args.workloads:
-        digests[workload] = {tree: output_digest(path, workload, args.seed) for tree, path in trees.items()}
-        digests[workload]["equal"] = digests[workload]["parent"] == digests[workload]["change"]
+        pair = {tree: output_digest(path, workload, args.seed) for tree, path in trees.items()}
+        digests[workload] = {**pair, "equal": pair["parent"] == pair["change"]}
         print(f"{workload} digests: {digests[workload]}", flush=True)
     runs = {workload: [] for workload in args.workloads}
     blas = set()
