@@ -60,7 +60,9 @@ DIGEST_PROBE = """\
 import hashlib, sys, tempfile
 from pathlib import Path
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/restorebench"]
+import hsirestore
 from workloads import WORKLOADS
+assert Path(hsirestore.__file__).resolve().parent == Path(sys.argv[1]).resolve() / "src" / "hsirestore", hsirestore.__file__
 with tempfile.TemporaryDirectory() as workdir:
     workload = WORKLOADS[sys.argv[2]](int(sys.argv[3]), Path(workdir))
     outputs = workload.check(workload.run()).outputs
